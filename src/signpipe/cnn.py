@@ -510,7 +510,18 @@ def load_cnn(path) -> CnnModel:
     meta, arrays = read_blocks(path)
     if meta.get("schema") != "cnn/1":
         raise ValueError(f"{path}: not a cnn model file (schema {meta.get('schema')!r})")
+    if not isinstance(meta.get("num_classes"), int):
+        raise ValueError(f"{path}: meta num_classes must be an integer")
     model = build_model(meta["num_classes"], seed=0)
-    weights = [arrays[f"param_{i:03d}"] for i in range(len(model.params()))]
-    model.set_weights(weights)
+    names = [f"param_{i:03d}" for i in range(len(model.params()))]
+    if sorted(arrays) != names:
+        raise ValueError(f"{path}: expected arrays {names[0]}..{names[-1]}, got {sorted(arrays)}")
+    for name, p in zip(names, model.params()):
+        a = arrays[name]
+        if a.shape != p.shape or a.dtype.kind != "f" or not np.all(np.isfinite(a)):
+            raise ValueError(
+                f"{path}: {name} has shape {a.shape} and dtype {a.dtype}, "
+                f"expected {p.shape} finite float"
+            )
+    model.set_weights([arrays[name] for name in names])
     return model

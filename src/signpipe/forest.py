@@ -294,6 +294,9 @@ def grid_search(
     return ForestHyperparams(**best_cfg), rows
 
 
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_class", "leaf_count")
+
+
 def save_forest(path, forest: Forest) -> None:
     """Versioned flat serialization; round-trips bit-exactly."""
     hp = forest.hyperparams
@@ -310,38 +313,69 @@ def save_forest(path, forest: Forest) -> None:
             "bootstrap": hp.bootstrap,
         },
     }
-    offsets = np.cumsum([0] + [len(t.feature) for t in forest.trees]).astype(np.int64)
-    arrays = {
-        "offsets": offsets,
-        "feature": np.concatenate([t.feature for t in forest.trees]),
-        "threshold": np.concatenate([t.threshold for t in forest.trees]),
-        "left": np.concatenate([t.left for t in forest.trees]),
-        "right": np.concatenate([t.right for t in forest.trees]),
-        "leaf_class": np.concatenate([t.leaf_class for t in forest.trees]),
-        "leaf_count": np.concatenate([t.leaf_count for t in forest.trees]),
-    }
+    arrays = {k: np.concatenate([getattr(t, k) for t in forest.trees]) for k in _NODE_ARRAYS}
+    arrays["offsets"] = np.cumsum([0] + [len(t.feature) for t in forest.trees]).astype(np.int64)
     write_blocks(path, meta, arrays)
+
+
+def _check_forest(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Reject node tables that predict could not route safely.
+
+    Every child index must lie inside its tree and exceed its parent's, the
+    order the writer emits; that is what makes traversal terminate.
+    """
+    for key in ("n_classes", "n_features", "n_trees"):
+        if not isinstance(meta.get(key), int) or meta[key] < 1:
+            raise ValueError(f"{path}: meta {key} must be a positive integer")
+    for k in ("offsets",) + _NODE_ARRAYS:
+        a = arrays.get(k)
+        if a is None or a.ndim != 1 or a.dtype.kind not in ("f" if k == "threshold" else "iu"):
+            raise ValueError(f"{path}: array {k} is missing or not a 1-D array of its kind")
+    offsets = arrays["offsets"].astype(np.int64)  # signed, so np.diff cannot wrap
+    n_nodes = len(arrays["feature"])
+    if (
+        len(offsets) != meta["n_trees"] + 1
+        or offsets[0] != 0
+        or offsets[-1] != n_nodes
+        or np.any(np.diff(offsets) < 1)
+    ):
+        raise ValueError(f"{path}: offsets do not split {n_nodes} nodes into n_trees trees")
+    for k in _NODE_ARRAYS:
+        if len(arrays[k]) != n_nodes:
+            raise ValueError(f"{path}: array {k} has {len(arrays[k])} entries, expected {n_nodes}")
+    feature = arrays["feature"]
+    if np.any((feature < -1) | (feature >= meta["n_features"])):
+        raise ValueError(f"{path}: feature index outside [-1, {meta['n_features']})")
+    if not np.all(np.isfinite(arrays["threshold"])):
+        raise ValueError(f"{path}: non-finite split threshold")
+    leaf = feature == -1
+    leaf_class = arrays["leaf_class"][leaf]
+    if np.any((leaf_class < 0) | (leaf_class >= meta["n_classes"])):
+        raise ValueError(f"{path}: leaf class outside [0, {meta['n_classes']})")
+    sizes = np.diff(offsets)
+    local = np.arange(n_nodes) - np.repeat(offsets[:-1], sizes)  # children are tree-local
+    size = np.repeat(sizes, sizes)
+    for k in ("left", "right"):
+        bad = ~leaf & ((arrays[k] <= local) | (arrays[k] >= size))
+        if bad.any():
+            node = int(np.argmax(bad))
+            raise ValueError(f"{path}: {k} child of node {node} is not a later node of its tree")
 
 
 def load_forest(path) -> Forest:
     meta, arrays = read_blocks(path)
     if meta.get("schema") != "forest/1":
         raise ValueError(f"{path}: not a forest model file (schema {meta.get('schema')!r})")
-    hp = ForestHyperparams(**meta["hyperparams"])
+    _check_forest(path, meta, arrays)
+    try:
+        hp = ForestHyperparams(**meta["hyperparams"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: bad hyperparams ({exc})") from None
     offsets = arrays["offsets"]
-    trees = []
-    for i in range(meta["n_trees"]):
-        lo, hi = offsets[i], offsets[i + 1]
-        trees.append(
-            Tree(
-                feature=arrays["feature"][lo:hi],
-                threshold=arrays["threshold"][lo:hi],
-                left=arrays["left"][lo:hi],
-                right=arrays["right"][lo:hi],
-                leaf_class=arrays["leaf_class"][lo:hi],
-                leaf_count=arrays["leaf_count"][lo:hi],
-            )
-        )
+    trees = [
+        Tree(**{k: arrays[k][lo:hi] for k in _NODE_ARRAYS})
+        for lo, hi in zip(offsets[:-1], offsets[1:])
+    ]
     return Forest(
         hyperparams=hp,
         n_classes=meta["n_classes"],

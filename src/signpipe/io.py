@@ -17,15 +17,18 @@ from .landmarks import N_FEATURES, LandmarkFrame, unflatten
 BLOCK_MAGIC = b"SBLK\x01"
 
 
-def write_pgm(path: str | Path, img: np.ndarray) -> None:
-    """Write an 8-bit grayscale image as binary PGM (P5, maxval 255)."""
+def write_pgm(path: str | Path, img: np.ndarray) -> bytes:
+    """Write an 8-bit grayscale image as binary PGM (P5, maxval 255).
+
+    Returns the bytes written, so callers can checksum them without a read.
+    """
     arr = np.asarray(img)
     if arr.ndim != 2 or arr.dtype != np.uint8:
         raise ValueError("PGM writer expects a 2-D uint8 array")
     h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+    data = f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

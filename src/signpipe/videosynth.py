@@ -2,9 +2,10 @@
 
 Text renders as 1 FPS keyframes from a letter atlas, duplicates to 24 FPS
 (pure copies), then resamples to 60 FPS. Output frames whose time aligns
-with a source frame are bit-exact copies; the rest are synthesized between
-the bracketing frames, either by crossfade or by block-matching flow with a
-context-based occlusion heuristic.
+with a source frame, or whose two bracketing frames are identical, are
+bit-exact copies; the rest are synthesized between the bracketing frames,
+either by crossfade or by block-matching flow with a context-based
+occlusion heuristic.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .imageops import round_half_up_u8
-from .io import read_pgm, sha256_file, write_pgm
+from .io import read_pgm, sha256_bytes, sha256_file, write_pgm
 from .labels import LETTERS, SPACE
 
 BLOCK_SIZE = 8
@@ -234,7 +235,14 @@ def synthesize_frame(
 def interpolate_sequence(seq: FrameSequence, method: str = "flow") -> FrameSequence:
     """24 -> 60 FPS. Output j covers time j/60; when that hits a source time
     (every 5th output, since lcm(24,60)=120) the source frame is copied
-    bit-exactly, otherwise the bracketing frames synthesize it."""
+    bit-exactly, otherwise the bracketing frames synthesize it.
+
+    Between two identical frames every output is an exact copy: the flow is
+    zero, the context maps agree, and both fusions reproduce the frame for
+    every t, so the copy skips work without changing a byte. Flow and
+    context features are computed once per distinct bracketing pair, and
+    only the current pair is held.
+    """
     if seq.fps != 24:
         raise ValueError(f"expected a 24 FPS sequence, got {seq.fps}")
     if method not in ("flow", "crossfade"):
@@ -242,8 +250,7 @@ def interpolate_sequence(seq: FrameSequence, method: str = "flow") -> FrameSeque
     frames = seq.frames
     t_in = len(frames)
     out = np.empty((60 * seq.n_sources,) + frames.shape[1:], dtype=np.uint8)
-    flow_cache: dict[int, np.ndarray] = {}
-    ctx_cache: dict[int, ContextFeatures] = {}
+    pair_idx = -1
     for j in range(len(out)):
         num = 24 * j  # source position = num/60 = j * 24/60
         if num % 60 == 0:
@@ -251,16 +258,16 @@ def interpolate_sequence(seq: FrameSequence, method: str = "flow") -> FrameSeque
             continue
         pos = num / 60.0
         idx0 = int(np.floor(pos))
-        idx1 = min(idx0 + 1, t_in - 1)
         t = pos - idx0
-        i0, i1 = frames[idx0], frames[idx1]
-        if method == "crossfade":
+        i0, i1 = frames[idx0], frames[min(idx0 + 1, t_in - 1)]
+        if np.array_equal(i0, i1):
+            out[j] = i0
+        elif method == "crossfade":
             out[j] = round_half_up_u8((1.0 - t) * i0 + t * i1)
-            continue
-        if idx0 not in flow_cache:
-            flow_cache[idx0] = _block_flow(i0, i1)
-            ctx_cache[idx0] = context_features(i0, i1)
-        out[j] = synthesize_frame(i0, i1, _scale_flow(flow_cache[idx0], t), ctx_cache[idx0], t)
+        else:
+            if idx0 != pair_idx:
+                pair_idx, flow, contexts = idx0, _block_flow(i0, i1), context_features(i0, i1)
+            out[j] = synthesize_frame(i0, i1, _scale_flow(flow, t), contexts, t)
     return FrameSequence(frames=out, fps=60, n_sources=seq.n_sources)
 
 
@@ -271,8 +278,8 @@ def write_sequence(seq: FrameSequence, directory: str | Path) -> Path:
     entries = []
     for i, frame in enumerate(seq.frames):
         name = f"frame_{i:06d}.pgm"
-        write_pgm(directory / name, frame)
-        entries.append({"file": name, "sha256": sha256_file(directory / name)})
+        data = write_pgm(directory / name, frame)
+        entries.append({"file": name, "sha256": sha256_bytes(data)})
     manifest = {
         "schema": "frames/1",
         "fps": seq.fps,

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -325,3 +326,48 @@ def test_translate_length_mismatch_exits_2(workspace, tmp_path, capsys):
     ])
     assert code == 2
     assert "mismatch" in capsys.readouterr().err
+
+
+def _main_within(argv, seconds=30):
+    """cli.main, failing the test instead of hanging when it does not return."""
+    def expire(signum, frame):
+        raise TimeoutError(f"cli.main did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return cli.main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _corrupt_model(src, dst, mutate):
+    meta, arrays = io.read_blocks(src)
+    mutate(arrays)
+    io.write_blocks(dst, meta, arrays)
+
+
+def _set(name, index, value):
+    return lambda arrays: arrays[name].__setitem__(index, value)
+
+
+@pytest.mark.parametrize("which, mutate, message", [
+    ("rfc", _set("right", 0, 0), "right child of node 0"),  # unchecked, predict cycles
+    ("rfc", _set("feature", 0, 999), "feature index"),  # unchecked, an IndexError
+    # unchecked, set_weights broadcasts the truncated array
+    ("cnn", lambda a: a.__setitem__("param_000", a["param_000"][:1]), "param_000"),
+    # unchecked, both translate to wrong text and exit 0
+    ("rfc", _set("threshold", 0, float("nan")), "non-finite"),
+    ("cnn", _set("param_000", 0, float("nan")), "finite"),
+], ids=["forest-child-cycle", "forest-feature-range", "cnn-truncated-weight",
+        "forest-nan-threshold", "cnn-nan-weight"])
+def test_translate_corrupt_model_exits_2(workspace, tmp_path, capsys, which, mutate, message):
+    bad = tmp_path / f"{which}.blk"
+    _corrupt_model(workspace / f"{which}.blk", bad, mutate)
+    argv = translate_args(workspace, tmp_path / "x")
+    argv[argv.index(f"--{which}") + 1] = str(bad)
+    assert _main_within(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,96 @@ def test_synthesize_occlusion_prefers_nearer_source():
     near0 = videosynth.synthesize_frame(black, white, flows, ctx, t=0.25)
     plain = videosynth.round_half_up_u8(0.75 * black + 0.25 * white)
     assert np.all(near0.astype(int) < plain.astype(int))
+
+
+def _reference_interpolate(seq, method):
+    """The per-frame loop interpolate_sequence replaced, kept as its oracle:
+    every non-aligned output is synthesized, identical brackets included."""
+    frames = seq.frames
+    t_in = len(frames)
+    out = np.empty((60 * seq.n_sources,) + frames.shape[1:], dtype=np.uint8)
+    flow_cache, ctx_cache = {}, {}
+    for j in range(len(out)):
+        num = 24 * j
+        if num % 60 == 0:
+            out[j] = frames[num // 60]
+            continue
+        pos = num / 60.0
+        idx0 = int(np.floor(pos))
+        idx1 = min(idx0 + 1, t_in - 1)
+        t = pos - idx0
+        i0, i1 = frames[idx0], frames[idx1]
+        if method == "crossfade":
+            out[j] = videosynth.round_half_up_u8((1.0 - t) * i0 + t * i1)
+            continue
+        if idx0 not in flow_cache:
+            flow_cache[idx0] = videosynth._block_flow(i0, i1)
+            ctx_cache[idx0] = videosynth.context_features(i0, i1)
+        out[j] = videosynth.synthesize_frame(
+            i0, i1, videosynth._scale_flow(flow_cache[idx0], t), ctx_cache[idx0], t
+        )
+    return out
+
+
+def _random_24fps(n_sources, size, seed):
+    """A 24 FPS sequence whose neighbouring frames all differ."""
+    frames = random_images(24 * n_sources, size, seed)
+    assert all(not np.array_equal(a, b) for a, b in zip(frames[:-1], frames[1:]))
+    return videosynth.FrameSequence(frames=frames, fps=24, n_sources=n_sources)
+
+
+@pytest.mark.parametrize("method", ["flow", "crossfade"])
+@pytest.mark.parametrize("text", ["BOOK", "HELLO", " HI  YOU ", "A", None])
+def test_interpolate_matches_per_frame_reference(atlas, method, text):
+    if text is None:
+        seq24 = _random_24fps(2, 24, seed=5)
+    else:
+        seq24 = videosynth.duplicate_frames(videosynth.text_to_keyframes(text, atlas))
+    out = videosynth.interpolate_sequence(seq24, method=method).frames
+    assert out.tobytes() == _reference_interpolate(seq24, method).tobytes()
+
+
+def test_interpolate_work_counts(atlas, monkeypatch):
+    calls = {"_block_flow": 0, "synthesize_frame": 0}
+    for name in calls:
+        original = getattr(videosynth, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(videosynth, name, counted)
+    seq24 = videosynth.duplicate_frames(
+        videosynth.text_to_keyframes("HELLO DEAR FRIEND", atlas)
+    )
+    videosynth.interpolate_sequence(seq24, method="flow")
+    frames = seq24.frames
+    distinct_pairs = sum(
+        not np.array_equal(a, b) for a, b in zip(frames[:-1], frames[1:])
+    )
+    differing_brackets = sum(
+        not np.array_equal(frames[24 * j // 60], frames[min(24 * j // 60 + 1, len(frames) - 1)])
+        for j in range(60 * seq24.n_sources)
+        if (24 * j) % 60
+    )
+    # 16 letter changes, one of them the doubled L; two outputs fall inside each change
+    assert distinct_pairs == 15 and differing_brackets == 30
+    assert calls == {"_block_flow": distinct_pairs, "synthesize_frame": differing_brackets}
+
+
+def test_interpolate_memory_is_output_plus_constant():
+    atlas128 = videosynth.GestureAtlas(frames=synth_atlas(size=128), size=128)
+    seq24 = videosynth.duplicate_frames(
+        videosynth.text_to_keyframes("CONGRATULATIONS DEAR SISTER", atlas128)
+    )
+    tracemalloc.start()
+    try:
+        out = videosynth.interpolate_sequence(seq24, method="flow")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.frames.nbytes == 27 * 60 * 128 * 128  # 26.5 MB
+    assert peak - out.frames.nbytes <= 16 * 2**20
 
 
 def test_write_read_roundtrip(tmp_path, atlas):
