@@ -18,9 +18,6 @@ from .landmarks import (
     N_FEATURES,
     N_POINTS,
     LandmarkFrame,
-    ScalerParams,
-    apply_scaler,
-    fit_scaler,
     flatten,
     unflatten,
 )
@@ -39,9 +36,6 @@ __all__ = [
     "RFC_CLASSES",
     "SHARED_CLASSES",
     "SPACE",
-    "ScalerParams",
-    "apply_scaler",
-    "fit_scaler",
     "flatten",
     "substream",
     "unflatten",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -180,13 +181,7 @@ def _cmd_train_rfc(args) -> int:
         "model_file": Path(args.model).name,
         "train_samples": len(tr),
         "test_samples": len(te),
-        "hyperparams": {
-            "n_estimators": model.hyperparams.n_estimators,
-            "max_depth": model.hyperparams.max_depth,
-            "min_samples_split": model.hyperparams.min_samples_split,
-            "min_samples_leaf": model.hyperparams.min_samples_leaf,
-            "bootstrap": model.hyperparams.bootstrap,
-        },
+        "hyperparams": asdict(model.hyperparams),
         "metrics": report_obj.to_payload(class_names=list(RFC_CLASSES)),
     }
     write_json_report(args.report, payload)
@@ -251,13 +246,7 @@ def _cmd_tune(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "folds": get_int(cfg, "rfc.cv_folds"),
         "rows": rows,
-        "best": {
-            "n_estimators": best.n_estimators,
-            "max_depth": best.max_depth,
-            "min_samples_split": best.min_samples_split,
-            "min_samples_leaf": best.min_samples_leaf,
-            "bootstrap": best.bootstrap,
-        },
+        "best": asdict(best),
     }
     write_json_report(args.report, payload)
     return 0

@@ -21,7 +21,6 @@ DEFAULTS: dict[str, str] = {
     "rfc.min_samples_leaf": "2",
     "rfc.bootstrap": "true",
     "rfc.cv_folds": "5",
-    "eval.per_class": "40",
     "cnn.learning_rate": "0.001",
     "cnn.batch_size": "32",
     "cnn.max_epochs": "15",

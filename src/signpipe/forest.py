@@ -3,13 +3,21 @@
 Trees grow on bootstrap resamples with a random ceil(sqrt(d))-feature subset
 per node; candidate thresholds are midpoints between consecutive distinct
 sorted values. Prediction is the mode of per-tree votes and the probability
-of a class is the fraction of trees voting for it. All randomness derives
-from (seed, tree index) so parallel and serial training agree.
+of a class is the fraction of trees voting for it. Tree i draws only from
+substream (seed, "tree", i), so forests with the same seed share a tree
+prefix whatever their size; grid_search scores every forest size from one
+grown forest on that basis.
+
+The whole forest is one flat node table, used alike by training, by
+prediction (every row walks every tree together, one vectorized step per
+depth level) and by the model file. The file (schema forest/2) stores the
+node arrays as they are, with children as table indices, plus `offsets`:
+the root of each tree followed by the node count.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,42 +55,35 @@ SEARCH_SPACE: dict[str, tuple] = {
     "bootstrap": (True, False),
 }
 
+_NODE_DTYPES = {
+    "feature": np.int32,
+    "threshold": np.float64,
+    "left": np.int32,
+    "right": np.int32,
+    "leaf_class": np.int32,
+}
+_NODE_ARRAYS = tuple(_NODE_DTYPES)
+
 
 @dataclass
-class Tree:
-    """Flat node arrays; feature == -1 marks a leaf.
+class Forest:
+    """All trees in one flat node table; feature == -1 marks a leaf.
 
-    Leaves record the majority class of their training samples (histogram
-    argmax, lowest class index on ties) plus the sample count.
+    Tree i occupies the nodes from trees[i] (its root) up to the next root.
+    left and right index the whole table, and every child comes after its
+    parent. A leaf holds the majority class of its training samples
+    (histogram argmax, lowest class index on ties).
     """
 
+    hyperparams: ForestHyperparams
+    n_classes: int
+    n_features: int
+    trees: np.ndarray  # (n_trees,) root node indices
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     leaf_class: np.ndarray
-    leaf_count: np.ndarray
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Route all rows to leaves; returns per-row class indices."""
-        node = np.zeros(len(X), dtype=np.intp)
-        while True:
-            feat = self.feature[node]
-            alive = feat >= 0
-            if not alive.any():
-                return self.leaf_class[node]
-            rows = np.flatnonzero(alive)
-            cur = node[rows]
-            go_left = X[rows, feat[rows]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
-
-
-@dataclass
-class Forest:
-    hyperparams: ForestHyperparams
-    n_classes: int
-    n_features: int
-    trees: list[Tree]
 
 
 def _best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int):
@@ -117,8 +118,14 @@ def _best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int):
 
 
 def _grow_tree(
-    X: np.ndarray, y: np.ndarray, n_classes: int, hp: ForestHyperparams, rng: np.random.Generator
-) -> Tree:
+    X: np.ndarray,
+    y: np.ndarray,
+    n_classes: int,
+    hp: ForestHyperparams,
+    rng: np.random.Generator,
+    table: dict[str, list],
+) -> int:
+    """Append one tree's nodes to the shared node lists; returns its root index."""
     n, d = X.shape
     m = int(np.ceil(np.sqrt(d)))
     if hp.bootstrap:
@@ -126,12 +133,7 @@ def _grow_tree(
     else:
         idx = np.arange(n)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_class: list[int] = []
-    leaf_count: list[int] = []
+    feature, threshold, left, right, leaf_class = (table[k] for k in _NODE_ARRAYS)
 
     def new_node() -> int:
         feature.append(-1)
@@ -139,7 +141,6 @@ def _grow_tree(
         left.append(-1)
         right.append(-1)
         leaf_class.append(-1)
-        leaf_count.append(0)
         return len(feature) - 1
 
     # Preorder DFS with an explicit stack; RNG draws happen in pop order, so
@@ -161,7 +162,6 @@ def _grow_tree(
             split = _best_split(X[np.ix_(rows, feats)], yn, n_classes, hp.min_samples_leaf)
         if split is None:
             leaf_class[node] = int(np.argmax(hist))
-            leaf_count[node] = len(rows)
             continue
         col, thr, _ = split
         feature[node] = int(feats[col])
@@ -171,15 +171,7 @@ def _grow_tree(
         left[node], right[node] = lnode, rnode
         stack.append((rnode, rows[~go_left], depth + 1))
         stack.append((lnode, rows[go_left], depth + 1))
-
-    return Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        leaf_class=np.array(leaf_class, dtype=np.int32),
-        leaf_count=np.array(leaf_count, dtype=np.int64),
-    )
+    return root
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams, seed: int) -> Forest:
@@ -193,40 +185,58 @@ def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams, seed: int)
     n_classes = int(y.max()) + 1
     if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 distinct classes")
-    trees = [
-        _grow_tree(X, y, n_classes, hp, substream(seed, "tree", i))
+    table: dict[str, list] = {k: [] for k in _NODE_ARRAYS}
+    roots = [
+        _grow_tree(X, y, n_classes, hp, substream(seed, "tree", i), table)
         for i in range(hp.n_estimators)
     ]
-    return Forest(hyperparams=hp, n_classes=n_classes, n_features=X.shape[1], trees=trees)
+    return Forest(
+        hyperparams=hp,
+        n_classes=n_classes,
+        n_features=X.shape[1],
+        trees=np.array(roots, dtype=np.int64),
+        **{k: np.array(v, dtype=_NODE_DTYPES[k]) for k, v in table.items()},
+    )
 
 
-def _votes(forest: Forest, X: np.ndarray, n_trees: int | None = None) -> np.ndarray:
+def _leaf_classes(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """(N, n_trees) class that each tree votes for each row.
+
+    Every (row, tree) pair starts at that tree's root; each step moves all
+    pairs still on a split node one level down, so there are as many steps
+    as the deepest path is long.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != forest.n_features:
         raise ValueError(f"expected {forest.n_features} features, got {X.shape[1]}")
-    trees = forest.trees if n_trees is None else forest.trees[:n_trees]
-    counts = np.zeros((len(X), forest.n_classes), dtype=np.int64)
-    rows = np.arange(len(X))
-    for tree in trees:
-        counts[rows, tree.predict(X)] += 1
-    return counts
+    n_trees = len(forest.trees)
+    node = np.tile(forest.trees, len(X))  # row-major (row, tree) pairs
+    live = np.arange(len(node))
+    while len(live):
+        cur = node[live]
+        feat = forest.feature[cur]
+        split = feat >= 0
+        live, cur, feat = live[split], cur[split], feat[split]
+        go_left = X[live // n_trees, feat] <= forest.threshold[cur]
+        node[live] = np.where(go_left, forest.left[cur], forest.right[cur])
+    return forest.leaf_class[node].reshape(len(X), n_trees)
 
 
-def majority_vote(votes: np.ndarray, n_classes: int | None = None) -> int:
-    """Mode of a vote multiset; ties go to the lowest class index."""
-    counts = np.bincount(np.asarray(votes, dtype=np.int64), minlength=n_classes or 0)
-    return int(np.argmax(counts))
+def _class_counts(leaf: np.ndarray, n_classes: int) -> np.ndarray:
+    """(N, C) per-class vote counts from an (N, n_trees) leaf-class matrix."""
+    n = len(leaf)
+    keys = leaf + n_classes * np.arange(n)[:, None]
+    return np.bincount(keys.ravel(), minlength=n * n_classes).reshape(n, n_classes)
 
 
 def predict_proba(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(N, C) distribution: fraction of trees voting for each class."""
-    counts = _votes(forest, X)
-    return counts / len(forest.trees)
+    return _class_counts(_leaf_classes(forest, X), forest.n_classes) / len(forest.trees)
 
 
 def predict_class(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Mode over per-tree votes; ties go to the lowest class index."""
-    return np.argmax(_votes(forest, X), axis=1)
+    return np.argmax(_class_counts(_leaf_classes(forest, X), forest.n_classes), axis=1)
 
 
 def grid_search(
@@ -242,7 +252,8 @@ def grid_search(
     one result row per configuration. Because tree i depends only on
     (seed, i), forests over the same data that differ only in n_estimators
     share their tree prefix; the evaluation exploits that by growing the
-    largest forest once per fold and scoring vote prefixes.
+    largest forest once per fold and scoring the vote matrix's first
+    columns for each size.
     """
     space = search_space or SEARCH_SPACE
     if not space:
@@ -274,8 +285,9 @@ def grid_search(
             mask = np.ones(len(X), dtype=bool)
             mask[fold] = False
             forest = train_forest(X[mask], y[mask], hp_full, seed)
+            leaf = _leaf_classes(forest, X[fold])
             for s in sizes:
-                pred = np.argmax(_votes(forest, X[fold], n_trees=s), axis=1)
+                pred = np.argmax(_class_counts(leaf[:, :s], forest.n_classes), axis=1)
                 by_size[s].append(float(np.mean(pred == y[fold])))
         cache[struct] = by_size
 
@@ -294,35 +306,26 @@ def grid_search(
     return ForestHyperparams(**best_cfg), rows
 
 
-_NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_class", "leaf_count")
-
-
 def save_forest(path, forest: Forest) -> None:
     """Versioned flat serialization; round-trips bit-exactly."""
-    hp = forest.hyperparams
     meta = {
-        "schema": "forest/1",
+        "schema": "forest/2",
         "n_classes": forest.n_classes,
         "n_features": forest.n_features,
         "n_trees": len(forest.trees),
-        "hyperparams": {
-            "n_estimators": hp.n_estimators,
-            "max_depth": hp.max_depth,
-            "min_samples_split": hp.min_samples_split,
-            "min_samples_leaf": hp.min_samples_leaf,
-            "bootstrap": hp.bootstrap,
-        },
+        "hyperparams": asdict(forest.hyperparams),
     }
-    arrays = {k: np.concatenate([getattr(t, k) for t in forest.trees]) for k in _NODE_ARRAYS}
-    arrays["offsets"] = np.cumsum([0] + [len(t.feature) for t in forest.trees]).astype(np.int64)
+    arrays = {k: getattr(forest, k) for k in _NODE_ARRAYS}
+    arrays["offsets"] = np.append(forest.trees, len(forest.feature)).astype(np.int64)
     write_blocks(path, meta, arrays)
 
 
 def _check_forest(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Reject node tables that predict could not route safely.
 
-    Every child index must lie inside its tree and exceed its parent's, the
-    order the writer emits; that is what makes traversal terminate.
+    Every child index must point past its parent and before the next tree's
+    root, the order the writer emits; that is what makes traversal
+    terminate.
     """
     for key in ("n_classes", "n_features", "n_trees"):
         if not isinstance(meta.get(key), int) or meta[key] < 1:
@@ -352,33 +355,29 @@ def _check_forest(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     leaf_class = arrays["leaf_class"][leaf]
     if np.any((leaf_class < 0) | (leaf_class >= meta["n_classes"])):
         raise ValueError(f"{path}: leaf class outside [0, {meta['n_classes']})")
-    sizes = np.diff(offsets)
-    local = np.arange(n_nodes) - np.repeat(offsets[:-1], sizes)  # children are tree-local
-    size = np.repeat(sizes, sizes)
+    node = np.arange(n_nodes)
+    tree_end = np.repeat(offsets[1:], np.diff(offsets))
     for k in ("left", "right"):
-        bad = ~leaf & ((arrays[k] <= local) | (arrays[k] >= size))
+        bad = ~leaf & ((arrays[k] <= node) | (arrays[k] >= tree_end))
         if bad.any():
-            node = int(np.argmax(bad))
-            raise ValueError(f"{path}: {k} child of node {node} is not a later node of its tree")
+            raise ValueError(
+                f"{path}: {k} child of node {int(np.argmax(bad))} is not a later node of its tree"
+            )
 
 
 def load_forest(path) -> Forest:
     meta, arrays = read_blocks(path)
-    if meta.get("schema") != "forest/1":
+    if meta.get("schema") != "forest/2":
         raise ValueError(f"{path}: not a forest model file (schema {meta.get('schema')!r})")
     _check_forest(path, meta, arrays)
     try:
         hp = ForestHyperparams(**meta["hyperparams"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: bad hyperparams ({exc})") from None
-    offsets = arrays["offsets"]
-    trees = [
-        Tree(**{k: arrays[k][lo:hi] for k in _NODE_ARRAYS})
-        for lo, hi in zip(offsets[:-1], offsets[1:])
-    ]
     return Forest(
         hyperparams=hp,
         n_classes=meta["n_classes"],
         n_features=meta["n_features"],
-        trees=trees,
+        trees=arrays["offsets"][:-1].astype(np.int64),
+        **{k: arrays[k].astype(dtype, copy=False) for k, dtype in _NODE_DTYPES.items()},
     )

@@ -1,8 +1,8 @@
-"""Grayscale image utilities: Otsu thresholding, augmentation, resizing.
+"""Grayscale image utilities: Otsu thresholding, binarization, resizing.
 
 Images are 8-bit single-channel numpy arrays of shape (height, width).
-All operations are pure; augmentations clamp back to [0, 255] with
-round-half-up so results stay valid 8-bit images.
+All operations are pure; float results clamp back to [0, 255] with
+round-half-up so they stay valid 8-bit images.
 """
 from __future__ import annotations
 
@@ -84,30 +84,6 @@ def binarize(img: np.ndarray, t: int) -> np.ndarray:
         raise ValueError(f"threshold must be in [0, 255], got {t}")
     arr = as_gray(img)
     return np.where(arr > t, 255, 0).astype(np.uint8)
-
-
-def flip_h(img: np.ndarray) -> np.ndarray:
-    """Mirror horizontally: out(x, y) = in(w - 1 - x, y)."""
-    return as_gray(img)[:, ::-1].copy()
-
-
-def adjust_brightness(img: np.ndarray, alpha: float) -> np.ndarray:
-    """Scale intensities by alpha in [0.8, 1.2], clamped to 8-bit."""
-    if not 0.8 <= alpha <= 1.2:
-        raise ValueError(f"brightness factor must be in [0.8, 1.2], got {alpha}")
-    arr = as_gray(img)
-    return round_half_up_u8(alpha * arr.astype(np.float64))
-
-
-def add_gaussian_noise(img: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Add zero-mean Gaussian noise with the given standard deviation."""
-    if sigma < 0:
-        raise ValueError(f"noise standard deviation must be >= 0, got {sigma}")
-    arr = as_gray(img)
-    if sigma == 0:
-        return arr.copy()
-    noise = rng.normal(0.0, sigma, size=arr.shape)
-    return round_half_up_u8(arr.astype(np.float64) + noise)
 
 
 def resize(img: np.ndarray, width: int, height: int) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Hand-landmark ingestion: flattening and standard-score normalization.
+"""Hand-landmark ingestion: one gesture observation as a flat feature vector.
 
-A gesture observation is 42 tracked 3-D points. Classifiers consume the
-flattened 126-value vector after per-feature standardization (fit on the
-training set, applied everywhere else).
+A gesture observation is 42 tracked 3-D points. The forest consumes the
+flattened 126-value vector as it is: its axis-aligned splits route rows the
+same way under any per-feature affine rescale, so no normalization step is
+applied.
 """
 from __future__ import annotations
 
@@ -31,26 +32,6 @@ class LandmarkFrame:
         self.points.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ScalerParams:
-    """Per-feature mean and standard deviation; sigma is never zero (guarded to 1)."""
-
-    mu: np.ndarray  # (126,)
-    sigma: np.ndarray  # (126,)
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        if mu.shape != (N_FEATURES,) or sigma.shape != (N_FEATURES,):
-            raise ValueError("scaler params must have length 126")
-        if not np.all(sigma > 0):
-            raise ValueError("sigma must be strictly positive")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        self.mu.setflags(write=False)
-        self.sigma.setflags(write=False)
-
-
 def flatten(frame: LandmarkFrame) -> np.ndarray:
     """Flatten a frame to the 126-vector (x1, y1, z1, ..., x42, y42, z42)."""
     return frame.points.reshape(N_FEATURES).copy()
@@ -63,29 +44,3 @@ def unflatten(values: np.ndarray, label: str | None = None) -> LandmarkFrame:
         raise ValueError(f"expected {N_FEATURES} values, got shape {values.shape}")
     return LandmarkFrame(points=values.reshape(N_POINTS, 3), label=label)
 
-
-def fit_scaler(dataset: np.ndarray) -> ScalerParams:
-    """Fit per-feature mean and population standard deviation.
-
-    Zero-variance features get sigma = 1 so constant coordinates pass through
-    as zeros instead of dividing by zero.
-    """
-    data = np.asarray(dataset, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[None, :]
-    if data.size == 0 or data.shape[0] == 0:
-        raise ValueError("cannot fit a scaler on an empty dataset")
-    if data.shape[1] != N_FEATURES:
-        raise ValueError(f"expected {N_FEATURES} feature columns, got {data.shape[1]}")
-    mu = data.mean(axis=0)
-    sigma = data.std(axis=0)  # population std (ddof=0)
-    sigma = np.where(sigma == 0.0, 1.0, sigma)
-    return ScalerParams(mu=mu, sigma=sigma)
-
-
-def apply_scaler(params: ScalerParams, v: np.ndarray) -> np.ndarray:
-    """Standardize a feature vector (or a stack of them): (v - mu) / sigma."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != N_FEATURES:
-        raise ValueError(f"expected {N_FEATURES} features in the last axis, got {v.shape[-1]}")
-    return (v - params.mu) / params.sigma

@@ -14,10 +14,9 @@ class EvalReport:
     precision: np.ndarray
     recall: np.ndarray
     confusion: np.ndarray  # (C, C) counts, row = true, column = predicted
-    runtime_seconds: float | None = None
 
     def to_payload(self, class_names: list[str] | None = None) -> dict:
-        """JSON-ready dict; runtime is omitted when not measured."""
+        """JSON-ready dict."""
         payload = {
             "accuracy": self.accuracy,
             "precision": [float(p) for p in self.precision],
@@ -26,8 +25,6 @@ class EvalReport:
         }
         if class_names is not None:
             payload["classes"] = list(class_names)
-        if self.runtime_seconds is not None:
-            payload["runtime_seconds"] = self.runtime_seconds
         return payload
 
 

@@ -3,17 +3,47 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from signpipe import datagen, forest
+from signpipe import forest, io
 from signpipe.rng import substream
 
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_class")
 
-def walk(tree: forest.Tree, X: np.ndarray, rows: np.ndarray, node: int = 0, depth: int = 0):
-    """Yield (node, rows, depth) for every node with the samples routed to it."""
+
+@pytest.fixture(scope="module")
+def deep_forest(tiny_landmarks):
+    """No depth cap and no bootstrap: trees grow until leaves are pure or tiny."""
+    X, y = tiny_landmarks
+    hp = forest.ForestHyperparams(n_estimators=9, max_depth=None, min_samples_split=2,
+                                  min_samples_leaf=1, bootstrap=False)
+    return forest.train_forest(X, y, hp, seed=4), X, y
+
+
+def walk(model: forest.Forest, X: np.ndarray, rows: np.ndarray, node: int, depth: int = 0):
+    """Yield (node, rows, depth) for every node below `node` with the samples routed to it."""
     yield node, rows, depth
-    if tree.feature[node] >= 0:
-        go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
-        yield from walk(tree, X, rows[go_left], tree.left[node], depth + 1)
-        yield from walk(tree, X, rows[~go_left], tree.right[node], depth + 1)
+    if model.feature[node] >= 0:
+        go_left = X[rows, model.feature[node]] <= model.threshold[node]
+        yield from walk(model, X, rows[go_left], model.left[node], depth + 1)
+        yield from walk(model, X, rows[~go_left], model.right[node], depth + 1)
+
+
+def reference_votes(model: forest.Forest, X: np.ndarray) -> np.ndarray:
+    """(N, n_trees) votes from a scalar walk of one row down one tree at a time."""
+    votes = np.empty((len(X), len(model.trees)), dtype=np.int64)
+    for i, x in enumerate(X):
+        for t, root in enumerate(model.trees):
+            node = root
+            while model.feature[node] >= 0:
+                go_left = x[model.feature[node]] <= model.threshold[node]
+                node = model.left[node] if go_left else model.right[node]
+            votes[i, t] = model.leaf_class[node]
+    return votes
+
+
+def majority_vote(votes: np.ndarray, n_classes: int | None = None) -> int:
+    """Mode of a vote multiset; ties go to the lowest class index."""
+    counts = np.bincount(np.asarray(votes, dtype=np.int64), minlength=n_classes or 0)
+    return int(np.argmax(counts))
 
 
 def test_structural_invariants(tiny_landmarks):
@@ -22,19 +52,23 @@ def test_structural_invariants(tiny_landmarks):
         n_estimators=6, max_depth=4, min_samples_split=6, min_samples_leaf=2, bootstrap=False
     )
     model = forest.train_forest(X, y, hp, seed=1)
-    for tree in model.trees:
-        for node, rows, depth in walk(tree, X, np.arange(len(X))):
+    assert len(model.trees) == 6 and model.trees[0] == 0
+    ends = list(model.trees[1:]) + [len(model.feature)]
+    for root, end in zip(model.trees, ends):
+        seen = []
+        for node, rows, depth in walk(model, X, np.arange(len(X)), root):
+            seen.append(node)
             assert depth <= 4
-            if tree.feature[node] >= 0:
-                # internal nodes split legally
-                go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+            if model.feature[node] >= 0:
+                # internal nodes split legally; children are later nodes of this tree
+                assert node < model.left[node] < end and node < model.right[node] < end
+                go_left = X[rows, model.feature[node]] <= model.threshold[node]
                 assert go_left.sum() >= 2 and (~go_left).sum() >= 2
                 assert len(rows) >= 6
             else:
-                yn = y[rows]
-                assert tree.leaf_count[node] == len(rows)
-                hist = np.bincount(yn, minlength=model.n_classes)
-                assert tree.leaf_class[node] == int(np.argmax(hist))
+                hist = np.bincount(y[rows], minlength=model.n_classes)
+                assert model.leaf_class[node] == int(np.argmax(hist))
+        assert sorted(seen) == list(range(root, end))  # each tree is one contiguous block
 
 
 def test_pure_nodes_stop_splitting():
@@ -43,10 +77,9 @@ def test_pure_nodes_stop_splitting():
     hp = forest.ForestHyperparams(n_estimators=1, max_depth=None, min_samples_split=2,
                                   min_samples_leaf=1, bootstrap=False)
     model = forest.train_forest(X, y, hp, seed=0)
-    tree = model.trees[0]
     # one split separates the classes; both children are pure leaves
-    assert (tree.feature >= 0).sum() == 1
-    assert (tree.feature == -1).sum() == 2
+    assert (model.feature >= 0).sum() == 1
+    assert (model.feature == -1).sum() == 2
 
 
 def test_single_leaf_when_no_legal_cut():
@@ -56,10 +89,9 @@ def test_single_leaf_when_no_legal_cut():
     hp = forest.ForestHyperparams(n_estimators=1, min_samples_split=2,
                                   min_samples_leaf=2, bootstrap=False)
     model = forest.train_forest(X, y, hp, seed=0)
-    tree = model.trees[0]
-    assert len(tree.feature) == 1 and tree.feature[0] == -1
-    assert tree.leaf_class[0] == 1  # mode of y
-    assert np.array_equal(tree.predict(X), [1, 1, 1])
+    assert len(model.feature) == 1 and model.feature[0] == -1
+    assert model.leaf_class[0] == 1  # mode of y
+    assert np.array_equal(forest.predict_class(model, X), [1, 1, 1])
 
 
 def test_best_split_prefers_earliest_feature():
@@ -95,27 +127,46 @@ def test_majority_vote_brute_force(rng):
         counts = Counter(votes.tolist())
         top = max(counts.values())
         expected = min(c for c, v in counts.items() if v == top)
-        assert forest.majority_vote(votes) == expected
+        assert majority_vote(votes) == expected
 
 
-def test_predict_proba_is_vote_fraction(tiny_forest):
-    model, X, y = tiny_forest
-    proba = forest.predict_proba(model, X[:10])
-    assert proba.shape == (10, model.n_classes)
-    assert np.allclose(proba.sum(axis=1), 1.0)
-    votes = np.stack([t.predict(X[:10]) for t in model.trees], axis=1)
-    for i in range(10):
-        counts = np.bincount(votes[i], minlength=model.n_classes)
-        assert np.allclose(proba[i], counts / len(model.trees))
+def test_predict_proba_is_vote_fraction(tiny_forest, deep_forest):
+    for model, X, _ in (tiny_forest, deep_forest):
+        proba = forest.predict_proba(model, X)
+        assert proba.shape == (len(X), model.n_classes)
+        assert np.allclose(proba.sum(axis=1), 1.0)
+        votes = reference_votes(model, X)
+        expected = np.stack([np.bincount(v, minlength=model.n_classes) for v in votes])
+        assert np.array_equal(proba, expected / len(model.trees))
+        assert np.array_equal(forest.predict_proba(model, X[0]), proba[:1])
 
 
-def test_predict_class_matches_vote(tiny_forest):
-    model, X, y = tiny_forest
-    preds = forest.predict_class(model, X)
-    votes = np.stack([t.predict(X) for t in model.trees], axis=1)
-    expected = np.array([forest.majority_vote(v, model.n_classes) for v in votes])
-    assert np.array_equal(preds, expected)
-    assert (preds == y).mean() == 1.0  # separable clusters
+def test_predict_class_matches_vote(tiny_forest, deep_forest):
+    for model, X, y in (tiny_forest, deep_forest):
+        preds = forest.predict_class(model, X)
+        votes = reference_votes(model, X)
+        expected = np.array([majority_vote(v, model.n_classes) for v in votes])
+        assert np.array_equal(preds, expected)
+        assert (preds == y).mean() == 1.0  # separable clusters
+
+
+def test_threshold_goes_left_and_ties_go_to_lowest_class():
+    # two stumps over one feature: x <= 0.5 -> 2 else 1, and x <= 0.25 -> 1 else 2
+    model = forest.Forest(
+        hyperparams=forest.ForestHyperparams(n_estimators=2),
+        n_classes=3,
+        n_features=1,
+        trees=np.array([0, 3]),
+        feature=np.array([0, -1, -1, 0, -1, -1], dtype=np.int32),
+        threshold=np.array([0.5, 0, 0, 0.25, 0, 0]),
+        left=np.array([1, -1, -1, 4, -1, -1], dtype=np.int32),
+        right=np.array([2, -1, -1, 5, -1, -1], dtype=np.int32),
+        leaf_class=np.array([-1, 2, 1, -1, 1, 2], dtype=np.int32),
+    )
+    X = np.array([[0.0], [0.5], [1.0]])
+    expected = [[0, 0.5, 0.5], [0, 0, 1], [0, 0.5, 0.5]]
+    assert np.array_equal(forest.predict_proba(model, X), expected)
+    assert np.array_equal(forest.predict_class(model, X), [1, 2, 1])
 
 
 def test_training_determinism(tiny_landmarks):
@@ -123,23 +174,21 @@ def test_training_determinism(tiny_landmarks):
     hp = forest.ForestHyperparams(n_estimators=5, max_depth=6)
     a = forest.train_forest(X, y, hp, seed=11)
     b = forest.train_forest(X, y, hp, seed=11)
-    for ta, tb in zip(a.trees, b.trees):
-        assert np.array_equal(ta.feature, tb.feature)
-        assert np.array_equal(ta.threshold, tb.threshold)
+    for k in ("trees",) + NODE_ARRAYS:
+        assert np.array_equal(getattr(a, k), getattr(b, k))
     c = forest.train_forest(X, y, hp, seed=12)
-    assert any(
-        not np.array_equal(ta.feature, tc.feature) for ta, tc in zip(a.trees, c.trees)
-    )
+    assert not np.array_equal(a.feature, c.feature)
 
 
 def test_tree_streams_are_prefix_stable(tiny_landmarks):
-    # tree i depends only on (seed, i): a bigger forest extends a smaller one
+    # tree i depends only on (seed, i): a bigger forest's table extends a smaller one's
     X, y = tiny_landmarks
     small = forest.train_forest(X, y, forest.ForestHyperparams(n_estimators=3), seed=2)
     big = forest.train_forest(X, y, forest.ForestHyperparams(n_estimators=6), seed=2)
-    for ts, tb in zip(small.trees, big.trees):
-        assert np.array_equal(ts.feature, tb.feature)
-        assert np.array_equal(ts.threshold, tb.threshold)
+    n = len(small.feature)
+    assert np.array_equal(big.trees[:3], small.trees) and big.trees[3] == n
+    for k in NODE_ARRAYS:
+        assert np.array_equal(getattr(big, k)[:n], getattr(small, k))
 
 
 def test_train_input_validation(tiny_landmarks):
@@ -169,6 +218,9 @@ def test_save_load_roundtrip(tmp_path, tiny_forest):
     assert loaded.n_classes == model.n_classes
     assert loaded.n_features == model.n_features
     assert loaded.hyperparams == model.hyperparams
+    for k in ("trees",) + NODE_ARRAYS:
+        assert getattr(loaded, k).dtype == getattr(model, k).dtype
+        assert np.array_equal(getattr(loaded, k), getattr(model, k))
     assert np.array_equal(forest.predict_class(loaded, X), forest.predict_class(model, X))
     proba_a = forest.predict_proba(loaded, X)
     proba_b = forest.predict_proba(model, X)
@@ -180,6 +232,52 @@ def test_save_deterministic_bytes(tmp_path, tiny_forest):
     forest.save_forest(tmp_path / "a.blk", model)
     forest.save_forest(tmp_path / "b.blk", model)
     assert (tmp_path / "a.blk").read_bytes() == (tmp_path / "b.blk").read_bytes()
+
+
+def test_save_load_save_is_byte_identical(tmp_path, deep_forest):
+    model, _, _ = deep_forest
+    forest.save_forest(tmp_path / "a.blk", model)
+    forest.save_forest(tmp_path / "b.blk", forest.load_forest(tmp_path / "a.blk"))
+    assert (tmp_path / "a.blk").read_bytes() == (tmp_path / "b.blk").read_bytes()
+
+
+def test_file_layout_is_the_node_table(tmp_path, tiny_forest):
+    model, _, _ = tiny_forest
+    forest.save_forest(tmp_path / "f.blk", model)
+    meta, arrays = io.read_blocks(tmp_path / "f.blk")
+    assert meta["schema"] == "forest/2" and meta["n_trees"] == len(model.trees)
+    assert set(arrays) == {"offsets", *NODE_ARRAYS}
+    assert np.array_equal(arrays["offsets"], [*model.trees, len(model.feature)])
+    for k in NODE_ARRAYS:
+        assert np.array_equal(arrays[k], getattr(model, k))
+
+
+def test_load_rejects_forest_v1(tmp_path, tiny_forest):
+    # the old layout: same arrays, but children counted from their tree's root
+    model, _, _ = tiny_forest
+    forest.save_forest(tmp_path / "f.blk", model)
+    meta, arrays = io.read_blocks(tmp_path / "f.blk")
+    roots = np.repeat(model.trees, np.diff(arrays["offsets"]))
+    split = model.feature >= 0
+    for k in ("left", "right"):
+        arrays[k] = np.where(split, arrays[k] - roots, -1).astype(np.int32)
+    arrays["leaf_count"] = np.zeros(len(model.feature), dtype=np.int64)
+    meta["schema"] = "forest/1"
+    io.write_blocks(tmp_path / "v1.blk", meta, arrays)
+    with pytest.raises(ValueError, match="forest/1"):
+        forest.load_forest(tmp_path / "v1.blk")
+
+
+def test_load_rejects_child_in_another_tree(tmp_path, tiny_forest):
+    # a later node, but the next tree's root: a tree-local bound would miss it
+    model, _, _ = tiny_forest
+    forest.save_forest(tmp_path / "f.blk", model)
+    meta, arrays = io.read_blocks(tmp_path / "f.blk")
+    assert arrays["feature"][0] >= 0
+    arrays["left"][0] = model.trees[1]
+    io.write_blocks(tmp_path / "bad.blk", meta, arrays)
+    with pytest.raises(ValueError, match="left child of node 0"):
+        forest.load_forest(tmp_path / "bad.blk")
 
 
 def test_grid_search_reduced_space(tiny_landmarks):
@@ -230,3 +328,20 @@ def test_default_hyperparams_are_tuned_best():
     hp = forest.ForestHyperparams()
     assert (hp.n_estimators, hp.max_depth, hp.min_samples_split,
             hp.min_samples_leaf, hp.bootstrap) == (200, 20, 5, 2, True)
+
+
+def test_grid_search_prefix_scores_equal_separate_forests(tiny_landmarks):
+    # scoring the first s trees of the largest forest == growing an s-tree forest
+    X, y = tiny_landmarks
+    space = {"n_estimators": (1, 3), "max_depth": (2,)}
+    _, rows = forest.grid_search(X, y, search_space=space, k=3, seed=8)
+    folds = np.array_split(substream(8, "cv").permutation(len(X)), 3)
+    for row in rows:
+        hp = forest.ForestHyperparams(n_estimators=row["n_estimators"], max_depth=2)
+        accs = []
+        for fold in folds:
+            mask = np.ones(len(X), dtype=bool)
+            mask[fold] = False
+            model = forest.train_forest(X[mask], y[mask], hp, seed=8)
+            accs.append(float(np.mean(forest.predict_class(model, X[fold]) == y[fold])))
+        assert row["fold_accuracies"] == accs

@@ -5,8 +5,6 @@ from signpipe.landmarks import (
     N_FEATURES,
     N_POINTS,
     LandmarkFrame,
-    apply_scaler,
-    fit_scaler,
     flatten,
     unflatten,
 )
@@ -44,27 +42,3 @@ def test_unflatten_wrong_length():
     with pytest.raises(ValueError):
         unflatten(np.zeros(125))
 
-
-def test_scaler_standardizes(rng):
-    X = rng.normal(3.0, 2.5, (200, N_FEATURES))
-    params = fit_scaler(X)
-    Z = apply_scaler(params, X)
-    assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-9)
-    assert np.allclose(Z.std(axis=0), 1.0, atol=1e-9)
-
-
-def test_scaler_constant_feature_guard(rng):
-    X = rng.normal(0, 1, (50, N_FEATURES))
-    X[:, 17] = 4.25  # zero variance column must not divide by zero
-    params = fit_scaler(X)
-    Z = apply_scaler(params, X)
-    assert np.all(np.isfinite(Z))
-    assert np.allclose(Z[:, 17], 0.0)
-
-
-def test_scaler_single_vector(rng):
-    X = rng.normal(0, 1, (10, N_FEATURES))
-    params = fit_scaler(X)
-    one = apply_scaler(params, X[0])
-    assert one.shape == (N_FEATURES,)
-    assert np.allclose(one, apply_scaler(params, X)[0])
