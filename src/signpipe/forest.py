@@ -2,11 +2,13 @@
 
 Trees grow on bootstrap resamples with a random ceil(sqrt(d))-feature subset
 per node; candidate thresholds are midpoints between consecutive distinct
-sorted values. Prediction is the mode of per-tree votes and the probability
-of a class is the fraction of trees voting for it. Tree i draws only from
-substream (seed, "tree", i), so forests with the same seed share a tree
-prefix whatever their size; grid_search scores every forest size from one
-grown forest on that basis.
+sorted values. Each cut's Gini comes from running class counts: two integer
+cumsums give the sums of squared class counts left and right of every cut,
+with no per-class count table. Prediction is the mode of per-tree votes and
+the probability of a class is the fraction of trees voting for it. Tree i
+draws only from substream (seed, "tree", i), so forests with the same seed
+share a tree prefix whatever their size; grid_search scores every forest
+size from one grown forest on that basis.
 
 The whole forest is one flat node table, used alike by training, by
 prediction (every row walks every tree together, one vectorized step per
@@ -86,26 +88,48 @@ class Forest:
     leaf_class: np.ndarray
 
 
-def _best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int):
+def _best_split(
+    Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int, hist: np.ndarray | None = None
+):
     """Best (column, threshold, weighted Gini) over the given feature columns.
 
     Ties resolve to the earliest column, then the lowest threshold. Returns
-    None when no split satisfies the leaf-size constraint.
+    None when no split satisfies the leaf-size constraint. `hist` is the
+    node's class histogram T (counted from yn when not given).
+
+    Gini needs only the sum of squared class counts on each side of a cut.
+    In value order, the i-th sample's class already has k_i samples before
+    it, so taking it in raises the left sum by 2*k_i + 1. With l the left
+    class counts, the right sum is sum((T - l)^2) = sum(T^2) - 2*sum(T*l)
+    + sum(l^2), and sum(T*l) is a running sum of T[label]. Both sums are
+    integers far below 2**53, so in float64 they equal the summed squares
+    of per-class counts exactly: every cost, and so every tie, is the one
+    a per-class count table gives.
     """
     n, m = Xn.shape
-    order = np.argsort(Xn, axis=0, kind="stable")
-    V = np.take_along_axis(Xn, order, axis=0)
+    if hist is None:
+        hist = np.bincount(yn, minlength=n_classes)
+    cols = np.arange(m)
+    # The order among equal values is free: a legal cut falls between two
+    # distinct values, so the samples left of it are the same set either way.
+    order = np.argsort(Xn, axis=0)
+    V = Xn[order, cols]
     L = yn[order]
-    onehot = np.zeros((n, m, n_classes), dtype=np.int64)
-    onehot[np.arange(n)[:, None], np.arange(m)[None, :], L] = 1
-    left = np.cumsum(onehot, axis=0, dtype=np.int64)
-    total = left[-1]
-    right = total[None, :, :] - left
+    # k: earlier samples in the same column with the same class. A stable
+    # sort by class keeps each class's samples in value order, and every
+    # column holds all the node's samples, so in class order the r-th
+    # sample of every column has k = r - (samples of lower classes). The
+    # smallest unsigned key type makes this sort a radix sort.
+    by_class = np.argsort(L.astype(np.min_scalar_type(n_classes - 1)), axis=0, kind="stable")
+    k = np.empty((n, m), dtype=np.int64)
+    k[by_class, cols] = (np.arange(n) - np.repeat(np.cumsum(hist) - hist, hist))[:, None]
+    sq_left = np.cumsum(2 * k + 1, axis=0)
+    sq_right = np.dot(hist, hist) - 2 * np.cumsum(hist[L], axis=0) + sq_left
     nl = np.arange(1, n + 1, dtype=np.float64)[:, None]
     nr = np.float64(n) - nl
-    gl = 1.0 - (left.astype(np.float64) ** 2).sum(axis=2) / nl**2
+    gl = 1.0 - sq_left.astype(np.float64) / nl**2
     with np.errstate(divide="ignore", invalid="ignore"):
-        gr = 1.0 - (right.astype(np.float64) ** 2).sum(axis=2) / nr**2
+        gr = 1.0 - sq_right.astype(np.float64) / nr**2
     weighted = (nl * gl + nr * gr) / n
     cut_ok = V[1:] > V[:-1]
     cut_ok &= (nl[:-1] >= min_leaf) & (nr[:-1] >= min_leaf)
@@ -159,7 +183,7 @@ def _grow_tree(
         split = None
         if splittable:
             feats = rng.choice(d, size=min(m, d), replace=False)
-            split = _best_split(X[np.ix_(rows, feats)], yn, n_classes, hp.min_samples_leaf)
+            split = _best_split(X[np.ix_(rows, feats)], yn, n_classes, hp.min_samples_leaf, hist)
         if split is None:
             leaf_class[node] = int(np.argmax(hist))
             continue

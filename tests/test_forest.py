@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from signpipe import forest, io
 from signpipe.rng import substream
@@ -38,6 +40,33 @@ def reference_votes(model: forest.Forest, X: np.ndarray) -> np.ndarray:
                 node = model.left[node] if go_left else model.right[node]
             votes[i, t] = model.leaf_class[node]
     return votes
+
+
+def reference_best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int):
+    """The one-hot split search: per-class counts left of every cut, cumsummed directly."""
+    n, m = Xn.shape
+    order = np.argsort(Xn, axis=0, kind="stable")
+    V = np.take_along_axis(Xn, order, axis=0)
+    L = yn[order]
+    onehot = np.zeros((n, m, n_classes), dtype=np.int64)
+    onehot[np.arange(n)[:, None], np.arange(m)[None, :], L] = 1
+    left = np.cumsum(onehot, axis=0, dtype=np.int64)
+    total = left[-1]
+    right = total[None, :, :] - left
+    nl = np.arange(1, n + 1, dtype=np.float64)[:, None]
+    nr = np.float64(n) - nl
+    gl = 1.0 - (left.astype(np.float64) ** 2).sum(axis=2) / nl**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gr = 1.0 - (right.astype(np.float64) ** 2).sum(axis=2) / nr**2
+    weighted = (nl * gl + nr * gr) / n
+    cut_ok = V[1:] > V[:-1]
+    cut_ok &= (nl[:-1] >= min_leaf) & (nr[:-1] >= min_leaf)
+    if not cut_ok.any():
+        return None
+    costs = np.where(cut_ok, weighted[:-1], np.inf)
+    flat = np.argmin(costs.T.ravel())  # column-major: earliest column wins ties
+    col, pos = divmod(flat, n - 1)
+    return int(col), float((V[pos, col] + V[pos + 1, col]) / 2.0), float(costs[pos, col])
 
 
 def majority_vote(votes: np.ndarray, n_classes: int | None = None) -> int:
@@ -119,6 +148,59 @@ def test_best_split_respects_min_leaf():
     assert out is not None
     _, thr, _ = out
     assert thr == pytest.approx(1.5)
+
+
+@st.composite
+def split_nodes(draw):
+    """A node as _grow_tree hands it over: (Xn, yn, n_classes, min_leaf).
+
+    Values are floats or small integers (many ties), rows may repeat as
+    bootstrap repeats them, and the labels may miss any of the classes.
+    """
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(2, 30))
+    present = draw(st.lists(st.integers(0, n_classes - 1), min_size=1, unique=True))
+    distinct = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    else:
+        values = st.integers(0, 3).map(float)
+    X = np.array(draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                               min_size=distinct, max_size=distinct)))
+    y = np.array(draw(st.lists(st.sampled_from(present), min_size=distinct, max_size=distinct)))
+    rows = np.array(draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n)))
+    return X[rows], y[rows], n_classes, draw(st.integers(1, 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_nodes())
+@example((np.array([[1.0], [3.0]]), np.array([0, 1]), 2, 1))  # n = 2, m = 1
+@example((np.array([[1.0], [3.0]]), np.array([0, 1]), 2, 2))  # no legal cut: leaves too small
+@example((np.ones((5, 3)), np.array([0, 1, 0, 1, 2]), 4, 1))  # no legal cut: constant columns
+@example((np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([3, 3, 3, 3]), 5, 1))  # one class
+def test_best_split_equals_one_hot_reference(node):
+    Xn, yn, n_classes, min_leaf = node
+    expected = reference_best_split(Xn, yn, n_classes, min_leaf)
+    assert forest._best_split(Xn, yn, n_classes, min_leaf) == expected
+    hist = np.bincount(yn, minlength=n_classes)
+    assert forest._best_split(Xn, yn, n_classes, min_leaf, hist) == expected
+
+
+@pytest.mark.parametrize("hp", [
+    forest.ForestHyperparams(),
+    forest.ForestHyperparams(n_estimators=9, max_depth=None, min_samples_split=2,
+                             min_samples_leaf=1, bootstrap=False),  # deep_forest's
+], ids=["default", "deep"])
+def test_forest_equals_one_hot_reference_forest(monkeypatch, tiny_landmarks, hp):
+    X, y = tiny_landmarks
+    model = forest.train_forest(X, y, hp, seed=4)
+    monkeypatch.setattr(forest, "_best_split",
+                        lambda Xn, yn, n_classes, min_leaf, hist: reference_best_split(
+                            Xn, yn, n_classes, min_leaf))
+    expected = forest.train_forest(X, y, hp, seed=4)
+    for k in ("trees",) + NODE_ARRAYS:
+        assert np.array_equal(getattr(model, k), getattr(expected, k))
 
 
 def test_majority_vote_brute_force(rng):
