@@ -51,9 +51,14 @@ def read_pgm(path: str | Path) -> np.ndarray:
             pos += 1
         if start == pos:
             raise ValueError(f"{path}: truncated PGM header")
-        fields.append(int(data[start:pos]))
+        try:
+            fields.append(int(data[start:pos]))
+        except ValueError:
+            raise ValueError(f"{path}: bad PGM header field {data[start:pos][:16]!r}") from None
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PGM size {w}x{h} has no pixels")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval} (expected 255)")
     pixels = data[pos : pos + w * h]

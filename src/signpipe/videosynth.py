@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .imageops import round_half_up_u8
 from .io import read_pgm, sha256_bytes, sha256_file, write_pgm
@@ -24,6 +25,11 @@ SEARCH_RADIUS = 8
 OCCLUSION_THRESHOLD = 24.0
 OCCLUSION_DAMPING = 0.25
 ATLAS_SIZE = 128
+# Block search: candidate k is (dy, dx) = divmod(k, _SPAN) - SEARCH_RADIUS.
+_SPAN = 2 * SEARCH_RADIUS + 1
+_ZERO_SHIFT = SEARCH_RADIUS * _SPAN + SEARCH_RADIUS
+# Blocks scored per pass: 128 x 289 candidates x 64 pixels, 2.4 MB per uint8 temporary.
+_SEARCH_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -112,50 +118,71 @@ def duplicate_frames(seq: FrameSequence) -> FrameSequence:
 def _block_flow(i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
     """Per-pixel forward displacement i0 -> i1 from 8x8 block SAD search.
 
-    Zero displacement is evaluated first and later candidates must strictly
-    improve, so ties (including flat regions) resolve to zero. Candidates
-    whose window leaves the image score infinity.
+    Zero displacement is evaluated first, then the rest in raster order (dy
+    outer), and later candidates must strictly improve, so ties (including
+    flat regions) resolve to zero. Candidates whose window leaves the image
+    score infinity; a partial block at the bottom or right edge counts only
+    its pixels inside the image.
+
+    A block whose zero-shift SAD is 0 is decided without a search. The other
+    blocks score every candidate in one vectorized pass, _SEARCH_CHUNK blocks
+    at a time so the temporaries stay bounded at any frame size. SAD over
+    uint8 is an exact integer, so costs and tie-breaks are those of trying
+    the candidates one by one.
     """
     if i0.shape != i1.shape:
         raise ValueError(f"frame shapes differ: {i0.shape} vs {i1.shape}")
     h, w = i0.shape
-    if np.array_equal(i0, i1):
-        return np.zeros((h, w, 2))
-    rows = np.arange(0, h, BLOCK_SIZE)
-    cols = np.arange(0, w, BLOCK_SIZE)
-    a = i0.astype(np.float64)
-    padded = np.full((h + 2 * SEARCH_RADIUS, w + 2 * SEARCH_RADIUS), np.inf)
-    padded[SEARCH_RADIUS : SEARCH_RADIUS + h, SEARCH_RADIUS : SEARCH_RADIUS + w] = i1
+    b, r = BLOCK_SIZE, SEARCH_RADIUS
+    nby, nbx = -(-h // b), -(-w // b)
+    # Zero padding to whole blocks, plus the search margin around i1.
+    a = np.zeros((nby * b, nbx * b), dtype=np.uint8)
+    a[:h, :w] = i0
+    inside = np.zeros_like(a)
+    inside[:h, :w] = 1
+    padded = np.zeros((nby * b + 2 * r, nbx * b + 2 * r), dtype=np.uint8)
+    padded[r : r + h, r : r + w] = i1
 
-    displacements = [(0, 0)] + [
-        (dx, dy)
-        for dy in range(-SEARCH_RADIUS, SEARCH_RADIUS + 1)
-        for dx in range(-SEARCH_RADIUS, SEARCH_RADIUS + 1)
-        if (dx, dy) != (0, 0)
-    ]
-    best_cost = None
-    best_dx = np.zeros((len(rows), len(cols)))
-    best_dy = np.zeros((len(rows), len(cols)))
-    for dx, dy in displacements:
-        window = padded[
-            SEARCH_RADIUS + dy : SEARCH_RADIUS + dy + h,
-            SEARCH_RADIUS + dx : SEARCH_RADIUS + dx + w,
-        ]
-        diff = np.abs(a - window)
-        cost = np.add.reduceat(np.add.reduceat(diff, rows, axis=0), cols, axis=1)
-        if best_cost is None:
-            best_cost = cost
-            continue
-        better = cost < best_cost
-        best_cost = np.where(better, cost, best_cost)
-        best_dx = np.where(better, dx, best_dx)
-        best_dy = np.where(better, dy, best_dy)
+    def blocks(img: np.ndarray) -> np.ndarray:
+        return img.reshape(nby, b, nbx, b).swapaxes(1, 2).reshape(nby * nbx, b * b)
 
-    row_sizes = np.diff(np.append(rows, h))
-    col_sizes = np.diff(np.append(cols, w))
-    dx_full = np.repeat(np.repeat(best_dx, row_sizes, axis=0), col_sizes, axis=1)
-    dy_full = np.repeat(np.repeat(best_dy, row_sizes, axis=0), col_sizes, axis=1)
-    return np.stack([dx_full, dy_full], axis=-1)
+    a_blocks = blocks(a)
+    zero_cost = _abs_diff(a_blocks, blocks(padded[r:-r, r:-r])).sum(axis=1, dtype=np.int32)
+    best = np.full(nby * nbx, _ZERO_SHIFT)
+    todo = np.flatnonzero(zero_cost)
+    by, bx = np.divmod(todo, nbx)
+    r0, c0 = by * b, bx * b
+    shifts = np.arange(-r, r + 1)
+
+    def fits(start: np.ndarray, size: int) -> np.ndarray:
+        """Shifts that keep a block's pixels start..min(start + b, size) - 1 inside."""
+        end = np.minimum(start + b, size)
+        return (shifts >= -start[:, None]) & (shifts <= (size - end)[:, None])
+
+    valid = (fits(r0, h)[:, :, None] & fits(c0, w)[:, None, :]).reshape(len(todo), _SPAN * _SPAN)
+    counted = blocks(inside)[todo, None]  # 0 on the padding of partial blocks
+    windows = sliding_window_view(padded, (b, b))
+    dy_off, dx_off = np.divmod(np.arange(_SPAN * _SPAN), _SPAN)
+    for lo in range(0, len(todo), _SEARCH_CHUNK):
+        part = slice(lo, lo + _SEARCH_CHUNK)
+        cand = windows[r0[part, None] + dy_off, c0[part, None] + dx_off]
+        cand = cand.reshape(-1, _SPAN * _SPAN, b * b)
+        diff = _abs_diff(cand, a_blocks[todo[part], None])
+        diff *= counted[part]
+        cost = diff.sum(axis=2, dtype=np.int32)
+        cost[~valid[part]] = np.iinfo(np.int32).max
+        choice = np.argmin(cost, axis=1)
+        choice[cost[:, _ZERO_SHIFT] == cost.min(axis=1)] = _ZERO_SHIFT
+        best[todo[part]] = choice
+
+    dy, dx = np.divmod(best.reshape(nby, nbx), _SPAN)
+    per_block = np.stack([dx, dy], axis=-1) - r
+    return per_block.repeat(b, axis=0).repeat(b, axis=1)[:h, :w].astype(np.float64)
+
+
+def _abs_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y| for uint8 arrays, without widening."""
+    return np.maximum(x, y) - np.minimum(x, y)
 
 
 def _scale_flow(f01: np.ndarray, t: float) -> FlowField:
@@ -272,14 +299,26 @@ def interpolate_sequence(seq: FrameSequence, method: str = "flow") -> FrameSeque
 
 
 def write_sequence(seq: FrameSequence, directory: str | Path) -> Path:
-    """Write numbered PGM frames plus a manifest with per-frame checksums."""
+    """Write numbered PGM frames plus a manifest with per-frame checksums.
+
+    Every frame is its own file. A frame equal to the one before it (most of
+    a clip: the copies between letter changes) reuses that frame's encoded
+    bytes and checksum instead of encoding and hashing them again.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
+    previous = None
     for i, frame in enumerate(seq.frames):
         name = f"frame_{i:06d}.pgm"
-        data = write_pgm(directory / name, frame)
-        entries.append({"file": name, "sha256": sha256_bytes(data)})
+        pixels = frame.tobytes()
+        if pixels == previous:
+            (directory / name).write_bytes(data)
+        else:
+            data = write_pgm(directory / name, frame)
+            digest = sha256_bytes(data)
+            previous = pixels
+        entries.append({"file": name, "sha256": digest})
     manifest = {
         "schema": "frames/1",
         "fps": seq.fps,

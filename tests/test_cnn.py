@@ -185,6 +185,17 @@ def test_save_load_roundtrip(tmp_path, rng):
     assert (tmp_path / "m.blk").read_bytes() == (tmp_path / "m2.blk").read_bytes()
 
 
+def test_predict_batches_equal_one_256_row_forward(rng):
+    # PREDICT_BATCH-row passes must give the bytes one 256-row pass gives;
+    # bit-equality across batch sizes depends on the BLAS, so it is pinned here
+    model = cnn.build_model(27, seed=8)
+    x = rng.uniform(0, 1, (256, 32, 32, 1))
+    whole = model.forward(x, train=False)
+    assert cnn.PREDICT_BATCH < 256
+    assert cnn.predict_proba(model, x).tobytes() == whole.tobytes()
+    assert np.array_equal(cnn.predict(model, x), np.argmax(whole, axis=1))
+
+
 def test_build_model_validation():
     with pytest.raises(ValueError):
         cnn.build_model(1, seed=0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from signpipe import io
 from signpipe.landmarks import LandmarkFrame
@@ -35,6 +37,44 @@ def test_pgm_header_comments(tmp_path):
     path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))
     img = io.read_pgm(path)
     assert np.array_equal(img, np.array([[1, 2], [3, 4]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("header", [b"P5\n0 0\n255\n", b"P5\n3 0\n255\n", b"P5\n-2 2\n255\n"])
+def test_pgm_rejects_sizes_without_pixels(tmp_path, header):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(header + bytes(4))
+    with pytest.raises(ValueError, match="empty.pgm"):
+        io.read_pgm(path)
+
+
+@st.composite
+def mutated_pgms(draw):
+    """A valid 3x2 PGM with bytes overwritten, inserted or cut off."""
+    data = bytearray(b"P5\n# c\n3 2\n255\n" + bytes(range(10, 16)))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(b" \n#-+0123456789P5xA\xff"))
+        if draw(st.booleans()) and pos < len(data):
+            data[pos] = byte
+        else:
+            data.insert(pos, byte)
+    return bytes(data[: draw(st.integers(0, len(data)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_pgms())
+@example(b"P5\n0 0\n255\n")
+@example(b"P5\n-1 2\n255\nAA")
+@example(b"P5\n3 2\n25x\n")
+def test_pgm_mutated_bytes_raise_only_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+    path.write_bytes(data)
+    try:
+        img = io.read_pgm(path)
+    except ValueError as exc:
+        assert "m.pgm" in str(exc)
+    else:
+        assert img.dtype == np.uint8 and img.ndim == 2 and img.size >= 1
 
 
 def test_landmark_csv_roundtrip(tmp_path, rng):

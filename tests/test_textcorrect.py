@@ -203,12 +203,15 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         delay = step.get("delay", 0.0)
         if delay:
             time.sleep(delay)
-        self.send_response(step["status"])
         payload = step["body"].encode("utf-8")
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        try:
+            self.send_response(step["status"])
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # a delayed reply whose client already timed out and hung up
 
     def log_message(self, *args):
         pass

@@ -1,11 +1,16 @@
+import functools
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from signpipe import videosynth
+from signpipe import cli, videosynth
 from signpipe.datagen import synth_atlas
+from signpipe.io import read_pgm, sha256_bytes, write_pgm
 from signpipe.labels import LETTERS
 from signpipe.rng import substream
 
@@ -122,6 +127,129 @@ def test_flow_recovers_global_shift():
     interior = flow[b:-b, b:-b]
     ok = (interior[..., 0] == 2) & (interior[..., 1] == 0)
     assert ok.mean() >= 0.9
+
+
+def reference_block_flow(i0, i1):
+    """The one-candidate-at-a-time search _block_flow replaced, kept as its
+    oracle: 289 full-image SAD passes in float64, strict improvement only."""
+    if i0.shape != i1.shape:
+        raise ValueError(f"frame shapes differ: {i0.shape} vs {i1.shape}")
+    h, w = i0.shape
+    if np.array_equal(i0, i1):
+        return np.zeros((h, w, 2))
+    b, r = videosynth.BLOCK_SIZE, videosynth.SEARCH_RADIUS
+    rows = np.arange(0, h, b)
+    cols = np.arange(0, w, b)
+    a = i0.astype(np.float64)
+    padded = np.full((h + 2 * r, w + 2 * r), np.inf)
+    padded[r : r + h, r : r + w] = i1
+
+    displacements = [(0, 0)] + [
+        (dx, dy)
+        for dy in range(-r, r + 1)
+        for dx in range(-r, r + 1)
+        if (dx, dy) != (0, 0)
+    ]
+    best_cost = None
+    best_dx = np.zeros((len(rows), len(cols)))
+    best_dy = np.zeros((len(rows), len(cols)))
+    for dx, dy in displacements:
+        window = padded[r + dy : r + dy + h, r + dx : r + dx + w]
+        diff = np.abs(a - window)
+        cost = np.add.reduceat(np.add.reduceat(diff, rows, axis=0), cols, axis=1)
+        if best_cost is None:
+            best_cost = cost
+            continue
+        better = cost < best_cost
+        best_cost = np.where(better, cost, best_cost)
+        best_dx = np.where(better, dx, best_dx)
+        best_dy = np.where(better, dy, best_dy)
+
+    row_sizes = np.diff(np.append(rows, h))
+    col_sizes = np.diff(np.append(cols, w))
+    dx_full = np.repeat(np.repeat(best_dx, row_sizes, axis=0), col_sizes, axis=1)
+    dy_full = np.repeat(np.repeat(best_dy, row_sizes, axis=0), col_sizes, axis=1)
+    return np.stack([dx_full, dy_full], axis=-1)
+
+
+@functools.cache
+def _atlas_frames(size):
+    return synth_atlas(size=size)
+
+
+def _shift(img, dy, dx):
+    """img moved by (dy, dx) px, with black filling what enters the frame."""
+    h, w = img.shape
+    out = np.zeros_like(img)
+    out[max(dy, 0) : h + min(dy, 0), max(dx, 0) : w + min(dx, 0)] = img[
+        max(-dy, 0) : h + min(-dy, 0), max(-dx, 0) : w + min(-dx, 0)
+    ]
+    return out
+
+
+@st.composite
+def flow_pairs(draw):
+    """(i0, i1) pairs: random, sparse (black with a few blobs, so most blocks
+    cost 0 at zero shift), atlas letters, identical, and shifted copies.
+    Random sizes are never a multiple of the block size."""
+    kind = draw(st.sampled_from(["random", "sparse", "atlas", "identical", "shifted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "atlas":
+        frames = _atlas_frames(draw(st.sampled_from([32, 40])))
+        i0 = frames[draw(st.sampled_from(sorted(frames)))]
+        i1 = frames[draw(st.sampled_from(sorted(frames)))]
+        return i0, i1
+    side = st.integers(9, 40).filter(lambda n: n % videosynth.BLOCK_SIZE)
+    h, w = draw(side), draw(side)
+    i0 = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    if kind == "sparse":
+        i0 = np.zeros((h, w), dtype=np.uint8)
+        i1 = np.zeros((h, w), dtype=np.uint8)
+        for img in (i0, i1):
+            for _ in range(int(rng.integers(1, 4))):
+                y, x = rng.integers(0, h), rng.integers(0, w)
+                img[y : y + int(rng.integers(1, 6)), x : x + int(rng.integers(1, 6))] = rng.integers(1, 256)
+        return i0, i1
+    if kind == "random":
+        return i0, rng.integers(0, 256, (h, w), dtype=np.uint8)
+    if kind == "identical":
+        return i0, i0.copy()
+    ry, rx = (min(videosynth.SEARCH_RADIUS + 2, n - 1) for n in (h, w))
+    return i0, _shift(i0, draw(st.integers(-ry, ry)), draw(st.integers(-rx, rx)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(flow_pairs())
+@example((np.zeros((16, 24), np.uint8), np.full((16, 24), 9, np.uint8)))  # whole blocks, every tie
+@example((np.arange(63, dtype=np.uint8).reshape(7, 9), np.zeros((7, 9), np.uint8)))  # one partial block
+def test_block_flow_equals_reference(pair):
+    i0, i1 = pair
+    flow = videosynth._block_flow(i0, i1)
+    expected = reference_block_flow(i0, i1)
+    assert flow.dtype == expected.dtype and flow.shape == expected.shape
+    assert flow.tobytes() == expected.tobytes()
+
+
+def test_block_flow_on_atlas_pairs_equals_reference():
+    frames = _atlas_frames(128)
+    for a, b in ["AB", "HE", "LO", "O ", " S", "MN", "ZA"]:
+        i0, i1 = frames["SPACE" if a == " " else a], frames["SPACE" if b == " " else b]
+        assert videosynth._block_flow(i0, i1).tobytes() == reference_block_flow(i0, i1).tobytes()
+
+
+def test_block_flow_memory_is_bounded():
+    # every block of two random 512 px frames is searched: 4,096 blocks,
+    # 76 MB per uint8 temporary if they were scored in a single pass
+    rng = np.random.default_rng(3)
+    i0, i1 = (rng.integers(0, 256, (512, 512), dtype=np.uint8) for _ in range(2))
+    tracemalloc.start()
+    try:
+        flow = videosynth._block_flow(i0, i1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flow.shape == (512, 512, 2)
+    assert peak <= 32 * 2**20
 
 
 def test_flow_t_validation():
@@ -274,6 +402,86 @@ def test_write_sequence_deterministic(tmp_path, atlas):
     videosynth.write_sequence(seq, tmp_path / "b")
     for name in ("manifest.json", "frame_000000.pgm", "frame_000001.pgm"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def reference_write_sequence(seq, directory):
+    """The per-frame writer write_sequence replaced, kept as its oracle:
+    every frame is its own file, written and hashed."""
+    directory.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for i, frame in enumerate(seq.frames):
+        name = f"frame_{i:06d}.pgm"
+        data = write_pgm(directory / name, frame)
+        entries.append({"file": name, "sha256": sha256_bytes(data)})
+    manifest = {
+        "schema": "frames/1",
+        "fps": seq.fps,
+        "n_sources": seq.n_sources,
+        "frame_count": len(seq.frames),
+        "height": int(seq.frames.shape[1]),
+        "width": int(seq.frames.shape[2]),
+        "frames": entries,
+    }
+    path = directory / "manifest.json"
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def clip128():
+    atlas128 = videosynth.GestureAtlas(frames=_atlas_frames(128), size=128)
+    seq24 = videosynth.duplicate_frames(videosynth.text_to_keyframes("HELLO DEAR FRIEND", atlas128))
+    return videosynth.interpolate_sequence(seq24)
+
+
+def test_write_sequence_equals_per_frame_reference(tmp_path, clip128):
+    videosynth.write_sequence(clip128, tmp_path / "new")
+    reference_write_sequence(clip128, tmp_path / "ref")
+    new, ref = _files(tmp_path / "new"), _files(tmp_path / "ref")
+    assert len(ref) == 17 * 60 + 1
+    assert new == ref
+
+
+def test_write_sequence_frames_are_independent_files(tmp_path, clip128):
+    # twins are separate files: editing one in place leaves the others intact
+    videosynth.write_sequence(clip128, tmp_path / "seq")
+    paths = [tmp_path / "seq" / f"frame_{i:06d}.pgm" for i in range(len(clip128.frames))]
+    assert len({os.stat(p).st_ino for p in paths}) == len(paths)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    paths[1].write_bytes(b"edited")
+    assert read_pgm(paths[0]).tobytes() == clip128.frames[0].tobytes()
+
+
+@pytest.mark.parametrize("first, second", [("AAB", "ABB"), ("HELLO", "WORLD"), ("ABB", "A")])
+def test_write_sequence_over_an_earlier_clip(tmp_path, atlas, first, second):
+    def clip(text):
+        return videosynth.interpolate_sequence(
+            videosynth.duplicate_frames(videosynth.text_to_keyframes(text, atlas))
+        )
+
+    videosynth.write_sequence(clip(first), tmp_path / "seq")
+    seq = clip(second)
+    videosynth.write_sequence(seq, tmp_path / "seq")
+    back = videosynth.read_sequence(tmp_path / "seq")
+    assert back.n_sources == len(second)
+    assert back.frames.tobytes() == seq.frames.tobytes()
+
+
+def test_stage_directories_read_back(tmp_path, atlas):
+    out = tmp_path / "video"
+    assert cli.main(["synthesize", "--text", "BOOK  A", "--out", str(out),
+                     "--stages", "--set", "datagen.atlas_size=32"]) == 0
+    key = videosynth.text_to_keyframes("BOOK  A", atlas)
+    seq24 = videosynth.duplicate_frames(key)
+    for name, expected in [("frames1", key), ("frames24", seq24),
+                           ("frames60", videosynth.interpolate_sequence(seq24))]:
+        back = videosynth.read_sequence(out / name)
+        assert back.fps == expected.fps
+        assert back.frames.tobytes() == expected.frames.tobytes()
 
 
 def test_letters_constant():
