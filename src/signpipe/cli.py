@@ -293,21 +293,21 @@ def _ensemble_pairs(
     return p_rfc, p_cnn, np.array(y_shared, dtype=np.int64)
 
 
+def _load_models(args) -> tuple[forest.Forest, cnn_mod.CnnModel]:
+    """Both heads from --rfc and --cnn, each checked against its label space."""
+    rfc_model = forest.load_forest(args.rfc)
+    cnn_model = cnn_mod.load_cnn(args.cnn)
+    for path, n, classes in ((args.rfc, rfc_model.n_classes, RFC_CLASSES),
+                             (args.cnn, cnn_model.num_classes, CNN_CLASSES)):
+        if n != len(classes):
+            raise ValueError(f"{path}: expects {n} classes, pipeline label space has {len(classes)}")
+    return rfc_model, cnn_model
+
+
 def _cmd_eval(args) -> int:
     cfg = _config(args)
     seed = get_int(cfg, "seed")
-    rfc_model = forest.load_forest(args.rfc)
-    cnn_model = cnn_mod.load_cnn(args.cnn)
-    if rfc_model.n_classes != len(RFC_CLASSES):
-        raise ValueError(
-            f"{args.rfc}: expects {rfc_model.n_classes} classes, "
-            f"pipeline label space has {len(RFC_CLASSES)}"
-        )
-    if cnn_model.num_classes != len(CNN_CLASSES):
-        raise ValueError(
-            f"{args.cnn}: expects {cnn_model.num_classes} classes, "
-            f"pipeline label space has {len(CNN_CLASSES)}"
-        )
+    rfc_model, cnn_model = _load_models(args)
     X_lm, y_lm = _load_landmark_dataset(args.landmarks)
     images, y_sil = _load_silhouette_dataset(args.silhouettes)
     _, te_lm = _split(len(X_lm), seed, "rfc-split")
@@ -466,8 +466,7 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_translate(args) -> int:
     cfg = _config(args)
-    rfc_model = forest.load_forest(args.rfc)
-    cnn_model = cnn_mod.load_cnn(args.cnn)
+    rfc_model, cnn_model = _load_models(args)
     stream = read_landmark_csv(args.landmarks)
     X_lm = np.stack([flatten(f) for f in stream])
     frame_files = sorted(Path(args.frames).glob("*.pgm"))

@@ -4,21 +4,19 @@ The fixed architecture (build_model) is three conv/pool stages into two
 dense layers with dropout; layer shapes and parameter counts are pinned by
 unit tests. Everything runs in float64; convolutions use im2col matmuls and
 the data gradient is computed as a convolution with the flipped, channel-
-transposed kernel, so no scatter-add appears on the hot path.
+transposed kernel, so no scatter-add appears on the hot path. That
+convolution pads the output gradient by kernel - 1 less the forward pad on
+each side, so it yields the input-sized gradient directly, with no crop.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .io import read_blocks, write_blocks
 from .rng import substream
-
-
-def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -33,54 +31,26 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return patches.reshape(n, oh, ow, kh * kw * c)
 
 
-class Conv2D:
-    """2-D convolution, stride 1, padding 'valid' or 'same'."""
+class Layer:
+    """Base of every layer: no weights unless a subclass has them."""
 
-    def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int, padding: str, rng):
-        if padding not in ("valid", "same"):
-            raise ValueError(f"padding must be 'valid' or 'same', got {padding!r}")
-        self.kh, self.kw, self.in_ch, self.out_ch = kh, kw, in_ch, out_ch
-        self.padding = padding
-        fan_in = kh * kw * in_ch
-        fan_out = kh * kw * out_ch
-        self.W = _glorot_uniform(rng, (kh, kw, in_ch, out_ch), fan_in, fan_out)
-        self.b = np.zeros(out_ch)
+    def params(self) -> list[np.ndarray]:
+        return []
+
+    def grads(self) -> list[np.ndarray]:
+        return []
+
+
+class _Weighted(Layer):
+    """Glorot-uniform weights W, a zero bias b over W's last axis, and their
+    gradients. Fans count every kernel position: kh*kw*in and kh*kw*out."""
+
+    def __init__(self, shape: tuple[int, ...], rng: np.random.Generator):
+        limit = np.sqrt(6.0 / (math.prod(shape[:-2]) * (shape[-2] + shape[-1])))
+        self.W = rng.uniform(-limit, limit, size=shape)
+        self.b = np.zeros(shape[-1])
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
-
-    def _pads(self) -> tuple[int, int, int, int]:
-        if self.padding == "valid":
-            return 0, 0, 0, 0
-        pt = (self.kh - 1) // 2
-        pl = (self.kw - 1) // 2
-        return pt, self.kh - 1 - pt, pl, self.kw - 1 - pl
-
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        pt, pb, pl, pr = self._pads()
-        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if self.padding == "same" else x
-        self._x_shape = x.shape
-        self._patches = _im2col(xp, self.kh, self.kw)
-        n, oh, ow, k = self._patches.shape
-        out = self._patches.reshape(-1, k) @ self.W.reshape(k, self.out_ch) + self.b
-        return out.reshape(n, oh, ow, self.out_ch)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        n, oh, ow, f = dy.shape
-        k = self.kh * self.kw * self.in_ch
-        dy2 = dy.reshape(-1, f)
-        self.dW += (self._patches.reshape(-1, k).T @ dy2).reshape(self.W.shape)
-        self.db += dy2.sum(axis=0)
-        # Data gradient: correlate dy (padded) with the spatially flipped,
-        # in/out-transposed kernel, then crop the forward padding back off.
-        pt, pb, pl, pr = self._pads()
-        dy_pad = np.pad(dy, ((0, 0), (self.kh - 1, self.kh - 1), (self.kw - 1, self.kw - 1), (0, 0)))
-        wb = self.W[::-1, ::-1].transpose(0, 1, 3, 2).reshape(self.kh * self.kw * f, self.in_ch)
-        pat = _im2col(dy_pad, self.kh, self.kw)
-        dx_pad = (pat.reshape(-1, pat.shape[3]) @ wb).reshape(
-            n, oh + self.kh - 1, ow + self.kw - 1, self.in_ch
-        )
-        h, w = self._x_shape[1], self._x_shape[2]
-        return dx_pad[:, pt : pt + h, pl : pl + w, :]
 
     def params(self):
         return [self.W, self.b]
@@ -89,7 +59,41 @@ class Conv2D:
         return [self.dW, self.db]
 
 
-class MaxPool2D:
+class Conv2D(_Weighted):
+    """2-D convolution, stride 1, padding 'valid' or 'same'."""
+
+    def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int, padding: str, rng):
+        if padding not in ("valid", "same"):
+            raise ValueError(f"padding must be 'valid' or 'same', got {padding!r}")
+        self.kh, self.kw, self.in_ch, self.out_ch = kh, kw, in_ch, out_ch
+        self.padding = padding
+        # (before, after) zero rows and columns; 'same' puts the odd one after
+        self.pads = tuple(((k - 1) // 2, k // 2) if padding == "same" else (0, 0) for k in (kh, kw))
+        super().__init__((kh, kw, in_ch, out_ch), rng)
+
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+        xp = np.pad(x, ((0, 0), *self.pads, (0, 0))) if self.padding == "same" else x
+        self._patches = _im2col(xp, self.kh, self.kw)
+        n, oh, ow, k = self._patches.shape
+        out = self._patches.reshape(-1, k) @ self.W.reshape(k, self.out_ch) + self.b
+        return out.reshape(n, oh, ow, self.out_ch)
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        k = self.kh * self.kw * self.in_ch
+        dy2 = dy.reshape(-1, self.out_ch)
+        self.dW += (self._patches.reshape(-1, k).T @ dy2).reshape(self.W.shape)
+        self.db += dy2.sum(axis=0)
+        # Data gradient: correlate dy with the spatially flipped, in/out-
+        # transposed kernel. Padding dy by k - 1 less the forward pad on each
+        # side makes the result exactly the input's size.
+        (pt, pb), (pl, pr) = self.pads
+        back = ((0, 0), (self.kh - 1 - pt, self.kh - 1 - pb), (self.kw - 1 - pl, self.kw - 1 - pr), (0, 0))
+        wb = self.W[::-1, ::-1].transpose(0, 1, 3, 2).reshape(self.kh * self.kw * self.out_ch, self.in_ch)
+        pat = _im2col(np.pad(dy, back), self.kh, self.kw)
+        return (pat.reshape(-1, pat.shape[3]) @ wb).reshape(pat.shape[:3] + (self.in_ch,))
+
+
+class MaxPool2D(Layer):
     """Max pooling with stride == window; floor or ceil edge handling.
 
     Floor mode drops trailing rows/columns that do not fill a window; ceil
@@ -117,31 +121,24 @@ class MaxPool2D:
         )
         self._argmax = windows.argmax(axis=3)
         self._x_shape = x.shape
-        self._padded = (hp, wp)
         return np.take_along_axis(windows, self._argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        # Each window's gradient goes to its first maximum. The window grid
+        # covers the input (ceil) or lies inside it (floor); keep the overlap.
         n, h, w, c = self._x_shape
         s = self.size
-        hp, wp = self._padded
-        oh, ow = hp // s, wp // s
+        oh, ow = dy.shape[1:3]
         g = np.zeros((n, oh, ow, s * s, c))
         np.put_along_axis(g, self._argmax[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-        gp = g.reshape(n, oh, ow, s, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, hp, wp, c)
-        if self.ceil_mode:
-            return gp[:, :h, :w, :]
+        grid = g.reshape(n, oh, ow, s, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh * s, ow * s, c)
+        hh, ww = min(h, oh * s), min(w, ow * s)
         dx = np.zeros((n, h, w, c))
-        dx[:, :hp, :wp, :] = gp
+        dx[:, :hh, :ww, :] = grid[:, :hh, :ww, :]
         return dx
 
-    def params(self):
-        return []
 
-    def grads(self):
-        return []
-
-
-class Flatten:
+class Flatten(Layer):
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         self._x_shape = x.shape
         return x.reshape(len(x), -1)
@@ -149,19 +146,10 @@ class Flatten:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy.reshape(self._x_shape)
 
-    def params(self):
-        return []
 
-    def grads(self):
-        return []
-
-
-class Dense:
+class Dense(_Weighted):
     def __init__(self, in_dim: int, out_dim: int, rng):
-        self.W = _glorot_uniform(rng, (in_dim, out_dim), in_dim, out_dim)
-        self.b = np.zeros(out_dim)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
+        super().__init__((in_dim, out_dim), rng)
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         self._x = x
@@ -172,14 +160,8 @@ class Dense:
         self.db += dy.sum(axis=0)
         return dy @ self.W.T
 
-    def params(self):
-        return [self.W, self.b]
 
-    def grads(self):
-        return [self.dW, self.db]
-
-
-class ReLU:
+class ReLU(Layer):
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
@@ -187,14 +169,8 @@ class ReLU:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._mask
 
-    def params(self):
-        return []
 
-    def grads(self):
-        return []
-
-
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: active only in train mode, identity at inference."""
 
     def __init__(self, rate: float):
@@ -215,12 +191,6 @@ class Dropout:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy if self._mask is None else dy * self._mask
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 class CnnModel:
@@ -367,6 +337,14 @@ class Adam:
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
+def _loss_gradient(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean cross-entropy with respect to the logits."""
+    grad = probs.copy()
+    grad[np.arange(len(labels)), labels] -= 1.0
+    grad /= len(labels)
+    return grad
+
+
 def _batched_eval(model: CnnModel, X: np.ndarray, y: np.ndarray, batch: int = 256):
     losses = []
     correct = 0
@@ -415,11 +393,8 @@ def train(
             probs = model.forward(xb, train=True)
             batch_losses.append(cross_entropy(probs, yb) * len(yb))
             correct += int(np.sum(np.argmax(probs, axis=1) == yb))
-            grad = probs.copy()
-            grad[np.arange(len(yb)), yb] -= 1.0
-            grad /= len(yb)
             model.zero_grads()
-            model.backward(grad)
+            model.backward(_loss_gradient(probs, yb))
             optimizer.step(model.params(), model.grads())
         val_loss, val_acc = _batched_eval(model, X_val, y_val)
         history["train_loss"].append(float(np.sum(batch_losses) / len(X)))
@@ -444,18 +419,17 @@ def train(
 PREDICT_BATCH = 32
 
 
+def _batched_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
+    starts = range(0, len(X), PREDICT_BATCH)
+    return np.concatenate([model.forward(X[lo : lo + PREDICT_BATCH], train=False) for lo in starts])
+
+
 def predict(model: CnnModel, X: np.ndarray) -> np.ndarray:
-    out = []
-    for lo in range(0, len(X), PREDICT_BATCH):
-        out.append(np.argmax(model.forward(X[lo : lo + PREDICT_BATCH], train=False), axis=1))
-    return np.concatenate(out)
+    return np.argmax(_batched_proba(model, X), axis=1)
 
 
 def predict_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
-    out = []
-    for lo in range(0, len(X), PREDICT_BATCH):
-        out.append(model.forward(X[lo : lo + PREDICT_BATCH], train=False))
-    return np.concatenate(out)
+    return _batched_proba(model, X)
 
 
 def images_to_input(images: np.ndarray) -> np.ndarray:
@@ -480,12 +454,8 @@ def gradient_check(
     def loss() -> float:
         return cross_entropy(model.forward(x, train=False), y)
 
-    probs = model.forward(x, train=False)
-    grad = probs.copy()
-    grad[np.arange(len(y)), y] -= 1.0
-    grad /= len(y)
     model.zero_grads()
-    model.backward(grad)
+    model.backward(_loss_gradient(model.forward(x, train=False), y))
     analytic = [g.copy() for g in model.grads()]
 
     max_rel = 0.0

@@ -146,7 +146,7 @@ def write_blocks(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) ->
 
 
 def read_blocks(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container written by write_blocks."""
+    """Read a container written by write_blocks; a defect is a ValueError naming the file."""
     data = Path(path).read_bytes()
     if not data.startswith(BLOCK_MAGIC):
         raise ValueError(f"{path}: not a block container (bad magic)")
@@ -160,17 +160,28 @@ def read_blocks(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         pos += n
         return out
 
-    meta_len = int.from_bytes(take(8), "little")
-    meta = json.loads(take(meta_len).decode("utf-8"))
+    def take_object(what: str, keys: dict[str, type]) -> dict:
+        text = take(int.from_bytes(take(8), "little"))
+        try:
+            obj = json.loads(text.decode("utf-8"))
+        except (ValueError, RecursionError):
+            raise ValueError(f"{path}: {what} is not UTF-8 JSON") from None
+        if not isinstance(obj, dict) or any(not isinstance(obj.get(k), t) for k, t in keys.items()):
+            raise ValueError(f"{path}: {what} must be a JSON object with {sorted(keys)}")
+        return obj
+
+    meta = take_object("meta block", {})
     count = int.from_bytes(take(8), "little")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        header_len = int.from_bytes(take(8), "little")
-        header = json.loads(take(header_len).decode("utf-8"))
-        raw_len = int.from_bytes(take(8), "little")
-        raw = take(raw_len)
-        arr = np.frombuffer(raw, dtype=np.dtype(header["dtype"]))
-        arrays[header["name"]] = arr.reshape(header["shape"]).copy()
+        header = take_object("array header", {"name": str, "dtype": str, "shape": list})
+        raw = take(int.from_bytes(take(8), "little"))
+        name = header["name"]
+        try:
+            arr = np.frombuffer(raw, dtype=np.dtype(header["dtype"]))
+            arrays[name] = arr.reshape(header["shape"]).copy()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: array {name!r} cannot be decoded ({exc})") from None
     return meta, arrays
 
 

@@ -210,10 +210,10 @@ def _box_mean(img: np.ndarray) -> np.ndarray:
     return out / 9.0
 
 
-def _backward_warp(img: np.ndarray, flow: np.ndarray) -> np.ndarray:
-    """Sample img at (x + dx, y + dy) with bilinear filtering, edge clamp."""
-    h, w = img.shape
-    src = img.astype(np.float64)
+def _bilinear_grid(flow: np.ndarray):
+    """Where backward warping by flow samples (x + dx, y + dy), clamped to the
+    frame: the flat indices of its four neighbours and its offsets fx, fy."""
+    h, w = flow.shape[:2]
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
     sx = np.clip(xs + flow[..., 0], 0.0, w - 1.0)
     sy = np.clip(ys + flow[..., 1], 0.0, h - 1.0)
@@ -221,42 +221,36 @@ def _backward_warp(img: np.ndarray, flow: np.ndarray) -> np.ndarray:
     y0 = np.floor(sy).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = sx - x0
-    fy = sy - y0
-    top = src[y0, x0] * (1 - fx) + src[y0, x1] * fx
-    bottom = src[y1, x0] * (1 - fx) + src[y1, x1] * fx
+    return (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1), sx - x0, sy - y0
+
+
+def _sample(img: np.ndarray, grid) -> np.ndarray:
+    """Bilinear filtering of img at the points of a _bilinear_grid."""
+    (i00, i01, i10, i11), fx, fy = grid
+    src = img.astype(np.float64).ravel()
+    top = src.take(i00) * (1 - fx) + src.take(i01) * fx
+    bottom = src.take(i10) * (1 - fx) + src.take(i11) * fx
     return top * (1 - fy) + bottom * fy
 
 
 def synthesize_frame(
-    i0: np.ndarray,
-    i1: np.ndarray,
-    flows: FlowField,
-    contexts: ContextFeatures,
-    t: float,
-    occlusion_threshold: float = OCCLUSION_THRESHOLD,
-    occlusion_damping: float = OCCLUSION_DAMPING,
+    i0: np.ndarray, i1: np.ndarray, flows: FlowField, contexts: ContextFeatures, t: float
 ) -> np.ndarray:
     """Warp both endpoints toward time t and fuse as (1-t)*warp0 + t*warp1.
 
-    Where the warped context maps disagree by more than the threshold, the
-    temporally farther endpoint is down-weighted (occlusion heuristic) and
-    the weights renormalized; at t = 0.5 both endpoints are equally near, so
-    no down-weighting applies.
+    Each endpoint and its context map are warped together through one
+    sampling grid per flow. Where the warped context maps disagree by more
+    than OCCLUSION_THRESHOLD, the temporally farther endpoint's weight is
+    multiplied by OCCLUSION_DAMPING and the weights renormalized; at t = 0.5
+    both endpoints are equally near, so no down-weighting applies.
     """
-    warp0 = _backward_warp(i0, flows.f_t0)
-    warp1 = _backward_warp(i1, flows.f_t1)
-    wc0 = _backward_warp(contexts.c0, flows.f_t0)
-    wc1 = _backward_warp(contexts.c1, flows.f_t1)
-    w0 = np.full(warp0.shape, 1.0 - t)
-    w1 = np.full(warp1.shape, t)
-    disagree = np.abs(wc0 - wc1) > occlusion_threshold
-    if t < 0.5:
-        w1 = np.where(disagree, w1 * occlusion_damping, w1)
-    elif t > 0.5:
-        w0 = np.where(disagree, w0 * occlusion_damping, w0)
-    total = w0 + w1
-    return round_half_up_u8((w0 * warp0 + w1 * warp1) / total)
+    grid0, grid1 = _bilinear_grid(flows.f_t0), _bilinear_grid(flows.f_t1)
+    warp0, wc0 = _sample(i0, grid0), _sample(contexts.c0, grid0)
+    warp1, wc1 = _sample(i1, grid1), _sample(contexts.c1, grid1)
+    damping = np.where(np.abs(wc0 - wc1) > OCCLUSION_THRESHOLD, OCCLUSION_DAMPING, 1.0)
+    w0 = (1.0 - t) * (damping if t > 0.5 else 1.0)
+    w1 = t * (damping if t < 0.5 else 1.0)
+    return round_half_up_u8((w0 * warp0 + w1 * warp1) / (w0 + w1))
 
 
 def interpolate_sequence(seq: FrameSequence, method: str = "flow") -> FrameSequence:

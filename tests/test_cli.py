@@ -3,7 +3,7 @@ import signal
 
 import pytest
 
-from signpipe import cli, datagen, io
+from signpipe import cli, cnn, datagen, io
 
 SMALL = [
     "--set", "datagen.landmark_per_class=12",
@@ -371,3 +371,31 @@ def test_translate_corrupt_model_exits_2(workspace, tmp_path, capsys, which, mut
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new", [
+    (b'"dtype":"<f8"', b'"dtype":"<q8"'),  # a dtype numpy does not know
+    (b'"dtype":"<f8"', b'"dtype":"<i0"'),
+    (b'"name":"param_000"', b'"nome":"param_000"'),  # a header without a name
+], ids=["unknown-dtype", "zero-size-dtype", "header-without-name"])
+def test_translate_byte_corrupted_cnn_exits_2(workspace, tmp_path, capsys, old, new):
+    bad = tmp_path / "cnn.blk"
+    data = (workspace / "cnn.blk").read_bytes()
+    assert old in data
+    bad.write_bytes(data.replace(old, new, 1))
+    argv = translate_args(workspace, tmp_path / "x")
+    argv[argv.index("--cnn") + 1] = str(bad)
+    assert _main_within(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
+def test_translate_rejects_a_cnn_of_another_label_space(workspace, tmp_path, capsys):
+    path = tmp_path / "five.blk"
+    cnn.save_cnn(path, cnn.build_model(5, seed=0))
+    argv = translate_args(workspace, tmp_path / "x")
+    argv[argv.index("--cnn") + 1] = str(path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "label space" in err

@@ -206,3 +206,105 @@ def test_train_config_validation():
         cnn.TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         cnn.TrainConfig(patience=0)
+
+
+# Oracles: the conv and pool layers as they were before the data gradient
+# was computed at the input's size and the two pool modes shared one
+# backward. The layers must match them bit for bit.
+
+
+def reference_conv(W, b, padding, x, dy):
+    """Forward output and (dx, dW, db) of a conv whose data gradient is the
+    full correlation, cropped back to the input."""
+    kh, kw, in_ch, out_ch = W.shape
+    pt, pl = ((kh - 1) // 2, (kw - 1) // 2) if padding == "same" else (0, 0)
+    pb, pr = (kh - 1 - pt, kw - 1 - pl) if padding == "same" else (0, 0)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if padding == "same" else x
+    patches = cnn._im2col(xp, kh, kw)
+    n, oh, ow, k = patches.shape
+    out = (patches.reshape(-1, k) @ W.reshape(k, out_ch) + b).reshape(n, oh, ow, out_ch)
+    dy2 = dy.reshape(-1, out_ch)
+    dW = np.zeros_like(W)
+    dW += (patches.reshape(-1, k).T @ dy2).reshape(W.shape)
+    db = np.zeros_like(b)
+    db += dy2.sum(axis=0)
+    dy_pad = np.pad(dy, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
+    wb = W[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * out_ch, in_ch)
+    pat = cnn._im2col(dy_pad, kh, kw)
+    dx_pad = (pat.reshape(-1, pat.shape[3]) @ wb).reshape(n, oh + kh - 1, ow + kw - 1, in_ch)
+    h, w = x.shape[1:3]
+    return out, dx_pad[:, pt : pt + h, pl : pl + w, :], dW, db
+
+
+def reference_pool(x, s, ceil_mode, dy):
+    """Forward output and dx of max pooling with separate floor and ceil backwards."""
+    n, h, w, c = x.shape
+    if ceil_mode:
+        hp, wp = -(-h // s) * s, -(-w // s) * s
+        xp = np.full((n, hp, wp, c), -np.inf)
+        xp[:, :h, :w, :] = x
+    else:
+        hp, wp = (h // s) * s, (w // s) * s
+        xp = x[:, :hp, :wp, :]
+    oh, ow = hp // s, wp // s
+    windows = xp.reshape(n, oh, s, ow, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, s * s, c)
+    argmax = windows.argmax(axis=3)
+    out = np.take_along_axis(windows, argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    g = np.zeros((n, oh, ow, s * s, c))
+    np.put_along_axis(g, argmax[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
+    gp = g.reshape(n, oh, ow, s, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, hp, wp, c)
+    if ceil_mode:
+        return out, gp[:, :h, :w, :]
+    dx = np.zeros((n, h, w, c))
+    dx[:, :hp, :wp, :] = gp
+    return out, dx
+
+
+@pytest.mark.parametrize("kh, kw, padding, h, w", [
+    (2, 2, "valid", 9, 8),
+    (3, 3, "valid", 7, 9),
+    (5, 5, "same", 4, 4),  # conv 3 of the reference architecture
+    (3, 3, "same", 6, 5),
+    (4, 4, "same", 5, 6),  # even kernel: pads (1, 2)
+    (2, 3, "same", 5, 4),  # pads (0, 1) and (1, 1)
+])
+def test_conv_equals_cropping_reference(rng, kh, kw, padding, h, w):
+    layer = cnn.Conv2D(3, 4, kh, kw, padding, rng)
+    layer.b[...] = rng.normal(0, 1, 4)
+    x = rng.normal(0, 1, (2, h, w, 3))
+    out = layer.forward(x, train=True)
+    dy = rng.normal(0, 1, out.shape)
+    dx = layer.backward(dy)
+    expected = reference_conv(layer.W, layer.b, padding, x, dy)
+    assert dx.shape == x.shape
+    for got, want in zip((out, dx, layer.dW, layer.db), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _tied(rng, kind, shape):
+    if kind == "relu":  # about half the entries are exact zeros
+        return np.maximum(rng.normal(0, 1, shape), 0.0)
+    if kind == "levels":  # three values, so most windows hold several maxima
+        return rng.integers(0, 3, shape).astype(np.float64)
+    return np.full(shape, 0.5)  # every window constant
+
+
+@pytest.mark.parametrize("kind", ["relu", "levels", "constant"])
+@pytest.mark.parametrize("s, ceil_mode, h, w", [
+    (2, False, 7, 9),
+    (2, True, 7, 9),
+    (3, False, 13, 11),
+    (3, True, 13, 11),
+    (5, True, 4, 4),  # pool 3 of the reference architecture: one partial window
+    (3, True, 9, 6),  # ceil on sizes the window divides
+])
+def test_pool_equals_reference_with_ties(rng, kind, s, ceil_mode, h, w):
+    layer = cnn.MaxPool2D(s, ceil_mode=ceil_mode)
+    x = _tied(rng, kind, (2, h, w, 3))
+    out = layer.forward(x, train=True)
+    dy = rng.normal(0, 1, out.shape)
+    dx = layer.backward(dy)
+    want_out, want_dx = reference_pool(x, s, ceil_mode, dy)
+    assert out.tobytes() == want_out.tobytes()
+    assert dx.shape == x.shape and dx.tobytes() == want_dx.tobytes()
+

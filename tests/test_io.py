@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signpipe import io
+from signpipe import forest, io
 from signpipe.landmarks import LandmarkFrame
 
 from conftest import random_images
@@ -159,6 +159,107 @@ def test_blocks_rejects_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ValueError):
         io.read_blocks(path)
+
+
+@pytest.fixture(scope="module")
+def forest_file_bytes(tiny_landmarks, tmp_path_factory):
+    """A small real forest file: two shallow trees, so its JSON blocks make
+    up much of the file."""
+    X, y = tiny_landmarks
+    model = forest.train_forest(X, y, forest.ForestHyperparams(n_estimators=2, max_depth=2), seed=0)
+    path = tmp_path_factory.mktemp("forest") / "f.blk"
+    forest.save_forest(path, model)
+    return path.read_bytes()
+
+
+def _replace_block(data: bytes, index: int, new: bytes) -> bytes:
+    """data with its meta block (index 0) or first array header (index 1)
+    replaced by new, length prefix included."""
+    pos = len(io.BLOCK_MAGIC)
+    n = int.from_bytes(data[pos : pos + 8], "little")
+    if index == 1:  # past the meta block and the array count
+        pos += 8 + n + 8
+        n = int.from_bytes(data[pos : pos + 8], "little")
+    return data[:pos] + len(new).to_bytes(8, "little") + new + data[pos + 8 + n :]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.replace(b'"dtype":"<i8"', b'"dtype":"<q8"', 1), "cannot be decoded"),
+    (lambda d: d.replace(b'"dtype":"<f8"', b'"dtype":"<i0"', 1), "cannot be decoded"),
+    (lambda d: d.replace(b'"dtype":"<i8"', b'"dtype":"|O1"', 1), "cannot be decoded"),
+    (lambda d: _replace_block(d, 1, b'{"dtype":"<f8","name":"x","shape":[1.5]}'), "cannot be decoded"),
+    (lambda d: _replace_block(d, 0, b"[1]"), "meta block"),
+    (lambda d: _replace_block(d, 1, b"[1]"), "array header"),
+    (lambda d: _replace_block(d, 1, b'{"dtype":"<f8","shape":[0]}'), "array header"),
+    (lambda d: _replace_block(d, 1, b'{"name":3,"dtype":"<f8","shape":[0]}'), "array header"),
+    (lambda d: _replace_block(d, 0, b'{"a":\xff}'), "not UTF-8 JSON"),
+], ids=["unknown-dtype", "zero-size-dtype", "object-dtype", "float-shape", "meta-list",
+        "header-list", "header-without-name", "header-int-name", "meta-not-utf8"])
+def test_blocks_malformed_json_raise_value_error_naming_the_file(
+    tmp_path, forest_file_bytes, mutate, message
+):
+    bad = mutate(forest_file_bytes)
+    assert bad != forest_file_bytes
+    path = tmp_path / "bad.blk"
+    path.write_bytes(bad)
+    with pytest.raises(ValueError, match=message) as exc:
+        io.read_blocks(path)
+    assert "bad.blk" in str(exc.value)
+
+
+@st.composite
+def mutated(draw, data: bytes, alphabet: bytes):
+    """data with one to four bytes overwritten, inserted or deleted, the new
+    ones drawn from alphabet, then possibly cut off."""
+    buf = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(buf) - 1))
+        byte = draw(st.sampled_from(alphabet))
+        action = draw(st.sampled_from(["set", "insert", "delete"]))
+        if action == "set":
+            buf[pos] = byte
+        elif action == "insert":
+            buf.insert(pos, byte)
+        else:
+            del buf[pos]
+    return bytes(buf[: draw(st.integers(0, len(buf)))] if draw(st.booleans()) else buf)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_forest_mutated_bytes_raise_only_value_error(tmp_path_factory, forest_file_bytes, data):
+    path = tmp_path_factory.mktemp("blk") / "m.blk"
+    # replacement bytes favour JSON syntax, digits and dtype letters
+    path.write_bytes(data.draw(mutated(forest_file_bytes, b'[]{}":,-.0123456789eEfiuOV<|\x00\x7f\xff')))
+    try:
+        io.read_blocks(path)
+    except ValueError as exc:
+        assert "m.blk" in str(exc)
+    try:
+        forest.load_forest(path)
+    except ValueError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def stream_csv_bytes(tmp_path_factory):
+    rng = np.random.default_rng(4)
+    frames = [LandmarkFrame(label=lab, points=rng.uniform(0, 1, (42, 3))) for lab in ("A", "NA", "SPACE")]
+    path = tmp_path_factory.mktemp("csv") / "s.csv"
+    io.write_landmark_csv(path, frames)
+    return path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_landmark_csv_mutated_bytes_raise_only_value_error(tmp_path_factory, stream_csv_bytes, data):
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_bytes(data.draw(mutated(stream_csv_bytes, b",\n\r .-+eE0123456789naifANIF_x\x00\xff")))
+    try:
+        frames = io.read_landmark_csv(path)
+    except ValueError:
+        return
+    assert all(f.points.shape == (42, 3) and np.all(np.isfinite(f.points)) for f in frames)
 
 
 def test_json_report_stable_bytes(tmp_path):

@@ -282,6 +282,73 @@ def test_synthesize_occlusion_prefers_nearer_source():
     assert np.all(near0.astype(int) < plain.astype(int))
 
 
+def reference_backward_warp(img, flow):
+    """Bilinear sampling of one map, its grid built for that map alone."""
+    h, w = img.shape
+    src = img.astype(np.float64)
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    sx = np.clip(xs + flow[..., 0], 0.0, w - 1.0)
+    sy = np.clip(ys + flow[..., 1], 0.0, h - 1.0)
+    x0 = np.floor(sx).astype(np.intp)
+    y0 = np.floor(sy).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = sx - x0
+    fy = sy - y0
+    top = src[y0, x0] * (1 - fx) + src[y0, x1] * fx
+    bottom = src[y1, x0] * (1 - fx) + src[y1, x1] * fx
+    return top * (1 - fy) + bottom * fy
+
+
+def reference_synthesize_frame(i0, i1, flows, contexts, t):
+    """synthesize_frame as four separate warps and full weight maps, kept as its oracle."""
+    warp0 = reference_backward_warp(i0, flows.f_t0)
+    warp1 = reference_backward_warp(i1, flows.f_t1)
+    wc0 = reference_backward_warp(contexts.c0, flows.f_t0)
+    wc1 = reference_backward_warp(contexts.c1, flows.f_t1)
+    w0 = np.full(warp0.shape, 1.0 - t)
+    w1 = np.full(warp1.shape, t)
+    disagree = np.abs(wc0 - wc1) > videosynth.OCCLUSION_THRESHOLD
+    if t < 0.5:
+        w1 = np.where(disagree, w1 * videosynth.OCCLUSION_DAMPING, w1)
+    elif t > 0.5:
+        w0 = np.where(disagree, w0 * videosynth.OCCLUSION_DAMPING, w0)
+    return videosynth.round_half_up_u8((w0 * warp0 + w1 * warp1) / (w0 + w1))
+
+
+def _assert_synthesis_equals_reference(i0, i1, flows, t):
+    contexts = videosynth.context_features(i0, i1)
+    out = videosynth.synthesize_frame(i0, i1, flows, contexts, t)
+    expected = reference_synthesize_frame(i0, i1, flows, contexts, t)
+    assert out.dtype == np.uint8 and out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("size", [32, 128])
+def test_synthesize_frame_on_atlas_pairs_equals_reference(size):
+    frames = _atlas_frames(size)
+    for a, b in ["AB", "HE", "LO", "O ", " S", "MN", "ZA"]:
+        i0, i1 = frames["SPACE" if a == " " else a], frames["SPACE" if b == " " else b]
+        f01 = videosynth._block_flow(i0, i1)
+        for t in (0.2, 0.4, 0.6, 0.8):
+            _assert_synthesis_equals_reference(i0, i1, videosynth._scale_flow(f01, t), t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+    st.floats(0.0, 3.0), st.sampled_from([0.1, 0.2, 0.4, 0.5, 0.6, 0.8, 0.9]),
+)
+def test_synthesize_frame_equals_reference_past_the_edge(h, w, seed, reach, t):
+    # flows of up to 3 frame sizes, so many samples clamp to the border
+    rng = np.random.default_rng(seed)
+    i0, i1 = (rng.integers(0, 256, (h, w), dtype=np.uint8) for _ in range(2))
+    scale = reach * np.array([w, h], dtype=np.float64)
+    flows = videosynth.FlowField(
+        f_t0=rng.uniform(-1, 1, (h, w, 2)) * scale, f_t1=rng.uniform(-1, 1, (h, w, 2)) * scale
+    )
+    _assert_synthesis_equals_reference(i0, i1, flows, t)
+
+
 def _reference_interpolate(seq, method):
     """The per-frame loop interpolate_sequence replaced, kept as its oracle:
     every non-aligned output is synthesized, identical brackets included."""
