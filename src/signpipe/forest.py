@@ -15,10 +15,20 @@ prediction (every row walks every tree together, one vectorized step per
 depth level) and by the model file. The file (schema forest/2) stores the
 node arrays as they are, with children as table indices, plus `offsets`:
 the root of each tree followed by the node count.
+
+Training splits the trees into contiguous index ranges, one per CPU the
+process may use. Each range grows into a node table of its own, the parent
+growing the first while forked workers grow the rest, and the tables are
+joined in tree order with their children shifted by the nodes before them.
+Since tree i depends only on its substream, the joined table is the one a
+single loop over the trees builds.
 """
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -149,7 +159,7 @@ def _grow_tree(
     rng: np.random.Generator,
     table: dict[str, list],
 ) -> int:
-    """Append one tree's nodes to the shared node lists; returns its root index."""
+    """Append one tree's nodes to the given node lists; returns its root index."""
     n, d = X.shape
     m = int(np.ceil(np.sqrt(d)))
     if hp.bootstrap:
@@ -198,8 +208,36 @@ def _grow_tree(
     return root
 
 
+def _grow_trees(
+    X: np.ndarray, y: np.ndarray, n_classes: int, hp: ForestHyperparams, seed: int,
+    start: int, stop: int,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Grow trees start..stop-1 into a node table of their own: (roots, arrays)."""
+    table: dict[str, list] = {k: [] for k in _NODE_ARRAYS}
+    roots = [
+        _grow_tree(X, y, n_classes, hp, substream(seed, "tree", i), table)
+        for i in range(start, stop)
+    ]
+    return np.array(roots, dtype=np.int64), {
+        k: np.array(v, dtype=_NODE_DTYPES[k]) for k, v in table.items()
+    }
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where workers cannot be forked."""
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams, seed: int) -> Forest:
-    """Grow n_estimators trees; tree i draws from substream (seed, "tree", i)."""
+    """Grow n_estimators trees; tree i draws from substream (seed, "tree", i).
+
+    The trees are split into contiguous index ranges, one per usable CPU (at
+    most one per tree). The parent grows the first range while forked
+    workers grow the others; the ranges' tables are joined in tree order,
+    so the forest is the same table whatever the number of CPUs.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
@@ -209,17 +247,30 @@ def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams, seed: int)
     n_classes = int(y.max()) + 1
     if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 distinct classes")
-    table: dict[str, list] = {k: [] for k in _NODE_ARRAYS}
-    roots = [
-        _grow_tree(X, y, n_classes, hp, substream(seed, "tree", i), table)
-        for i in range(hp.n_estimators)
-    ]
+    n_ranges = min(_usable_cpus(), hp.n_estimators)
+    bounds = [i * hp.n_estimators // n_ranges for i in range(n_ranges + 1)]
+    jobs = [(X, y, n_classes, hp, seed, a, b) for a, b in zip(bounds, bounds[1:])]
+    if n_ranges == 1:
+        chunks = [_grow_trees(*jobs[0])]
+    else:
+        # fork, not spawn: workers start from this process's modules as they are.
+        with ProcessPoolExecutor(n_ranges - 1, multiprocessing.get_context("fork")) as pool:
+            pending = [pool.submit(_grow_trees, *job) for job in jobs[1:]]
+            chunks = [_grow_trees(*jobs[0])] + [f.result() for f in pending]
+    roots, table = [], {k: [] for k in _NODE_ARRAYS}
+    base = 0
+    for chunk_roots, arrays in chunks:
+        roots.append(chunk_roots + base)
+        for k in _NODE_ARRAYS:
+            a = arrays[k]
+            table[k].append(np.where(a >= 0, a + base, a) if k in ("left", "right") else a)
+        base += len(arrays["feature"])
     return Forest(
         hyperparams=hp,
         n_classes=n_classes,
         n_features=X.shape[1],
-        trees=np.array(roots, dtype=np.int64),
-        **{k: np.array(v, dtype=_NODE_DTYPES[k]) for k, v in table.items()},
+        trees=np.concatenate(roots),
+        **{k: np.concatenate(v) for k, v in table.items()},
     )
 
 

@@ -90,8 +90,13 @@ def read_landmark_csv(path: str | Path) -> list[LandmarkFrame]:
     Line 1 must be the exact header; every data row carries 127 columns.
     """
     frames: list[LandmarkFrame] = []
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # A stand-in for the bad byte ends the prefix, so its last line is the byte's.
+        lineno = len((data[: exc.start] + b"?").decode("ascii").splitlines())
+        raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
     if not lines or lines[0].strip() != LANDMARK_CSV_HEADER:
         raise ValueError(f"{path}:1: bad header (expected {LANDMARK_CSV_HEADER[:24]}...)")
     for lineno, line in enumerate(lines[1:], start=2):

@@ -62,7 +62,7 @@ class Lexicon:
 def damerau_levenshtein(a: str, b: str, cap: int | None = None) -> int:
     """Optimal-string-alignment distance (substitute/insert/delete/transpose).
 
-    With a cap, returns cap+1 as soon as the distance provably exceeds it.
+    With a cap, returns cap+1 for any distance above it, as soon as that is certain.
     """
     la, lb = len(a), len(b)
     if cap is not None and abs(la - lb) > cap:
@@ -80,7 +80,7 @@ def damerau_levenshtein(a: str, b: str, cap: int | None = None) -> int:
         if cap is not None and min(cur) > cap:
             return cap + 1
         prev2, prev = prev, cur
-    return prev[lb]
+    return prev[lb] if cap is None else min(prev[lb], cap + 1)
 
 
 @dataclass(frozen=True)

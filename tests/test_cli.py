@@ -121,6 +121,36 @@ def test_train_rfc_rejects_foreign_labels(tmp_path, capsys):
     assert "WAVE" in capsys.readouterr().err
 
 
+BAD_CSVS = {
+    "non-ascii": (io.LANDMARK_CSV_HEADER + "\nA,0.5\n").encode() + b"B,\xff\n",
+    "bad-header": b"label,x1,y1\nA,0.5,0.5\n",
+    "short-row": (io.LANDMARK_CSV_HEADER + "\nA,0.5,0.5\n").encode(),
+}
+
+
+@pytest.mark.parametrize("defect", list(BAD_CSVS))
+@pytest.mark.parametrize("command", ["train-rfc", "tune", "eval", "translate"])
+def test_bad_landmark_csv_exits_2_naming_the_file(workspace, tmp_path, capsys, command, defect):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(BAD_CSVS[defect])
+    out = tmp_path / "out"
+    argv = {
+        "train-rfc": ["train-rfc", "--data", bad, "--model", out, "--report", out],
+        "tune": ["tune", "--data", bad, "--report", out],
+        "eval": ["eval", "--rfc", workspace / "rfc.blk", "--cnn", workspace / "cnn.blk",
+                 "--landmarks", bad, "--silhouettes", workspace / "data" / "silhouettes",
+                 "--report", out],
+        "translate": translate_args(workspace, out),
+    }[command]
+    if command == "translate":
+        argv[argv.index("--landmarks") + 1] = bad
+    assert _main_within([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_cnn_bad_dir_exits_2(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()

@@ -1,4 +1,8 @@
+import multiprocessing
+import os
+import signal
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -67,6 +71,23 @@ def reference_best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_lea
     flat = np.argmin(costs.T.ravel())  # column-major: earliest column wins ties
     col, pos = divmod(flat, n - 1)
     return int(col), float((V[pos, col] + V[pos + 1, col]) / 2.0), float(costs[pos, col])
+
+
+def reference_train_forest(X: np.ndarray, y: np.ndarray, hp: forest.ForestHyperparams,
+                           seed: int) -> forest.Forest:
+    """The serial loop: every tree appended to one node table in the calling process."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    table = {k: [] for k in NODE_ARRAYS}
+    roots = [
+        forest._grow_tree(X, y, int(y.max()) + 1, hp, substream(seed, "tree", i), table)
+        for i in range(hp.n_estimators)
+    ]
+    return forest.Forest(
+        hyperparams=hp, n_classes=int(y.max()) + 1, n_features=X.shape[1],
+        trees=np.array(roots, dtype=np.int64),
+        **{k: np.array(v, dtype=forest._NODE_DTYPES[k]) for k, v in table.items()},
+    )
 
 
 def majority_vote(votes: np.ndarray, n_classes: int | None = None) -> int:
@@ -201,6 +222,82 @@ def test_forest_equals_one_hot_reference_forest(monkeypatch, tiny_landmarks, hp)
     expected = forest.train_forest(X, y, hp, seed=4)
     for k in ("trees",) + NODE_ARRAYS:
         assert np.array_equal(getattr(model, k), getattr(expected, k))
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3], ids=["usable-cpus", "1-cpu", "3-cpus"])
+@pytest.mark.parametrize("n_estimators", [1, 2, 3, 7])
+@pytest.mark.parametrize("bootstrap", [True, False], ids=["bootstrap", "no-bootstrap"])
+def test_forest_equals_serial_reference(monkeypatch, tmp_path, tiny_landmarks, cpus,
+                                        n_estimators, bootstrap):
+    # 7 trees over 3 ranges are uneven (2, 2, 3); 1 or 2 trees get fewer ranges than CPUs
+    X, y = tiny_landmarks
+    if cpus is not None:
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+    hp = forest.ForestHyperparams(n_estimators=n_estimators, max_depth=None,
+                                  min_samples_split=2, min_samples_leaf=1, bootstrap=bootstrap)
+    model = forest.train_forest(X, y, hp, seed=6)
+    expected = reference_train_forest(X, y, hp, seed=6)
+    for k in ("trees",) + NODE_ARRAYS:
+        assert getattr(model, k).dtype == getattr(expected, k).dtype
+        assert np.array_equal(getattr(model, k), getattr(expected, k))
+    forest.save_forest(tmp_path / "a.blk", model)
+    forest.save_forest(tmp_path / "b.blk", expected)
+    assert (tmp_path / "a.blk").read_bytes() == (tmp_path / "b.blk").read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def _failing_tree(monkeypatch, seed, bad_tree, fail):
+    """Make _grow_tree call fail() on tree bad_tree of a forest grown with seed."""
+    grow = forest._grow_tree
+    bad_state = substream(seed, "tree", bad_tree).bit_generator.state
+
+    def grow_or_fail(X, y, n_classes, hp, rng, table):
+        if rng.bit_generator.state == bad_state:
+            fail()
+        return grow(X, y, n_classes, hp, rng, table)
+
+    monkeypatch.setattr(forest, "_grow_tree", grow_or_fail)
+
+
+def _raise():
+    raise ArithmeticError("tree failed")
+
+
+@pytest.mark.parametrize("bad_tree", [0, 2, 6], ids=["parent-range", "worker-range", "last-tree"])
+def test_failing_tree_raises_its_exception_and_leaves_no_children(monkeypatch, tiny_landmarks,
+                                                                  bad_tree):
+    # three ranges over 7 trees: 0-1 in this process, 2-3 and 4-6 in workers
+    X, y = tiny_landmarks
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
+    _failing_tree(monkeypatch, 5, bad_tree, _raise)
+    with pytest.raises(ArithmeticError, match="tree failed"):
+        forest.train_forest(X, y, forest.ForestHyperparams(n_estimators=7), seed=5)
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_raises_instead_of_hanging(monkeypatch, tiny_landmarks):
+    X, y = tiny_landmarks
+    parent = os.getpid()
+
+    def exit_in_worker():
+        if os.getpid() != parent:
+            os._exit(1)
+
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+    _failing_tree(monkeypatch, 5, 3, exit_in_worker)  # trees 2-3 grow in the worker
+
+    def expire(signum, frame):
+        raise TimeoutError("train_forest did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            forest.train_forest(X, y, forest.ForestHyperparams(n_estimators=4), seed=5)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def test_majority_vote_brute_force(rng):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -130,6 +132,18 @@ def test_landmark_csv_non_numeric_cites_line(tmp_path, rng):
         io.read_landmark_csv(path)
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"label,f0\nA,1\xff\n", 2),
+    (b"\xe9label\n", 1),
+    (io.LANDMARK_CSV_HEADER.encode() + b"\r\nA,0.5\r\n\r\nB,\x80\n", 4),
+], ids=["data-row", "header", "crlf"])
+def test_landmark_csv_non_ascii_byte_cites_line(tmp_path, data, line):
+    path = tmp_path / "na.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: non-ASCII byte"):
+        io.read_landmark_csv(path)
+
+
 def test_blocks_roundtrip(tmp_path, rng):
     arrays = {
         "weights": rng.normal(0, 1, (4, 5)),
@@ -257,7 +271,8 @@ def test_landmark_csv_mutated_bytes_raise_only_value_error(tmp_path_factory, str
     path.write_bytes(data.draw(mutated(stream_csv_bytes, b",\n\r .-+eE0123456789naifANIF_x\x00\xff")))
     try:
         frames = io.read_landmark_csv(path)
-    except ValueError:
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc))
         return
     assert all(f.points.shape == (42, 3) and np.all(np.isfinite(f.points)) for f in frames)
 

@@ -1,9 +1,12 @@
+import functools
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signpipe import textcorrect
 from signpipe.datagen import PHRASES
@@ -24,6 +27,20 @@ def reference_osa(a: str, b: str) -> int:
             if i > 1 and j > 1 and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]:
                 d[i][j] = min(d[i][j], d[i - 2][j - 2] + 1)
     return d[la][lb]
+
+
+def recursive_osa(a: str, b: str) -> int:
+    """Optimal-string-alignment distance straight from its recursive definition."""
+    @functools.cache
+    def d(i: int, j: int) -> int:
+        if i == 0 or j == 0:
+            return i + j
+        best = min(d(i - 1, j) + 1, d(i, j - 1) + 1, d(i - 1, j - 1) + (a[i - 1] != b[j - 1]))
+        if i > 1 and j > 1 and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]:
+            best = min(best, d(i - 2, j - 2) + 1)
+        return best
+
+    return d(len(a), len(b))
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +82,19 @@ def test_distance_cap():
     assert dl("AAAA", "BBBB", cap=2) == 3  # true distance 4, reported as cap+1
     assert dl("BOK", "BOOK", cap=2) == 1  # within cap: exact
     assert dl("A", "ABCDEF", cap=2) == 3  # length gap alone exceeds the cap
+
+
+words = st.text(alphabet="ABCD", max_size=9)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=words, b=words, cap=st.one_of(st.none(), st.integers(0, 5)))
+def test_distance_equals_recursive_definition(a, b, cap):
+    # with a cap, the distance is exact up to the cap and cap + 1 beyond it
+    expected = recursive_osa(a, b)
+    if cap is not None:
+        expected = min(expected, cap + 1)
+    assert textcorrect.damerau_levenshtein(a, b, cap=cap) == expected
 
 
 # ------------------------------------------------------------- lexicon
