@@ -20,7 +20,7 @@ TEXT = "HI YOU"
 atlas = videosynth.GestureAtlas(frames=datagen.synth_atlas(size=64), size=64)
 key = videosynth.text_to_keyframes(TEXT, atlas)
 seq24 = videosynth.duplicate_frames(key)
-seq60 = videosynth.interpolate_sequence(seq24, method="flow")
+seq60 = videosynth.interpolate_sequence(seq24)
 print(f"{TEXT!r}: {len(key.frames)} keyframes -> "
       f"{len(seq24.frames)} frames at {seq24.fps} FPS -> "
       f"{len(seq60.frames)} frames at {seq60.fps} FPS")

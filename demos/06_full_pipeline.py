@@ -70,9 +70,7 @@ print(f"candidates: {list(result.candidates)} -> chosen {chosen!r}")
 # ---- 5. synthesize the target-language clip ----------------------------------
 atlas = videosynth.GestureAtlas(frames=datagen.synth_atlas(size=64), size=64)
 key = videosynth.text_to_keyframes(chosen, atlas)
-seq60 = videosynth.interpolate_sequence(
-    videosynth.duplicate_frames(key), method="flow"
-)
+seq60 = videosynth.interpolate_sequence(videosynth.duplicate_frames(key))
 out = Path(tempfile.mkdtemp(prefix="signpipe-demo-")) / "clip"
 videosynth.write_sequence(seq60, out)
 print(f"synthesized {len(seq60.frames)} frames at {seq60.fps} FPS "

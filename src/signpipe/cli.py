@@ -1,14 +1,16 @@
 """Command-line pipeline: datagen, training, tuning, eval, correction, video.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 remote-corrector
-failure. All randomness flows from the single config seed through named
-substreams, so re-running any subcommand reproduces its outputs byte for
-byte; reports deliberately carry no timestamps or timings.
+Exit codes: 0 success, 1 usage error, 2 data error or a training worker
+that died, 3 remote-corrector failure. All randomness flows from the single
+config seed through named substreams, so re-running any subcommand
+reproduces its outputs byte for byte; reports deliberately carry no
+timestamps or timings.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -138,7 +140,17 @@ def _load_landmark_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     return datagen.frames_to_arrays(frames, classes=RFC_CLASSES)
 
 
-def _load_silhouette_dataset(path) -> tuple[np.ndarray, np.ndarray]:
+def _read_frames(paths, shape: tuple[int, int]) -> np.ndarray:
+    """PGM images stacked, each checked against the CNN's (height, width)."""
+    images = [read_pgm(path) for path in paths]
+    for path, img in zip(paths, images):
+        if img.shape != shape:
+            h, w = img.shape
+            raise ValueError(f"{path}: image is {w}x{h}, the CNN reads {shape[1]}x{shape[0]}")
+    return np.stack(images)
+
+
+def _load_silhouette_dataset(path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     root = Path(path)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
@@ -146,14 +158,14 @@ def _load_silhouette_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     bad = sorted({p.name for p in class_dirs} - set(CNN_CLASSES))
     if bad:
         raise ValueError(f"{root}: directories outside the silhouette label space: {bad}")
-    images, ys = [], []
+    files, ys = [], []
     for class_dir in class_dirs:
         for f in sorted(class_dir.glob("*.pgm")):
-            images.append(read_pgm(f))
+            files.append(f)
             ys.append(CNN_INDEX[class_dir.name])
-    if not images:
+    if not files:
         raise ValueError(f"{root}: no .pgm images found")
-    return np.stack(images), np.array(ys, dtype=np.int64)
+    return _read_frames(files, shape), np.array(ys, dtype=np.int64)
 
 
 def _forest_hp(cfg) -> forest.ForestHyperparams:
@@ -192,10 +204,10 @@ def _cmd_train_rfc(args) -> int:
 def _cmd_train_cnn(args) -> int:
     cfg = _config(args)
     seed = get_int(cfg, "seed")
-    images, y = _load_silhouette_dataset(args.data)
+    model = cnn_mod.build_model(len(CNN_CLASSES), seed=seed)
+    images, y = _load_silhouette_dataset(args.data, model.input_shape[:2])
     X = cnn_mod.images_to_input(images)
     tr, te = _split(len(X), seed, "cnn-split")
-    model = cnn_mod.build_model(len(CNN_CLASSES), seed=seed)
     train_cfg = cnn_mod.TrainConfig(
         learning_rate=get_float(cfg, "cnn.learning_rate"),
         batch_size=get_int(cfg, "cnn.batch_size"),
@@ -309,7 +321,7 @@ def _cmd_eval(args) -> int:
     seed = get_int(cfg, "seed")
     rfc_model, cnn_model = _load_models(args)
     X_lm, y_lm = _load_landmark_dataset(args.landmarks)
-    images, y_sil = _load_silhouette_dataset(args.silhouettes)
+    images, y_sil = _load_silhouette_dataset(args.silhouettes, cnn_model.input_shape[:2])
     _, te_lm = _split(len(X_lm), seed, "rfc-split")
     _, te_sil = _split(len(images), seed, "cnn-split")
 
@@ -422,20 +434,23 @@ def _atlas(args, cfg) -> videosynth.GestureAtlas:
                 raise ValueError(f"{root}: atlas frame {name}.pgm is missing")
             frames[name] = read_pgm(path)
         size = frames["A"].shape[0]
+        for name, img in frames.items():
+            if img.shape != (size, size):
+                h, w = img.shape
+                raise ValueError(f"{root / name}.pgm: atlas frame is {w}x{h}, A.pgm is {size}x{size}")
         return videosynth.GestureAtlas(frames=frames, size=size)
     size = get_int(cfg, "datagen.atlas_size")
     return videosynth.GestureAtlas(frames=datagen.synth_atlas(size=size), size=size)
 
 
 def _synthesize(text: str, cfg, args, out_dir: Path) -> dict:
-    method = cfg["video.method"]
     atlas = _atlas(args, cfg)
     keyframes = videosynth.text_to_keyframes(text, atlas)
     seq24 = videosynth.duplicate_frames(keyframes)
-    seq60 = videosynth.interpolate_sequence(seq24, method=method)
+    seq60 = videosynth.interpolate_sequence(seq24)
     manifest = videosynth.write_sequence(seq60, out_dir / "frames60")
     info = {
-        "method": method,
+        "method": "flow",
         "keyframes": len(keyframes.frames),
         "frames_24fps": len(seq24.frames),
         "frames_60fps": len(seq60.frames),
@@ -451,7 +466,6 @@ def _synthesize(text: str, cfg, args, out_dir: Path) -> dict:
 def _cmd_synthesize(args) -> int:
     cfg = _config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     info = _synthesize(args.text.upper(), cfg, args, out)
     write_json_report(
         out / "synthesize_report.json",
@@ -472,7 +486,7 @@ def _cmd_translate(args) -> int:
     frame_files = sorted(Path(args.frames).glob("*.pgm"))
     if not frame_files:
         raise ValueError(f"{args.frames}: no .pgm frames found")
-    images = np.stack([read_pgm(f) for f in frame_files])
+    images = _read_frames(frame_files, cnn_model.input_shape[:2])
     if len(images) != len(X_lm):
         raise ValueError(
             f"stream length mismatch: {len(X_lm)} landmark rows vs {len(images)} frames"
@@ -497,7 +511,6 @@ def _cmd_translate(args) -> int:
     result = _run_corrector(raw, cfg, args)
     chosen = result.candidates[0]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     video_info = _synthesize(chosen, cfg, args, out)
     write_json_report(
         out / "translate_report.json",
@@ -610,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
     except (textcorrect.TransportError, textcorrect.ProtocolError) as exc:
         print(f"remote corrector error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

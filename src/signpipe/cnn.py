@@ -303,7 +303,7 @@ def cross_entropy(pred: np.ndarray, labels: np.ndarray) -> float:
 class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
-    max_epochs: int = 100
+    max_epochs: int = 15
     patience: int = 5
     seed: int = 0
 

@@ -33,7 +33,6 @@ DEFAULTS: dict[str, str] = {
     "remote.timeout_ms": "1000",
     "remote.max_retries": "2",
     "remote.backoff_ms": "100",
-    "video.method": "flow",
 }
 
 
@@ -45,15 +44,9 @@ def load_config(path: str | Path | None) -> dict[str, str]:
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        cfg[key] = value.strip()
+        if stripped and not stripped.startswith("#"):
+            where = f"{path}:{lineno}"
+            _assign(cfg, stripped, where, f"{where}: expected 'key = value'")
     return cfg
 
 
@@ -61,14 +54,19 @@ def apply_overrides(cfg: dict[str, str], overrides: list[str]) -> dict[str, str]
     """Apply --set key=value pairs on top of a loaded config."""
     out = dict(cfg)
     for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ValueError(f"--set: unknown config key {key!r}")
-        out[key] = value.strip()
+        _assign(out, item, "--set", "--set expects key=value")
     return out
+
+
+def _assign(cfg: dict[str, str], item: str, where: str, malformed: str) -> None:
+    """Set one 'key = value' item in cfg; errors cite where, or malformed if no '='."""
+    if "=" not in item:
+        raise ValueError(f"{malformed}, got {item!r}")
+    key, _, value = item.partition("=")
+    key = key.strip()
+    if key not in DEFAULTS:
+        raise ValueError(f"{where}: unknown config key {key!r}")
+    cfg[key] = value.strip()
 
 
 def get_int(cfg: dict[str, str], key: str) -> int:

@@ -6,8 +6,6 @@ round-half-up so they stay valid 8-bit images.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -29,25 +27,19 @@ def round_half_up_u8(values: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(np.asarray(values, dtype=np.float64) + 0.5), 0, 255).astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class HistogramStats:
-    """Per-threshold histogram statistics for thresholds t = 0..255.
+def otsu_threshold(img: np.ndarray) -> int:
+    """Threshold maximizing the between-class variance.
 
-    omega0[t] is the probability of a pixel being <= t, mu0/mu1 the class
-    means (0 for an empty class), and sigma_b2 the between-class variance
-    omega0 * omega1 * (mu0 - mu1)^2.
+    Pixels <= t form class 0. Ties resolve to the lowest t; a constant image
+    returns its single pixel value (binarization then yields all-background).
     """
-
-    omega0: np.ndarray
-    omega1: np.ndarray
-    mu0: np.ndarray
-    mu1: np.ndarray
-    sigma_b2: np.ndarray
-
-
-def histogram_stats(img: np.ndarray) -> HistogramStats:
-    """Compute class probabilities, class means, and between-class variance."""
     arr = as_gray(img)
+    lo, hi = int(arr.min()), int(arr.max())
+    if lo == hi:
+        return lo
+    # For each t: omega0/omega1 are the shares of pixels <= t and > t, n0/n1
+    # their counts, mu0/mu1 the class means (0 for an empty class), and
+    # sigma_b2 the between-class variance omega0 * omega1 * (mu0 - mu1)^2.
     hist = np.bincount(arr.ravel(), minlength=256).astype(np.float64)
     total = hist.sum()
     levels = np.arange(256, dtype=np.float64)
@@ -61,21 +53,7 @@ def histogram_stats(img: np.ndarray) -> HistogramStats:
         mu0 = np.where(n0 > 0, cum_mass / n0, 0.0)
         mu1 = np.where(n1 > 0, (cum_mass[-1] - cum_mass) / n1, 0.0)
     sigma_b2 = np.where((n0 > 0) & (n1 > 0), omega0 * omega1 * (mu0 - mu1) ** 2, 0.0)
-    return HistogramStats(omega0=omega0, omega1=omega1, mu0=mu0, mu1=mu1, sigma_b2=sigma_b2)
-
-
-def otsu_threshold(img: np.ndarray) -> int:
-    """Threshold maximizing the between-class variance.
-
-    Pixels <= t form class 0. Ties resolve to the lowest t; a constant image
-    returns its single pixel value (binarization then yields all-background).
-    """
-    arr = as_gray(img)
-    lo, hi = int(arr.min()), int(arr.max())
-    if lo == hi:
-        return lo
-    stats = histogram_stats(arr)
-    return int(np.argmax(stats.sigma_b2))
+    return int(np.argmax(sigma_b2))
 
 
 def binarize(img: np.ndarray, t: int) -> np.ndarray:

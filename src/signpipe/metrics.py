@@ -15,17 +15,15 @@ class EvalReport:
     recall: np.ndarray
     confusion: np.ndarray  # (C, C) counts, row = true, column = predicted
 
-    def to_payload(self, class_names: list[str] | None = None) -> dict:
+    def to_payload(self, class_names: list[str]) -> dict:
         """JSON-ready dict."""
-        payload = {
+        return {
             "accuracy": self.accuracy,
             "precision": [float(p) for p in self.precision],
             "recall": [float(r) for r in self.recall],
             "confusion": [[int(v) for v in row] for row in self.confusion],
+            "classes": list(class_names),
         }
-        if class_names is not None:
-            payload["classes"] = list(class_names)
-        return payload
 
 
 def confusion_and_metrics(

@@ -22,6 +22,10 @@ UNKNOWN_WORD_DISTANCE = 3
 CANDIDATES_PER_WORD = 4
 BEAM_WIDTH = 8
 BIGRAM_WEIGHT = 2.0
+# What the remote corrector is asked; {text} is the normalized input.
+PROMPT_TEMPLATE = (
+    "Correct this recognized sign text, reply with a JSON array of exactly 3 candidate strings: {text}"
+)
 
 
 class TransportError(Exception):
@@ -109,13 +113,14 @@ def word_candidates(word: str, lexicon: Lexicon) -> list[tuple[str, int]]:
     return [(cand, d) for d, _, cand in found[:CANDIDATES_PER_WORD]]
 
 
+def _bigram_score(words: list[str], lexicon: Lexicon) -> float:
+    return sum(math.log1p(lexicon.bigrams.get(pair, 0)) for pair in zip(words, words[1:]))
+
+
 def _string_score(words: list[str], lexicon: Lexicon) -> float:
     """Higher is better: log1p word frequencies plus weighted bigram counts."""
     score = sum(math.log1p(lexicon.words.get(w, 0)) for w in words)
-    score += BIGRAM_WEIGHT * sum(
-        math.log1p(lexicon.bigrams.get(pair, 0)) for pair in zip(words, words[1:])
-    )
-    return score
+    return score + BIGRAM_WEIGHT * _bigram_score(words, lexicon)
 
 
 def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
@@ -133,16 +138,13 @@ def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
         beam = grown[:BEAM_WIDTH]
 
     # Reorder pass: adjacent swaps that strictly raise the bigram score.
-    def bigram_score(words: list[str]) -> float:
-        return sum(math.log1p(lexicon.bigrams.get(p, 0)) for p in zip(words, words[1:]))
-
     pool: dict[str, tuple[int, float]] = {}
     for dist, words in beam:
         variants = [words]
-        base = bigram_score(words)
+        base = _bigram_score(words, lexicon)
         for i in range(len(words) - 1):
             swapped = words[:i] + [words[i + 1], words[i]] + words[i + 2 :]
-            if bigram_score(swapped) > base:
+            if _bigram_score(swapped, lexicon) > base:
                 variants.append(swapped)
         for v in variants:
             s = " ".join(v)
@@ -166,15 +168,12 @@ class RemoteCorrectorConfig:
     timeout_ms: int = 1000
     max_retries: int = 2
     backoff_ms: int = 100
-    prompt_template: str = "Correct this recognized sign text, reply with a JSON array of exactly 3 candidate strings: {text}"
 
     def __post_init__(self):
         if self.timeout_ms <= 0:
             raise ValueError(f"timeout_ms must be > 0, got {self.timeout_ms}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if "{text}" not in self.prompt_template:
-            raise ValueError("prompt_template must contain a {text} placeholder")
 
 
 def correct_remote(text: str, cfg: RemoteCorrectorConfig) -> CorrectionResult:
@@ -188,9 +187,7 @@ def correct_remote(text: str, cfg: RemoteCorrectorConfig) -> CorrectionResult:
     norm = " ".join(text.strip().upper().split())
     if not norm:
         raise ValueError("cannot correct empty text")
-    body = json.dumps(
-        {"input": norm, "prompt": cfg.prompt_template.format(text=norm)}
-    ).encode("utf-8")
+    body = json.dumps({"input": norm, "prompt": PROMPT_TEMPLATE.format(text=norm)}).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if cfg.token_env:
         token = os.environ.get(cfg.token_env)

@@ -3,9 +3,8 @@
 Text renders as 1 FPS keyframes from a letter atlas, duplicates to 24 FPS
 (pure copies), then resamples to 60 FPS. Output frames whose time aligns
 with a source frame, or whose two bracketing frames are identical, are
-bit-exact copies; the rest are synthesized between the bracketing frames,
-either by crossfade or by block-matching flow with a context-based
-occlusion heuristic.
+bit-exact copies; the rest are synthesized between the bracketing frames
+by block-matching flow with a context-based occlusion heuristic.
 """
 from __future__ import annotations
 
@@ -253,21 +252,19 @@ def synthesize_frame(
     return round_half_up_u8((w0 * warp0 + w1 * warp1) / (w0 + w1))
 
 
-def interpolate_sequence(seq: FrameSequence, method: str = "flow") -> FrameSequence:
+def interpolate_sequence(seq: FrameSequence) -> FrameSequence:
     """24 -> 60 FPS. Output j covers time j/60; when that hits a source time
     (every 5th output, since lcm(24,60)=120) the source frame is copied
     bit-exactly, otherwise the bracketing frames synthesize it.
 
     Between two identical frames every output is an exact copy: the flow is
-    zero, the context maps agree, and both fusions reproduce the frame for
+    zero, the context maps agree, and the fusion reproduces the frame for
     every t, so the copy skips work without changing a byte. Flow and
     context features are computed once per distinct bracketing pair, and
     only the current pair is held.
     """
     if seq.fps != 24:
         raise ValueError(f"expected a 24 FPS sequence, got {seq.fps}")
-    if method not in ("flow", "crossfade"):
-        raise ValueError(f"method must be 'flow' or 'crossfade', got {method!r}")
     frames = seq.frames
     t_in = len(frames)
     out = np.empty((60 * seq.n_sources,) + frames.shape[1:], dtype=np.uint8)
@@ -283,12 +280,10 @@ def interpolate_sequence(seq: FrameSequence, method: str = "flow") -> FrameSeque
         i0, i1 = frames[idx0], frames[min(idx0 + 1, t_in - 1)]
         if np.array_equal(i0, i1):
             out[j] = i0
-        elif method == "crossfade":
-            out[j] = round_half_up_u8((1.0 - t) * i0 + t * i1)
-        else:
-            if idx0 != pair_idx:
-                pair_idx, flow, contexts = idx0, _block_flow(i0, i1), context_features(i0, i1)
-            out[j] = synthesize_frame(i0, i1, _scale_flow(flow, t), contexts, t)
+            continue
+        if idx0 != pair_idx:
+            pair_idx, flow, contexts = idx0, _block_flow(i0, i1), context_features(i0, i1)
+        out[j] = synthesize_frame(i0, i1, _scale_flow(flow, t), contexts, t)
     return FrameSequence(frames=out, fps=60, n_sources=seq.n_sources)
 
 

@@ -187,7 +187,7 @@ def test_criterion_09_frame_count_contracts(capsys):
     text = "ABCDEFGHIJ"  # n = 10
     key = videosynth.text_to_keyframes(text, atlas)
     seq24 = videosynth.duplicate_frames(key)
-    seq60 = videosynth.interpolate_sequence(seq24, method="flow")
+    seq60 = videosynth.interpolate_sequence(seq24)
     if len(key.frames) != 10 or len(seq24.frames) != 240 or len(seq60.frames) != 600:
         problems.append(f"counts {len(key.frames)}/{len(seq24.frames)}/{len(seq60.frames)}")
     for i in range(240):

@@ -1,9 +1,12 @@
 import json
+import multiprocessing
+import os
+import shutil
 import signal
 
 import pytest
 
-from signpipe import cli, cnn, datagen, io
+from signpipe import cli, cnn, datagen, forest, io
 
 SMALL = [
     "--set", "datagen.landmark_per_class=12",
@@ -148,6 +151,76 @@ def test_bad_landmark_csv_exits_2_naming_the_file(workspace, tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+BAD_PGMS = {
+    "bad-magic": b"P2\n32 32\n255\n" + bytes(32 * 32),
+    "truncated-pixels": b"P5\n32 32\n255\n" + bytes(32 * 32 - 1),
+    "zero-size": b"P5\n0 0\n255\n",
+    "wrong-size": b"P5\n31 32\n255\n" + bytes(31 * 32),
+}
+
+
+@pytest.mark.parametrize("defect", list(BAD_PGMS))
+@pytest.mark.parametrize("command", ["train-cnn", "eval", "translate", "synthesize"])
+def test_bad_pgm_exits_2_naming_the_file(workspace, tmp_path, capsys, command, defect):
+    data = workspace / "data"
+    out, model, report = tmp_path / "out", tmp_path / "m.blk", tmp_path / "r.json"
+    if command in ("train-cnn", "eval"):
+        inputs = tmp_path / "silhouettes"
+        (inputs / "A").mkdir(parents=True)
+        shutil.copy(data / "silhouettes" / "A" / "img_00000.pgm", inputs / "A")
+        bad = inputs / "A" / "img_00001.pgm"
+    else:
+        source = data / ("stream_frames" if command == "translate" else "atlas")
+        inputs = tmp_path / source.name
+        shutil.copytree(source, inputs)
+        bad = inputs / ("frame_000003.pgm" if command == "translate" else "B.pgm")
+    bad.write_bytes(BAD_PGMS[defect])
+    argv = {
+        "train-cnn": ["train-cnn", "--data", inputs, "--model", model, "--report", report],
+        "eval": ["eval", "--rfc", workspace / "rfc.blk", "--cnn", workspace / "cnn.blk",
+                 "--landmarks", data / "landmarks.csv", "--silhouettes", inputs,
+                 "--report", report],
+        "translate": translate_args(workspace, out),
+        "synthesize": ["synthesize", "--text", "AB", "--atlas", inputs, "--out", out],
+    }[command]
+    if command == "translate":
+        argv[argv.index("--frames") + 1] = inputs
+    assert _main_within([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:")
+    assert "Traceback" not in err
+    assert not out.exists() and not model.exists() and not report.exists()
+
+
+def test_dead_forest_worker_exits_2(workspace, tmp_path, capsys, monkeypatch):
+    parent, grow = os.getpid(), forest._grow_tree
+
+    def grow_or_die(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return grow(*args)
+
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forest, "_grow_tree", grow_or_die)
+    model, report = tmp_path / "m.blk", tmp_path / "r.json"
+    argv = ["train-rfc", "--data", workspace / "data" / "landmarks.csv",
+            "--model", model, "--report", report, "--set", "rfc.n_estimators=4"]
+    assert _main_within([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not model.exists() and not report.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_video_method_setting_exits_2(tmp_path, capsys):
+    out = tmp_path / "v"
+    assert cli.main(["synthesize", "--text", "HI", "--out", str(out),
+                     "--set", "video.method=crossfade"]) == 2
+    assert "unknown config key 'video.method'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -360,8 +433,8 @@ def test_translate_length_mismatch_exits_2(workspace, tmp_path, capsys):
 
 def _main_within(argv, seconds=30):
     """cli.main, failing the test instead of hanging when it does not return."""
-    def expire(signum, frame):
-        raise TimeoutError(f"cli.main did not return within {seconds} s")
+    def expire(signum, frame):  # pytest.fail, since cli.main turns a TimeoutError into exit 2
+        pytest.fail(f"cli.main did not return within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)

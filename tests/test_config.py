@@ -1,6 +1,6 @@
 import pytest
 
-from signpipe import config
+from signpipe import cli, cnn, config, datagen, ensemble, forest, textcorrect, videosynth
 
 
 def test_defaults_load_without_file():
@@ -90,6 +90,49 @@ def test_documented_keys_cover_pipeline():
         "remote.timeout_ms",
         "remote.max_retries",
         "remote.backoff_ms",
-        "video.method",
     ):
         assert key in cfg, key
+
+
+def test_error_texts(tmp_path):
+    # video.method is no key: flow is the only interpolation
+    path = tmp_path / "cfg"
+    cases = [
+        ("seed 1\n", f"{path}:1: expected 'key = value', got 'seed 1'"),
+        ("# c\n\nnope = 2\n", f"{path}:3: unknown config key 'nope'"),
+        ("seed = 1\nvideo.method = flow\n", f"{path}:2: unknown config key 'video.method'"),
+    ]
+    for text, message in cases:
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError) as exc:
+            config.load_config(path)
+        assert str(exc.value) == message
+    cfg = config.load_config(None)
+    for item, message in [("seed", "--set expects key=value, got 'seed'"),
+                          (" nope = 1", "--set: unknown config key 'nope'"),
+                          ("video.method=flow", "--set: unknown config key 'video.method'")]:
+        with pytest.raises(ValueError) as exc:
+            config.apply_overrides(cfg, [item])
+        assert str(exc.value) == message
+
+
+def test_dataclass_defaults_equal_config_defaults():
+    """Each dataclass default is the config default as the CLI maps it."""
+    cfg = config.load_config(None)
+    assert cli._forest_hp(cfg) == forest.ForestHyperparams()
+    train = cnn.TrainConfig()
+    assert train.learning_rate == config.get_float(cfg, "cnn.learning_rate")
+    assert train.batch_size == config.get_int(cfg, "cnn.batch_size")
+    assert train.max_epochs == config.get_int(cfg, "cnn.max_epochs")
+    assert train.patience == config.get_int(cfg, "cnn.patience")
+    assert train.seed == config.get_int(cfg, "seed")
+    assert ensemble.StreamDecodeConfig().k == config.get_int(cfg, "decode.k")
+    remote = cli._remote_cfg(config.apply_overrides(cfg, ["remote.endpoint=http://x"]))
+    assert remote == textcorrect.RemoteCorrectorConfig(endpoint="http://x")
+    landmarks = datagen.LandmarkDatasetSpec()
+    assert landmarks.per_class == config.get_int(cfg, "datagen.landmark_per_class")
+    assert landmarks.spread == config.get_float(cfg, "datagen.spread")
+    assert datagen.StreamSpec(text="A").spread == config.get_float(cfg, "datagen.spread")
+    assert datagen.SilhouetteDatasetSpec().per_class == config.get_int(
+        cfg, "datagen.silhouette_per_class")
+    assert videosynth.ATLAS_SIZE == config.get_int(cfg, "datagen.atlas_size")

@@ -44,15 +44,6 @@ def test_otsu_constant_image():
     assert imageops.otsu_threshold(img) == 77
 
 
-def test_histogram_stats_shapes(rng):
-    img = random_images(1, 12, seed=2)[0]
-    stats = imageops.histogram_stats(img)
-    for field in (stats.omega0, stats.omega1, stats.mu0, stats.mu1, stats.sigma_b2):
-        assert field.shape == (256,)
-    assert np.allclose(stats.omega0 + stats.omega1, 1.0)
-    assert np.all(stats.sigma_b2 >= 0)
-
-
 def test_binarize_threshold_semantics():
     img = np.array([[0, 100, 101, 255]], dtype=np.uint8)
     b = imageops.binarize(img, 100)

@@ -390,5 +390,3 @@ def test_remote_config_validation():
         textcorrect.RemoteCorrectorConfig(endpoint="http://x", timeout_ms=0)
     with pytest.raises(ValueError):
         textcorrect.RemoteCorrectorConfig(endpoint="http://x", max_retries=-1)
-    with pytest.raises(ValueError):
-        textcorrect.RemoteCorrectorConfig(endpoint="http://x", prompt_template="no slot")

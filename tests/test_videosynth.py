@@ -71,40 +71,21 @@ def test_frame_sequence_validation():
         videosynth.FrameSequence(np.zeros((24, 4, 4), dtype=np.uint8), fps=30, n_sources=1)
 
 
-@pytest.mark.parametrize("method", ["flow", "crossfade"])
-def test_interpolate_counts_and_alignment(atlas, method):
+def test_interpolate_counts_and_alignment(atlas):
     seq24 = videosynth.duplicate_frames(videosynth.text_to_keyframes("AB", atlas))
-    seq60 = videosynth.interpolate_sequence(seq24, method=method)
+    seq60 = videosynth.interpolate_sequence(seq24)
     assert seq60.fps == 60
     assert len(seq60.frames) == 120
     # every 5th output sits on a source instant: bit-exact copy
     for j in range(0, 120, 5):
         src = 24 * j // 60
-        assert np.array_equal(seq60.frames[j], seq24.frames[src]), (method, j)
+        assert np.array_equal(seq60.frames[j], seq24.frames[src]), j
 
 
 def test_interpolate_requires_24fps(atlas):
     key = videosynth.text_to_keyframes("AB", atlas)
     with pytest.raises(ValueError):
         videosynth.interpolate_sequence(key)
-    seq24 = videosynth.duplicate_frames(key)
-    with pytest.raises(ValueError):
-        videosynth.interpolate_sequence(seq24, method="nearest")
-
-
-def test_crossfade_bounded_by_bracketing_frames(atlas):
-    seq24 = videosynth.duplicate_frames(videosynth.text_to_keyframes("AB", atlas))
-    seq60 = videosynth.interpolate_sequence(seq24, method="crossfade")
-    for j in range(120):
-        if (24 * j) % 60 == 0:
-            continue
-        pos = 24 * j / 60.0
-        i0 = seq24.frames[int(np.floor(pos))]
-        i1 = seq24.frames[min(int(np.floor(pos)) + 1, 47)]
-        lo = np.minimum(i0, i1).astype(np.int64)
-        hi = np.maximum(i0, i1).astype(np.int64)
-        f = seq60.frames[j].astype(np.int64)
-        assert np.all(f >= lo) and np.all(f <= hi)
 
 
 def test_identical_frames_zero_flow_and_identity():
@@ -349,7 +330,7 @@ def test_synthesize_frame_equals_reference_past_the_edge(h, w, seed, reach, t):
     _assert_synthesis_equals_reference(i0, i1, flows, t)
 
 
-def _reference_interpolate(seq, method):
+def _reference_interpolate(seq):
     """The per-frame loop interpolate_sequence replaced, kept as its oracle:
     every non-aligned output is synthesized, identical brackets included."""
     frames = seq.frames
@@ -366,9 +347,6 @@ def _reference_interpolate(seq, method):
         idx1 = min(idx0 + 1, t_in - 1)
         t = pos - idx0
         i0, i1 = frames[idx0], frames[idx1]
-        if method == "crossfade":
-            out[j] = videosynth.round_half_up_u8((1.0 - t) * i0 + t * i1)
-            continue
         if idx0 not in flow_cache:
             flow_cache[idx0] = videosynth._block_flow(i0, i1)
             ctx_cache[idx0] = videosynth.context_features(i0, i1)
@@ -385,15 +363,14 @@ def _random_24fps(n_sources, size, seed):
     return videosynth.FrameSequence(frames=frames, fps=24, n_sources=n_sources)
 
 
-@pytest.mark.parametrize("method", ["flow", "crossfade"])
 @pytest.mark.parametrize("text", ["BOOK", "HELLO", " HI  YOU ", "A", None])
-def test_interpolate_matches_per_frame_reference(atlas, method, text):
+def test_interpolate_matches_per_frame_reference(atlas, text):
     if text is None:
         seq24 = _random_24fps(2, 24, seed=5)
     else:
         seq24 = videosynth.duplicate_frames(videosynth.text_to_keyframes(text, atlas))
-    out = videosynth.interpolate_sequence(seq24, method=method).frames
-    assert out.tobytes() == _reference_interpolate(seq24, method).tobytes()
+    out = videosynth.interpolate_sequence(seq24).frames
+    assert out.tobytes() == _reference_interpolate(seq24).tobytes()
 
 
 def test_interpolate_work_counts(atlas, monkeypatch):
@@ -409,7 +386,7 @@ def test_interpolate_work_counts(atlas, monkeypatch):
     seq24 = videosynth.duplicate_frames(
         videosynth.text_to_keyframes("HELLO DEAR FRIEND", atlas)
     )
-    videosynth.interpolate_sequence(seq24, method="flow")
+    videosynth.interpolate_sequence(seq24)
     frames = seq24.frames
     distinct_pairs = sum(
         not np.array_equal(a, b) for a, b in zip(frames[:-1], frames[1:])
@@ -431,7 +408,7 @@ def test_interpolate_memory_is_output_plus_constant():
     )
     tracemalloc.start()
     try:
-        out = videosynth.interpolate_sequence(seq24, method="flow")
+        out = videosynth.interpolate_sequence(seq24)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
