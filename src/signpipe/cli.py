@@ -29,6 +29,7 @@ from .config import (
 from .io import (
     read_landmark_csv,
     read_pgm,
+    read_text,
     write_json_report,
     write_landmark_csv,
     write_pgm,
@@ -54,10 +55,17 @@ def _config(args) -> dict[str, str]:
     return apply_overrides(load_config(args.config), args.set or [])
 
 
-def _split(n: int, seed: int, tag: str, train_frac: float = 0.8):
+def _split(n: int, seed: int, tag: str):
     perm = substream(seed, tag).permutation(n)
-    cut = int(train_frac * n)
+    cut = int(0.8 * n)
     return perm[:cut], perm[cut:]
+
+
+def _atlas_size(cfg) -> int:
+    size = get_int(cfg, "datagen.atlas_size")
+    if size < 1:
+        raise ValueError(f"config datagen.atlas_size: expected an integer >= 1, got {size}")
+    return size
 
 
 # ---------------------------------------------------------------- datagen
@@ -66,20 +74,24 @@ def _split(n: int, seed: int, tag: str, train_frac: float = 0.8):
 def _cmd_datagen(args) -> int:
     cfg = _config(args)
     seed = get_int(cfg, "seed")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+    spread = get_float(cfg, "datagen.spread")
+    # Every spec is built, and so checked, before the first file is written.
     lm_spec = datagen.LandmarkDatasetSpec(
-        per_class=get_int(cfg, "datagen.landmark_per_class"),
-        spread=get_float(cfg, "datagen.spread"),
-        seed=seed,
+        per_class=get_int(cfg, "datagen.landmark_per_class"), spread=spread, seed=seed
     )
-    frames = datagen.synth_landmarks(lm_spec)
-    write_landmark_csv(out / "landmarks.csv", frames)
-
     sil_spec = datagen.SilhouetteDatasetSpec(
         per_class=get_int(cfg, "datagen.silhouette_per_class"), seed=seed
     )
+    atlas_size = _atlas_size(cfg)
+    stream_spec = datagen.StreamSpec(
+        text=args.stream_text.upper(), dataset_seed=seed, stream_seed=seed + 1, spread=spread
+    ) if args.stream_text else None
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    frames = datagen.synth_landmarks(lm_spec)
+    write_landmark_csv(out / "landmarks.csv", frames)
+
     images, labels = datagen.synth_silhouettes(sil_spec)
     counters: dict[str, int] = {}
     for img, label in zip(images, labels):
@@ -91,7 +103,7 @@ def _cmd_datagen(args) -> int:
 
     atlas_dir = out / "atlas"
     atlas_dir.mkdir(parents=True, exist_ok=True)
-    atlas = datagen.synth_atlas(size=get_int(cfg, "datagen.atlas_size"))
+    atlas = datagen.synth_atlas(size=atlas_size)
     for name, img in atlas.items():
         write_pgm(atlas_dir / f"{name}.pgm", img)
 
@@ -106,13 +118,7 @@ def _cmd_datagen(args) -> int:
         "phrases": len(datagen.PHRASES),
     }
 
-    if args.stream_text:
-        stream_spec = datagen.StreamSpec(
-            text=args.stream_text.upper(),
-            dataset_seed=seed,
-            stream_seed=seed + 1,
-            spread=get_float(cfg, "datagen.spread"),
-        )
+    if stream_spec:
         lm, sils = datagen.synth_stream(stream_spec)
         stream_frames = [unflatten(row, "NA") for row in lm]
         write_landmark_csv(out / "stream_landmarks.csv", stream_frames)
@@ -120,7 +126,7 @@ def _cmd_datagen(args) -> int:
         frames_dir.mkdir(parents=True, exist_ok=True)
         for i, img in enumerate(sils):
             write_pgm(frames_dir / f"frame_{i:06d}.pgm", img)
-        report["stream_text"] = args.stream_text.upper()
+        report["stream_text"] = stream_spec.text
         report["stream_frames"] = len(sils)
 
     write_json_report(out / "datagen_report.json", report)
@@ -241,22 +247,18 @@ def _cmd_tune(args) -> int:
     cfg = _config(args)
     seed = get_int(cfg, "seed")
     X, y = _load_landmark_dataset(args.data)
-    best, rows = forest.grid_search(X, y, k=get_int(cfg, "rfc.cv_folds"), seed=seed)
+    folds = get_int(cfg, "rfc.cv_folds")
+    best, rows = forest.grid_search(X, y, k=folds, seed=seed)
+
+    def hyperparams(values: dict) -> str:
+        return " ".join(f"{name}={values[name]}" for name in forest.SEARCH_SPACE)
+
     for row in rows:
-        print(
-            f"n_estimators={row['n_estimators']} max_depth={row['max_depth']} "
-            f"min_samples_split={row['min_samples_split']} "
-            f"min_samples_leaf={row['min_samples_leaf']} bootstrap={row['bootstrap']} "
-            f"mean_acc={row['mean_accuracy']:.6f}"
-        )
-    print(
-        f"best: n_estimators={best.n_estimators} max_depth={best.max_depth} "
-        f"min_samples_split={best.min_samples_split} "
-        f"min_samples_leaf={best.min_samples_leaf} bootstrap={best.bootstrap}"
-    )
+        print(f"{hyperparams(row)} mean_acc={row['mean_accuracy']:.6f}")
+    print(f"best: {hyperparams(asdict(best))}")
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "folds": get_int(cfg, "rfc.cv_folds"),
+        "folds": folds,
         "rows": rows,
         "best": asdict(best),
     }
@@ -279,8 +281,7 @@ def _ensemble_pairs(
     lm_rows: list[np.ndarray] = []
     sil_imgs: list[np.ndarray] = []
     y_shared: list[int] = []
-    size = X_sil.shape[1]
-    black = np.zeros((size, size), dtype=np.uint8)
+    black = np.zeros(X_sil.shape[1:], dtype=np.uint8)
     noise_rng = substream(seed, "eval-noise")
     lm_by_class = {c: [i for i in te_lm if y_lm[i] == RFC_INDEX[c]] for c in RFC_CLASSES}
     sil_by_class = {c: [i for i in te_sil if y_sil[i] == CNN_INDEX[c]] for c in CNN_CLASSES}
@@ -367,14 +368,12 @@ def _cmd_eval(args) -> int:
 
 
 def _lexicon(args) -> textcorrect.Lexicon:
-    if getattr(args, "phrases", None):
-        phrases = [
-            line.strip()
-            for line in Path(args.phrases).read_text(encoding="ascii").splitlines()
-            if line.strip()
-        ]
-        return textcorrect.Lexicon.from_phrases(phrases)
-    return textcorrect.Lexicon.from_phrases(list(datagen.PHRASES))
+    if not args.phrases:
+        return textcorrect.Lexicon.from_phrases(list(datagen.PHRASES))
+    phrases = [line.strip() for line in read_text(args.phrases).splitlines() if line.strip()]
+    if not phrases:
+        raise ValueError(f"{args.phrases}: no phrases")
+    return textcorrect.Lexicon.from_phrases(phrases)
 
 
 def _remote_cfg(cfg) -> textcorrect.RemoteCorrectorConfig:
@@ -398,7 +397,7 @@ def _run_corrector(text: str, cfg, args) -> textcorrect.CorrectionResult:
         try:
             return textcorrect.correct_remote(text, _remote_cfg(cfg))
         except (textcorrect.TransportError, textcorrect.ProtocolError):
-            if not getattr(args, "fallback", False):
+            if not args.fallback:
                 raise
     return textcorrect.correct_offline(text, _lexicon(args))
 
@@ -425,7 +424,7 @@ def _cmd_correct(args) -> int:
 
 
 def _atlas(args, cfg) -> videosynth.GestureAtlas:
-    if getattr(args, "atlas", None):
+    if args.atlas:
         root = Path(args.atlas)
         frames = {}
         for name in LETTERS + ("SPACE",):
@@ -439,7 +438,7 @@ def _atlas(args, cfg) -> videosynth.GestureAtlas:
                 h, w = img.shape
                 raise ValueError(f"{root / name}.pgm: atlas frame is {w}x{h}, A.pgm is {size}x{size}")
         return videosynth.GestureAtlas(frames=frames, size=size)
-    size = get_int(cfg, "datagen.atlas_size")
+    size = _atlas_size(cfg)
     return videosynth.GestureAtlas(frames=datagen.synth_atlas(size=size), size=size)
 
 
@@ -456,7 +455,7 @@ def _synthesize(text: str, cfg, args, out_dir: Path) -> dict:
         "frames_60fps": len(seq60.frames),
         "manifest": str(manifest.relative_to(out_dir)),
     }
-    if getattr(args, "stages", False):
+    if args.stages:
         videosynth.write_sequence(keyframes, out_dir / "frames1")
         videosynth.write_sequence(seq24, out_dir / "frames24")
         info["stage_directories"] = ["frames1", "frames24", "frames60"]
@@ -480,6 +479,9 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_translate(args) -> int:
     cfg = _config(args)
+    w_rfc = get_float(cfg, "ensemble.w_rfc")
+    weights = ensemble.EnsembleWeights(w_rfc=w_rfc, w_cnn=round(1.0 - w_rfc, 10))
+    decode_cfg = ensemble.StreamDecodeConfig(k=get_int(cfg, "decode.k"))
     rfc_model, cnn_model = _load_models(args)
     stream = read_landmark_csv(args.landmarks)
     X_lm = np.stack([flatten(f) for f in stream])
@@ -494,17 +496,11 @@ def _cmd_translate(args) -> int:
 
     p_rfc = forest.predict_proba(rfc_model, X_lm)
     p_cnn = cnn_mod.predict_proba(cnn_model, cnn_mod.images_to_input(images))
-    weights = ensemble.EnsembleWeights(
-        w_rfc=get_float(cfg, "ensemble.w_rfc"),
-        w_cnn=round(1.0 - get_float(cfg, "ensemble.w_rfc"), 10),
-    )
     combined = ensemble.combine(
         ensemble.project_rfc(p_rfc), ensemble.project_cnn(p_cnn), weights
     )
     classes = [SHARED_CLASSES[i] for i in np.argmax(combined, axis=1)]
-    raw = ensemble.decode_stream(
-        classes, ensemble.StreamDecodeConfig(k=get_int(cfg, "decode.k"))
-    )
+    raw = ensemble.decode_stream(classes, decode_cfg)
     if not raw.strip():
         raise ValueError("decoded stream is empty: no stable gesture sequence found")
 
@@ -517,7 +513,7 @@ def _cmd_translate(args) -> int:
         {
             "schema_version": SCHEMA_VERSION,
             "frames_in": len(images),
-            "decode_k": get_int(cfg, "decode.k"),
+            "decode_k": decode_cfg.k,
             "w_rfc": weights.w_rfc,
             "raw_text": raw,
             "candidates": list(result.candidates),

@@ -11,7 +11,7 @@ each side, so it yields the input-sized gradient directly, with no crop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,7 +201,7 @@ class CnnModel:
         self.num_classes = num_classes
         self.input_shape = input_shape
 
-    def logits(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 3:
             x = x[None]
@@ -209,10 +209,7 @@ class CnnModel:
             raise ValueError(f"expected input shape {self.input_shape}, got {x.shape[1:]}")
         for layer in self.layers:
             x = layer.forward(x, train)
-        return x
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        return softmax(self.logits(x, train))
+        return softmax(x)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         g = dlogits
@@ -314,15 +311,17 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
-@dataclass
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    def __init__(self, lr: float):
+        self.lr = lr
+        self.t = 0
+        self.m: list[np.ndarray] = []
+        self.v: list[np.ndarray] = []
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         if not self.m:
@@ -330,11 +329,11 @@ class Adam:
             self.v = [np.zeros_like(p) for p in params]
         self.t += 1
         for p, g, m, v in zip(params, grads, self.m, self.v, strict=True):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g**2
-            mhat = m / (1.0 - self.beta1**self.t)
-            vhat = v / (1.0 - self.beta2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
+            mhat = m / (1.0 - ADAM_BETA1**self.t)
+            vhat = v / (1.0 - ADAM_BETA2**self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def _loss_gradient(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -345,14 +344,14 @@ def _loss_gradient(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _batched_eval(model: CnnModel, X: np.ndarray, y: np.ndarray, batch: int = 256):
+def _batched_eval(model: CnnModel, X: np.ndarray, y: np.ndarray):
+    probs = _batched_proba(model, X)
+    # The loss sums the means of 256-row slices: the order behind every saved val_loss.
     losses = []
-    correct = 0
-    for lo in range(0, len(X), batch):
-        probs = model.forward(X[lo : lo + batch], train=False)
-        yb = y[lo : lo + batch]
-        losses.append(cross_entropy(probs, yb) * len(yb))
-        correct += int(np.sum(np.argmax(probs, axis=1) == yb))
+    for lo in range(0, len(X), 256):
+        yb = y[lo : lo + 256]
+        losses.append(cross_entropy(probs[lo : lo + 256], yb) * len(yb))
+    correct = int(np.sum(np.argmax(probs, axis=1) == y))
     return float(np.sum(losses) / len(X)), correct / len(X)
 
 
@@ -440,9 +439,7 @@ def images_to_input(images: np.ndarray) -> np.ndarray:
     return arr.astype(np.float64)[..., None] / 255.0
 
 
-def gradient_check(
-    model: CnnModel, x: np.ndarray, y: np.ndarray, step: float = 1e-4
-) -> float:
+def gradient_check(model: CnnModel, x: np.ndarray, y: np.ndarray) -> float:
     """Max relative error between backprop and central finite differences.
 
     Runs in deterministic mode (dropout off). Checks every element of every
@@ -450,6 +447,7 @@ def gradient_check(
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    step = 1e-4
 
     def loss() -> float:
         return cross_entropy(model.forward(x, train=False), y)

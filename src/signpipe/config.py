@@ -7,7 +7,10 @@ the key and the offending text.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
+
+from .io import read_text
 
 DEFAULTS: dict[str, str] = {
     "seed": "0",
@@ -41,12 +44,15 @@ def load_config(path: str | Path | None) -> dict[str, str]:
     cfg = dict(DEFAULTS)
     if path is None:
         return cfg
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    settings = 0
+    for lineno, line in enumerate(read_text(path, "utf-8").splitlines(), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             where = f"{path}:{lineno}"
             _assign(cfg, stripped, where, f"{where}: expected 'key = value'")
+            settings += 1
+    if not settings:
+        raise ValueError(f"{path}: no 'key = value' lines")
     return cfg
 
 
@@ -78,9 +84,12 @@ def get_int(cfg: dict[str, str], key: str) -> int:
 
 def get_float(cfg: dict[str, str], key: str) -> float:
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ValueError(f"config {key}: expected a number, got {cfg[key]!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"config {key}: expected a finite number, got {cfg[key]!r}")
+    return value
 
 
 def get_bool(cfg: dict[str, str], key: str) -> bool:

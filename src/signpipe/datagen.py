@@ -20,6 +20,7 @@ GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 # Multipliers coprime with 27, so every key yields a bijective class->shape map.
 _SHAPE_MULTS = (1, 2, 4, 5, 7, 8)
+GLYPH_SIZE = 32  # side of every silhouette and stream frame: the CNN's input
 
 
 @dataclass(frozen=True)
@@ -42,19 +43,15 @@ class LandmarkDatasetSpec:
 
 @dataclass(frozen=True)
 class SilhouetteDatasetSpec:
-    """Class-keyed polygon silhouettes with per-sample jitter."""
+    """Class-keyed 'asl' polygon silhouettes with per-sample jitter."""
 
     per_class: int = 100
-    size: int = 32
     seed: int = 0
-    key: str = "asl"
     classes: tuple[str, ...] = CNN_CLASSES
 
     def __post_init__(self):
         if self.per_class < 1:
             raise ValueError(f"per_class must be >= 1, got {self.per_class}")
-        if self.size < 16:
-            raise ValueError(f"size must be >= 16, got {self.size}")
 
 
 def class_centroid(seed: int, class_index: int) -> np.ndarray:
@@ -103,8 +100,8 @@ def _shape_params(class_index: int, key: str) -> tuple[int, float, float, float]
 
 def render_silhouette(
     class_index: int,
-    size: int = 32,
-    key: str = "asl",
+    size: int,
+    key: str,
     jitter_rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Render one binary (0/255) glyph: a regular polygon plus a satellite disc.
@@ -145,22 +142,22 @@ def render_silhouette(
 
 def synth_silhouettes(spec: SilhouetteDatasetSpec) -> tuple[np.ndarray, list[str]]:
     """Generate per_class jittered glyphs per class; BLANK renders all-black."""
-    images = np.zeros((len(spec.classes) * spec.per_class, spec.size, spec.size), dtype=np.uint8)
+    images = np.zeros((len(spec.classes) * spec.per_class, GLYPH_SIZE, GLYPH_SIZE), dtype=np.uint8)
     labels: list[str] = []
     pos = 0
     for k, label in enumerate(spec.classes):
-        rng = substream(spec.seed, "silhouette", spec.key, k)
+        rng = substream(spec.seed, "silhouette", "asl", k)
         for _ in range(spec.per_class):
             if label != "BLANK":
-                images[pos] = render_silhouette(k, spec.size, spec.key, jitter_rng=rng)
+                images[pos] = render_silhouette(k, GLYPH_SIZE, "asl", jitter_rng=rng)
             pos += 1
             labels.append(label)
     return images, labels
 
 
-def synth_atlas(size: int = 128, key: str = "isl") -> dict[str, np.ndarray]:
-    """Canonical (jitter-free) glyph per letter plus an all-black SPACE frame."""
-    atlas = {label: render_silhouette(k, size, key) for k, label in enumerate(LETTERS)}
+def synth_atlas(size: int) -> dict[str, np.ndarray]:
+    """Canonical (jitter-free) 'isl' glyph per letter plus an all-black SPACE frame."""
+    atlas = {label: render_silhouette(k, size, "isl") for k, label in enumerate(LETTERS)}
     atlas[SPACE] = np.zeros((size, size), dtype=np.uint8)
     return atlas
 
@@ -387,7 +384,6 @@ class StreamSpec:
     dataset_seed: int = 0
     stream_seed: int = 1
     spread: float = 0.05
-    size: int = 32
 
     def __post_init__(self):
         if not self.text:
@@ -410,7 +406,7 @@ def synth_stream(spec: StreamSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     lm_rows: list[np.ndarray] = []
     imgs: list[np.ndarray] = []
-    black = np.zeros((spec.size, spec.size), dtype=np.uint8)
+    black = np.zeros((GLYPH_SIZE, GLYPH_SIZE), dtype=np.uint8)
     frame = 0
     for ch in spec.text:
         k = RFC_INDEX[SPACE] if ch == " " else RFC_INDEX[ch]
@@ -422,7 +418,7 @@ def synth_stream(spec: StreamSpec) -> tuple[np.ndarray, np.ndarray]:
                 imgs.append(black)
             else:
                 jitter = substream(spec.stream_seed, "glyph", frame)
-                imgs.append(render_silhouette(k, spec.size, "asl", jitter_rng=jitter))
+                imgs.append(render_silhouette(k, GLYPH_SIZE, "asl", jitter_rng=jitter))
             frame += 1
         for _ in range(spec.rest):
             lm_rows.append(substream(spec.stream_seed, "rest", frame).uniform(0.0, 1.0, N_FEATURES))

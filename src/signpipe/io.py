@@ -84,19 +84,25 @@ def write_landmark_csv(path: str | Path, frames: list[LandmarkFrame]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def read_text(path: str | Path, encoding: str = "ascii") -> str:
+    """A text file's contents; a byte that does not decode is a ValueError
+    naming the file and the byte's line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        # A stand-in for the bad byte ends the prefix, so its last line is the byte's.
+        lineno = len((data[: exc.start] + b"?").decode(encoding).splitlines())
+        raise ValueError(f"{path}:{lineno}: non-{encoding.upper()} byte 0x{data[exc.start]:02x}") from None
+
+
 def read_landmark_csv(path: str | Path) -> list[LandmarkFrame]:
     """Parse a landmark CSV, failing with the offending line number.
 
     Line 1 must be the exact header; every data row carries 127 columns.
     """
     frames: list[LandmarkFrame] = []
-    data = Path(path).read_bytes()
-    try:
-        lines = data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        # A stand-in for the bad byte ends the prefix, so its last line is the byte's.
-        lineno = len((data[: exc.start] + b"?").decode("ascii").splitlines())
-        raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != LANDMARK_CSV_HEADER:
         raise ValueError(f"{path}:1: bad header (expected {LANDMARK_CSV_HEADER[:24]}...)")
     for lineno, line in enumerate(lines[1:], start=2):
@@ -191,8 +197,9 @@ def read_blocks(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def write_json_report(path: str | Path, payload: dict) -> None:
-    """Write a JSON report with sorted keys and a trailing newline."""
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """Write a JSON report with sorted keys and a trailing newline. A NaN or
+    infinity is a ValueError: JSON has no token for them."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

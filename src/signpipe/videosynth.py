@@ -23,7 +23,6 @@ BLOCK_SIZE = 8
 SEARCH_RADIUS = 8
 OCCLUSION_THRESHOLD = 24.0
 OCCLUSION_DAMPING = 0.25
-ATLAS_SIZE = 128
 # Block search: candidate k is (dy, dx) = divmod(k, _SPAN) - SEARCH_RADIUS.
 _SPAN = 2 * SEARCH_RADIUS + 1
 _ZERO_SHIFT = SEARCH_RADIUS * _SPAN + SEARCH_RADIUS
@@ -36,7 +35,7 @@ class GestureAtlas:
     """Letter -> frame map; SPACE is the all-black rest frame."""
 
     frames: dict[str, np.ndarray]
-    size: int = ATLAS_SIZE
+    size: int
 
     def __post_init__(self):
         missing = [c for c in LETTERS + (SPACE,) if c not in self.frames]

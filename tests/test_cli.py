@@ -224,6 +224,65 @@ def test_video_method_setting_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, command", [
+    ("datagen.spread", "datagen"),
+    ("cnn.learning_rate", "train-cnn"),  # a NaN val_loss never improves: the init would be saved
+    ("ensemble.w_rfc", "translate"),  # NaN passes EnsembleWeights' sign and sum checks
+])
+def test_non_finite_setting_exits_2(workspace, tmp_path, capsys, key, command, value):
+    out, model, report = tmp_path / "out", tmp_path / "m.blk", tmp_path / "r.json"
+    argv = {
+        "datagen": ["datagen", "--out", out, *SMALL],
+        "train-cnn": ["train-cnn", "--data", workspace / "data" / "silhouettes",
+                      "--model", model, "--report", report],
+        "translate": translate_args(workspace, out),
+    }[command] + ["--set", f"{key}={value}"]
+    assert _main_within([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: config {key}: expected a finite number, got {value!r}\n"
+    assert not out.exists() and not model.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--stream-text", "HI!"], "stream text must be uppercase letters and spaces"),
+    (["--set", "datagen.atlas_size=-3"], "config datagen.atlas_size: expected an integer >= 1, got -3"),
+    (["--set", "datagen.atlas_size=0"], "config datagen.atlas_size: expected an integer >= 1, got 0"),
+    (["--set", "datagen.silhouette_per_class=0"], "per_class must be >= 1"),
+], ids=["stream-text", "negative-atlas", "zero-atlas", "zero-glyphs"])
+def test_datagen_checks_every_input_before_writing(tmp_path, capsys, extra, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["datagen", "--out", str(out), *SMALL, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["synthesize", "translate"])
+def test_atlas_size_below_1_exits_2(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "synthesize": ["synthesize", "--text", "AB", "--out", out],
+        "translate": translate_args(workspace, out),
+    }[command] + ["--set", "datagen.atlas_size=0"]
+    assert _main_within([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config datagen.atlas_size: expected an integer >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b"HELLO\n\xff\n", b"", b"\n  \n"],
+                         ids=["bad-byte", "empty", "blank-lines"])
+@pytest.mark.parametrize("flag", ["--config", "--phrases"])
+def test_bad_text_input_exits_2_naming_the_file(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    assert cli.main(["correct", "--text", "helo", flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_train_cnn_bad_dir_exits_2(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()

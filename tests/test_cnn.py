@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from signpipe import cnn, datagen
+from signpipe.labels import CNN_CLASSES
 from signpipe.rng import substream
 
 
@@ -194,6 +195,39 @@ def test_predict_batches_equal_one_256_row_forward(rng):
     assert cnn.PREDICT_BATCH < 256
     assert cnn.predict_proba(model, x).tobytes() == whole.tobytes()
     assert np.array_equal(cnn.predict(model, x), np.argmax(whole, axis=1))
+
+
+def _eval_one_forward_per_256_rows(model, X, y):
+    """Reference validation: one forward pass per 256 rows."""
+    losses, correct = [], 0
+    for lo in range(0, len(X), 256):
+        probs = model.forward(X[lo : lo + 256], train=False)
+        yb = y[lo : lo + 256]
+        losses.append(cnn.cross_entropy(probs, yb) * len(yb))
+        correct += int(np.sum(np.argmax(probs, axis=1) == yb))
+    return float(np.sum(losses) / len(X)), correct / len(X)
+
+
+@pytest.mark.parametrize("per_class", [4, 16, 20], ids=["108-frames", "432-frames", "540-frames"])
+def test_batched_eval_runs_predict_passes_with_256_row_loss_bits(per_class):
+    # val_loss decides early stopping and so the saved weights: its bits must
+    # be those of one forward per 256 rows, over 1, 2 and 3 such slices
+    images, labels = datagen.synth_silhouettes(datagen.SilhouetteDatasetSpec(per_class=per_class, seed=9))
+    X = cnn.images_to_input(images)
+    y = np.array([CNN_CLASSES.index(l) for l in labels])
+    model = cnn.build_model(len(CNN_CLASSES), seed=9)
+    loss, acc = _eval_one_forward_per_256_rows(model, X, y)
+    passes = []
+    forward = model.forward
+
+    def counted(x, train=False):
+        passes.append(len(x))
+        return forward(x, train)
+
+    model.forward = counted
+    got_loss, got_acc = cnn._batched_eval(model, X, y)
+    assert (got_loss.hex(), got_acc) == (loss.hex(), acc)
+    assert max(passes) == cnn.PREDICT_BATCH and sum(passes) == len(X)
 
 
 def test_build_model_validation():

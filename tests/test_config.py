@@ -1,6 +1,6 @@
 import pytest
 
-from signpipe import cli, cnn, config, datagen, ensemble, forest, textcorrect, videosynth
+from signpipe import cli, cnn, config, datagen, ensemble, forest, textcorrect
 
 
 def test_defaults_load_without_file():
@@ -135,4 +135,24 @@ def test_dataclass_defaults_equal_config_defaults():
     assert datagen.StreamSpec(text="A").spread == config.get_float(cfg, "datagen.spread")
     assert datagen.SilhouetteDatasetSpec().per_class == config.get_int(
         cfg, "datagen.silhouette_per_class")
-    assert videosynth.ATLAS_SIZE == config.get_int(cfg, "datagen.atlas_size")
+
+
+def test_get_float_rejects_non_finite_numbers():
+    for text in ("nan", "inf", "-inf", "1e999"):
+        cfg = config.apply_overrides(config.load_config(None), [f"ensemble.w_rfc={text}"])
+        with pytest.raises(ValueError) as exc:
+            config.get_float(cfg, "ensemble.w_rfc")
+        assert str(exc.value) == f"config ensemble.w_rfc: expected a finite number, got {text!r}"
+
+
+def test_config_file_without_settings_is_named(tmp_path):
+    path = tmp_path / "cfg"
+    for text in ("", "\n  \n", "# only a comment\n"):
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError) as exc:
+            config.load_config(path)
+        assert str(exc.value) == f"{path}: no 'key = value' lines"
+    path.write_bytes(b"seed = 1\n# \xff\n")
+    with pytest.raises(ValueError) as exc:
+        config.load_config(path)
+    assert str(exc.value) == f"{path}:2: non-UTF-8 byte 0xff"

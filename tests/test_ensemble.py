@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signpipe import ensemble
 from signpipe.labels import (
@@ -214,3 +216,24 @@ def test_decode_rejects_unknown_class():
 def test_decode_config_validation():
     with pytest.raises(ValueError):
         ensemble.StreamDecodeConfig(k=0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(SHARED_CLASSES), max_size=60), st.integers(1, 8))
+def test_decode_any_stream_stays_in_alphabet_and_bound(frames, k):
+    out = ensemble.decode_stream(frames, ensemble.StreamDecodeConfig(k=k))
+    assert set(out) <= set(LETTERS) | {" "}
+    assert len(out) <= len(frames) // k
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=LETTERS + (" ",), max_size=20), st.integers(1, 5))
+def test_decode_round_trips_held_characters(text, k):
+    # each character held k frames, k BLANK frames between characters;
+    # the BLANKs re-arm repeat suppression, so doubled letters survive
+    frames = []
+    for i, ch in enumerate(text):
+        if i:
+            frames += [BLANK] * k
+        frames += [SPACE if ch == " " else ch] * k
+    assert ensemble.decode_stream(frames, ensemble.StreamDecodeConfig(k=k)) == text

@@ -286,6 +286,24 @@ def test_json_report_stable_bytes(tmp_path):
     assert b1.endswith(b"\n")
 
 
+def test_json_report_rejects_non_finite_numbers(tmp_path):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            io.write_json_report(tmp_path / "r.json", {"history": [0.5, value]})
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_read_text_names_the_file_and_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"ok\n\nab\xffc\n")
+    for encoding, name in (("ascii", "ASCII"), ("utf-8", "UTF-8")):
+        with pytest.raises(ValueError) as exc:
+            io.read_text(path, encoding)
+        assert str(exc.value) == f"{path}:3: non-{name} byte 0xff"
+    path.write_bytes(b"caf\xc3\xa9\n")
+    assert io.read_text(path, "utf-8") == "caf\u00e9\n"
+
+
 def test_sha256_helpers(tmp_path):
     data = b"hello"
     path = tmp_path / "f"
