@@ -54,10 +54,7 @@ print(f"stream: {len(lm_stream)} frames for {SIGNED!r}")
 p_rfc = forest.predict_proba(rfc, lm_stream)
 p_cnn = cnn.predict_proba(net, cnn.images_to_input(img_stream))
 weights = ensemble.EnsembleWeights(w_rfc=0.5, w_cnn=0.5)
-combined = ensemble.combine(
-    ensemble.project_rfc(p_rfc), ensemble.project_cnn(p_cnn), weights
-)
-frame_labels = [SHARED_CLASSES[i] for i in np.argmax(combined, axis=1)]
+frame_labels = [SHARED_CLASSES[i] for i in ensemble.recognize(p_rfc, p_cnn, weights)]
 raw = ensemble.decode_stream(frame_labels, ensemble.StreamDecodeConfig(k=3))
 print(f"decoded raw text: {raw!r}")
 

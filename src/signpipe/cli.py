@@ -35,7 +35,7 @@ from .io import (
     write_pgm,
 )
 from .labels import CNN_CLASSES, CNN_INDEX, LETTERS, RFC_CLASSES, RFC_INDEX, SHARED_CLASSES, SHARED_INDEX
-from .landmarks import N_FEATURES, flatten, unflatten
+from .landmarks import N_FEATURES, LandmarkFrame, flatten, unflatten
 from .metrics import confusion_and_metrics
 from .rng import substream
 
@@ -61,28 +61,21 @@ def _split(n: int, seed: int, tag: str):
     return perm[:cut], perm[cut:]
 
 
-def _atlas_size(cfg) -> int:
-    size = get_int(cfg, "datagen.atlas_size")
-    if size < 1:
-        raise ValueError(f"config datagen.atlas_size: expected an integer >= 1, got {size}")
-    return size
-
-
 # ---------------------------------------------------------------- datagen
 
 
 def _cmd_datagen(args) -> int:
     cfg = _config(args)
     seed = get_int(cfg, "seed")
-    spread = get_float(cfg, "datagen.spread")
+    spread = get_float(cfg, "datagen.spread", above=0.0)
     # Every spec is built, and so checked, before the first file is written.
     lm_spec = datagen.LandmarkDatasetSpec(
-        per_class=get_int(cfg, "datagen.landmark_per_class"), spread=spread, seed=seed
+        per_class=get_int(cfg, "datagen.landmark_per_class", minimum=1), spread=spread, seed=seed
     )
     sil_spec = datagen.SilhouetteDatasetSpec(
-        per_class=get_int(cfg, "datagen.silhouette_per_class"), seed=seed
+        per_class=get_int(cfg, "datagen.silhouette_per_class", minimum=1), seed=seed
     )
-    atlas_size = _atlas_size(cfg)
+    atlas_size = get_int(cfg, "datagen.atlas_size", minimum=1)
     stream_spec = datagen.StreamSpec(
         text=args.stream_text.upper(), dataset_seed=seed, stream_seed=seed + 1, spread=spread
     ) if args.stream_text else None
@@ -138,8 +131,16 @@ def _cmd_datagen(args) -> int:
 # ---------------------------------------------------------------- training
 
 
-def _load_landmark_dataset(path) -> tuple[np.ndarray, np.ndarray]:
+def _read_landmark_rows(path) -> list[LandmarkFrame]:
+    """A landmark CSV's frames; a file with no data rows is an error."""
     frames = read_landmark_csv(path)
+    if not frames:
+        raise ValueError(f"{path}: no landmark rows")
+    return frames
+
+
+def _load_landmark_dataset(path) -> tuple[np.ndarray, np.ndarray]:
+    frames = _read_landmark_rows(path)
     bad = sorted({f.label for f in frames} - set(RFC_CLASSES))
     if bad:
         raise ValueError(f"{path}: labels outside the landmark label space: {bad}")
@@ -176,10 +177,10 @@ def _load_silhouette_dataset(path, shape: tuple[int, int]) -> tuple[np.ndarray, 
 
 def _forest_hp(cfg) -> forest.ForestHyperparams:
     return forest.ForestHyperparams(
-        n_estimators=get_int(cfg, "rfc.n_estimators"),
-        max_depth=get_optional_int(cfg, "rfc.max_depth"),
-        min_samples_split=get_int(cfg, "rfc.min_samples_split"),
-        min_samples_leaf=get_int(cfg, "rfc.min_samples_leaf"),
+        n_estimators=get_int(cfg, "rfc.n_estimators", minimum=1),
+        max_depth=get_optional_int(cfg, "rfc.max_depth", minimum=1),
+        min_samples_split=get_int(cfg, "rfc.min_samples_split", minimum=2),
+        min_samples_leaf=get_int(cfg, "rfc.min_samples_leaf", minimum=1),
         bootstrap=get_bool(cfg, "rfc.bootstrap"),
     )
 
@@ -187,9 +188,10 @@ def _forest_hp(cfg) -> forest.ForestHyperparams:
 def _cmd_train_rfc(args) -> int:
     cfg = _config(args)
     seed = get_int(cfg, "seed")
+    hp = _forest_hp(cfg)
     X, y = _load_landmark_dataset(args.data)
     tr, te = _split(len(X), seed, "rfc-split")
-    model = forest.train_forest(X[tr], y[tr], _forest_hp(cfg), seed=seed)
+    model = forest.train_forest(X[tr], y[tr], hp, seed=seed)
     forest.save_forest(args.model, model)
     report_obj = confusion_and_metrics(
         forest.predict_class(model, X[te]), y[te], n_classes=len(RFC_CLASSES)
@@ -210,17 +212,17 @@ def _cmd_train_rfc(args) -> int:
 def _cmd_train_cnn(args) -> int:
     cfg = _config(args)
     seed = get_int(cfg, "seed")
+    train_cfg = cnn_mod.TrainConfig(
+        learning_rate=get_float(cfg, "cnn.learning_rate", above=0.0),
+        batch_size=get_int(cfg, "cnn.batch_size", minimum=1),
+        max_epochs=get_int(cfg, "cnn.max_epochs", minimum=1),
+        patience=get_int(cfg, "cnn.patience", minimum=1),
+        seed=seed,
+    )
     model = cnn_mod.build_model(len(CNN_CLASSES), seed=seed)
     images, y = _load_silhouette_dataset(args.data, model.input_shape[:2])
     X = cnn_mod.images_to_input(images)
     tr, te = _split(len(X), seed, "cnn-split")
-    train_cfg = cnn_mod.TrainConfig(
-        learning_rate=get_float(cfg, "cnn.learning_rate"),
-        batch_size=get_int(cfg, "cnn.batch_size"),
-        max_epochs=get_int(cfg, "cnn.max_epochs"),
-        patience=get_int(cfg, "cnn.patience"),
-        seed=seed,
-    )
     history = cnn_mod.train(model, X[tr], y[tr], X[te], y[te], train_cfg)
     cnn_mod.save_cnn(args.model, model)
     report_obj = confusion_and_metrics(
@@ -246,8 +248,8 @@ def _cmd_train_cnn(args) -> int:
 def _cmd_tune(args) -> int:
     cfg = _config(args)
     seed = get_int(cfg, "seed")
+    folds = get_int(cfg, "rfc.cv_folds", minimum=2)
     X, y = _load_landmark_dataset(args.data)
-    folds = get_int(cfg, "rfc.cv_folds")
     best, rows = forest.grid_search(X, y, k=folds, seed=seed)
 
     def hyperparams(values: dict) -> str:
@@ -338,10 +340,7 @@ def _cmd_eval(args) -> int:
         rfc_model, cnn_model, X_lm, y_lm, te_lm, images, y_sil, te_sil, seed
     )
     weights, grid_accs = ensemble.optimize_weights(p_rfc, p_cnn, y_shared)
-    combined = ensemble.combine(
-        ensemble.project_rfc(p_rfc), ensemble.project_cnn(p_cnn), weights
-    )
-    ens_acc = float(np.mean(np.argmax(combined, axis=1) == y_shared))
+    ens_acc = grid_accs[ensemble.WEIGHT_GRID.index(weights.w_rfc)]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "rfc": rfc_report.to_payload(class_names=list(RFC_CLASSES)),
@@ -383,9 +382,9 @@ def _remote_cfg(cfg) -> textcorrect.RemoteCorrectorConfig:
     return textcorrect.RemoteCorrectorConfig(
         endpoint=endpoint,
         token_env=cfg["remote.token_env"],
-        timeout_ms=get_int(cfg, "remote.timeout_ms"),
-        max_retries=get_int(cfg, "remote.max_retries"),
-        backoff_ms=get_int(cfg, "remote.backoff_ms"),
+        timeout_ms=get_int(cfg, "remote.timeout_ms", minimum=1),
+        max_retries=get_int(cfg, "remote.max_retries", minimum=0),
+        backoff_ms=get_int(cfg, "remote.backoff_ms", minimum=0),
     )
 
 
@@ -438,7 +437,7 @@ def _atlas(args, cfg) -> videosynth.GestureAtlas:
                 h, w = img.shape
                 raise ValueError(f"{root / name}.pgm: atlas frame is {w}x{h}, A.pgm is {size}x{size}")
         return videosynth.GestureAtlas(frames=frames, size=size)
-    size = _atlas_size(cfg)
+    size = get_int(cfg, "datagen.atlas_size", minimum=1)
     return videosynth.GestureAtlas(frames=datagen.synth_atlas(size=size), size=size)
 
 
@@ -479,12 +478,11 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_translate(args) -> int:
     cfg = _config(args)
-    w_rfc = get_float(cfg, "ensemble.w_rfc")
+    w_rfc = get_float(cfg, "ensemble.w_rfc", within=(0.0, 1.0))
     weights = ensemble.EnsembleWeights(w_rfc=w_rfc, w_cnn=round(1.0 - w_rfc, 10))
-    decode_cfg = ensemble.StreamDecodeConfig(k=get_int(cfg, "decode.k"))
+    decode_cfg = ensemble.StreamDecodeConfig(k=get_int(cfg, "decode.k", minimum=1))
     rfc_model, cnn_model = _load_models(args)
-    stream = read_landmark_csv(args.landmarks)
-    X_lm = np.stack([flatten(f) for f in stream])
+    X_lm = np.stack([flatten(f) for f in _read_landmark_rows(args.landmarks)])
     frame_files = sorted(Path(args.frames).glob("*.pgm"))
     if not frame_files:
         raise ValueError(f"{args.frames}: no .pgm frames found")
@@ -496,10 +494,7 @@ def _cmd_translate(args) -> int:
 
     p_rfc = forest.predict_proba(rfc_model, X_lm)
     p_cnn = cnn_mod.predict_proba(cnn_model, cnn_mod.images_to_input(images))
-    combined = ensemble.combine(
-        ensemble.project_rfc(p_rfc), ensemble.project_cnn(p_cnn), weights
-    )
-    classes = [SHARED_CLASSES[i] for i in np.argmax(combined, axis=1)]
+    classes = [SHARED_CLASSES[i] for i in ensemble.recognize(p_rfc, p_cnn, weights)]
     raw = ensemble.decode_stream(classes, decode_cfg)
     if not raw.strip():
         raise ValueError("decoded stream is empty: no stable gesture sequence found")

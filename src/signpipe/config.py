@@ -75,21 +75,38 @@ def _assign(cfg: dict[str, str], item: str, where: str, malformed: str) -> None:
     cfg[key] = value.strip()
 
 
-def get_int(cfg: dict[str, str], key: str) -> int:
+def get_int(cfg: dict[str, str], key: str, minimum: int | None = None) -> int:
     try:
-        return int(cfg[key])
+        value = int(cfg[key])
     except ValueError:
         raise ValueError(f"config {key}: expected an integer, got {cfg[key]!r}") from None
+    if minimum is not None and value < minimum:
+        raise _out_of_range(cfg, key, f"an integer >= {minimum}")
+    return value
 
 
-def get_float(cfg: dict[str, str], key: str) -> float:
+def get_float(
+    cfg: dict[str, str],
+    key: str,
+    above: float | None = None,
+    within: tuple[float, float] | None = None,
+) -> float:
+    """A finite number, optionally checked to be > above or in [lo, hi] = within."""
     try:
         value = float(cfg[key])
     except ValueError:
         raise ValueError(f"config {key}: expected a number, got {cfg[key]!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"config {key}: expected a finite number, got {cfg[key]!r}")
+    if above is not None and not value > above:
+        raise _out_of_range(cfg, key, f"a number > {above:g}")
+    if within is not None and not within[0] <= value <= within[1]:
+        raise _out_of_range(cfg, key, f"a number in [{within[0]:g}, {within[1]:g}]")
     return value
+
+
+def _out_of_range(cfg: dict[str, str], key: str, expected: str) -> ValueError:
+    return ValueError(f"config {key}: expected {expected}, got {cfg[key]}")
 
 
 def get_bool(cfg: dict[str, str], key: str) -> bool:
@@ -101,8 +118,8 @@ def get_bool(cfg: dict[str, str], key: str) -> bool:
     raise ValueError(f"config {key}: expected true/false, got {cfg[key]!r}")
 
 
-def get_optional_int(cfg: dict[str, str], key: str) -> int | None:
+def get_optional_int(cfg: dict[str, str], key: str, minimum: int | None = None) -> int | None:
     """An integer or the literal 'none' (used for unbounded tree depth)."""
     if cfg[key].lower() in ("none", ""):
         return None
-    return get_int(cfg, key)
+    return get_int(cfg, key, minimum)

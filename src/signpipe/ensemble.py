@@ -4,6 +4,8 @@ The landmark model distributes mass over 28 classes (letters + SPACE +
 DELETE) and the silhouette model over 27 (letters + BLANK). Both project
 into the 29-class shared space by zero-padding the classes they lack; the
 combination is a convex sum with weights tuned on validation data.
+`recognize` is the one path from the two heads' outputs to per-frame labels;
+translation, evaluation and the weight search all go through it.
 """
 from __future__ import annotations
 
@@ -61,6 +63,12 @@ def combine(p_rfc: np.ndarray, p_cnn: np.ndarray, w: EnsembleWeights) -> np.ndar
     return w.w_rfc * p_rfc + w.w_cnn * p_cnn
 
 
+def recognize(p_rfc: np.ndarray, p_cnn: np.ndarray, w: EnsembleWeights) -> np.ndarray:
+    """Shared-space class index of each frame from raw (N, 28) forest and
+    (N, 27) CNN distributions; ties go to the lowest index."""
+    return np.argmax(combine(project_rfc(p_rfc), project_cnn(p_cnn), w), axis=1)
+
+
 WEIGHT_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 
 
@@ -76,17 +84,14 @@ def optimize_weights(
     y_true = np.asarray(y_true, dtype=np.int64)
     if len(y_true) == 0:
         raise ValueError("validation set must be non-empty")
-    pr = project_rfc(np.atleast_2d(p_rfc))
-    pc = project_cnn(np.atleast_2d(p_cnn))
-    if not (len(pr) == len(pc) == len(y_true)):
-        raise ValueError(f"length mismatch: {len(pr)}, {len(pc)}, {len(y_true)}")
+    if not (len(p_rfc) == len(p_cnn) == len(y_true)):
+        raise ValueError(f"length mismatch: {len(p_rfc)}, {len(p_cnn)}, {len(y_true)}")
     accuracies = []
     best_w = WEIGHT_GRID[0]
     best_acc = -1.0
     for w_rfc in WEIGHT_GRID:
         w = EnsembleWeights(w_rfc=w_rfc, w_cnn=round(1.0 - w_rfc, 2))
-        pred = np.argmax(combine(pr, pc, w), axis=1)
-        acc = float(np.mean(pred == y_true))
+        acc = float(np.mean(recognize(p_rfc, p_cnn, w) == y_true))
         accuracies.append(acc)
         if acc >= best_acc:  # >= so later (larger) w_rfc wins ties
             best_acc = acc

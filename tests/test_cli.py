@@ -128,6 +128,7 @@ BAD_CSVS = {
     "non-ascii": (io.LANDMARK_CSV_HEADER + "\nA,0.5\n").encode() + b"B,\xff\n",
     "bad-header": b"label,x1,y1\nA,0.5,0.5\n",
     "short-row": (io.LANDMARK_CSV_HEADER + "\nA,0.5,0.5\n").encode(),
+    "header-only": (io.LANDMARK_CSV_HEADER + "\n").encode(),
 }
 
 
@@ -247,7 +248,8 @@ def test_non_finite_setting_exits_2(workspace, tmp_path, capsys, key, command, v
     (["--stream-text", "HI!"], "stream text must be uppercase letters and spaces"),
     (["--set", "datagen.atlas_size=-3"], "config datagen.atlas_size: expected an integer >= 1, got -3"),
     (["--set", "datagen.atlas_size=0"], "config datagen.atlas_size: expected an integer >= 1, got 0"),
-    (["--set", "datagen.silhouette_per_class=0"], "per_class must be >= 1"),
+    (["--set", "datagen.silhouette_per_class=0"],
+     "config datagen.silhouette_per_class: expected an integer >= 1, got 0"),
 ], ids=["stream-text", "negative-atlas", "zero-atlas", "zero-glyphs"])
 def test_datagen_checks_every_input_before_writing(tmp_path, capsys, extra, message):
     out = tmp_path / "out"
@@ -256,6 +258,48 @@ def test_datagen_checks_every_input_before_writing(tmp_path, capsys, extra, mess
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert list(out.iterdir()) == []
+
+
+OUT_OF_RANGE = [
+    ("datagen", "datagen.landmark_per_class=0", "an integer >= 1"),
+    ("datagen", "datagen.silhouette_per_class=0", "an integer >= 1"),
+    ("datagen", "datagen.spread=0", "a number > 0"),
+    ("train-rfc", "rfc.n_estimators=0", "an integer >= 1"),
+    ("train-rfc", "rfc.max_depth=0", "an integer >= 1"),
+    ("train-rfc", "rfc.min_samples_split=1", "an integer >= 2"),
+    ("train-rfc", "rfc.min_samples_leaf=0", "an integer >= 1"),
+    ("tune", "rfc.cv_folds=1", "an integer >= 2"),
+    ("train-cnn", "cnn.learning_rate=0", "a number > 0"),
+    ("train-cnn", "cnn.batch_size=0", "an integer >= 1"),
+    ("train-cnn", "cnn.max_epochs=0", "an integer >= 1"),
+    ("train-cnn", "cnn.patience=0", "an integer >= 1"),
+    ("translate", "ensemble.w_rfc=1.5", "a number in [0, 1]"),
+    ("translate", "decode.k=0", "an integer >= 1"),
+    ("correct", "remote.timeout_ms=0", "an integer >= 1"),
+    ("correct", "remote.max_retries=-1", "an integer >= 0"),
+    ("correct", "remote.backoff_ms=-1", "an integer >= 0"),
+]
+
+
+@pytest.mark.parametrize("command, setting, expected", OUT_OF_RANGE,
+                         ids=[setting.partition("=")[0] for _, setting, _ in OUT_OF_RANGE])
+def test_out_of_range_setting_exits_2_naming_the_key(tmp_path, capsys, command, setting, expected):
+    # The data paths do not exist: every setting is checked before data is read.
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    argv = {
+        "datagen": ["datagen", "--out", out],
+        "train-rfc": ["train-rfc", "--data", missing, "--model", out, "--report", out],
+        "tune": ["tune", "--data", missing, "--report", out],
+        "train-cnn": ["train-cnn", "--data", missing, "--model", out, "--report", out],
+        "translate": ["translate", "--rfc", missing, "--cnn", missing, "--landmarks", missing,
+                      "--frames", missing, "--out", out],
+        "correct": ["correct", "--text", "HI", "--set", "corrector=remote",
+                    "--set", "remote.endpoint=http://127.0.0.1:9/c"],
+    }[command] + ["--set", setting]
+    assert cli.main([str(a) for a in argv]) == 2
+    key, _, value = setting.partition("=")
+    assert capsys.readouterr().err == f"error: config {key}: expected {expected}, got {value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synthesize", "translate"])

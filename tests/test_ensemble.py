@@ -142,6 +142,50 @@ def test_optimize_weights_empty_errors():
         ensemble.optimize_weights(np.zeros((0, 28)), np.zeros((0, 27)), np.zeros(0, dtype=int))
 
 
+def head_distributions(n_classes: int):
+    """Rows of forest-style vote fractions k/n_trees, where exact ties are
+    common, or of normalized floats."""
+    votes = st.integers(1, 8).flatmap(
+        lambda n_trees: st.lists(st.integers(0, n_classes - 1), min_size=n_trees, max_size=n_trees)
+        .map(lambda v: np.bincount(v, minlength=n_classes) / n_trees)
+    )
+    floats = (
+        st.lists(st.floats(0.0, 1.0), min_size=n_classes, max_size=n_classes)
+        .filter(lambda v: sum(v) > 0)
+        .map(lambda v: np.array(v) / sum(v))
+    )
+    return st.one_of(votes, floats)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4),
+       w_rfc=st.one_of(st.sampled_from(ensemble.WEIGHT_GRID), st.floats(0.0, 1.0)))
+def test_recognize_equals_project_combine_argmax(data, n, w_rfc):
+    # the open-coded chain that single-row live recognition and criterion 6 keep
+    p_rfc = np.stack([data.draw(head_distributions(len(RFC_CLASSES))) for _ in range(n)])
+    p_cnn = np.stack([data.draw(head_distributions(len(CNN_CLASSES))) for _ in range(n)])
+    w = ensemble.EnsembleWeights(w_rfc, 1.0 - w_rfc)
+    chain = np.argmax(
+        ensemble.combine(ensemble.project_rfc(p_rfc), ensemble.project_cnn(p_cnn), w), axis=1
+    )
+    got = ensemble.recognize(p_rfc, p_cnn, w)
+    assert got.shape == (n,) and got.dtype == np.int64
+    assert np.array_equal(got, chain)
+
+
+@pytest.mark.parametrize("rfc_class, cnn_class, winner", [
+    ("C", "B", "B"),
+    (SPACE, BLANK, SPACE),  # a space frame: the forest sees SPACE, the CNN BLANK
+])
+def test_recognize_breaks_ties_toward_the_lowest_index(rfc_class, cnn_class, winner):
+    p_rfc = np.zeros((1, len(RFC_CLASSES)))
+    p_rfc[0, RFC_CLASSES.index(rfc_class)] = 1.0
+    p_cnn = np.zeros((1, len(CNN_CLASSES)))
+    p_cnn[0, CNN_CLASSES.index(cnn_class)] = 1.0
+    got = ensemble.recognize(p_rfc, p_cnn, ensemble.EnsembleWeights(0.5, 0.5))
+    assert got.tolist() == [SHARED_INDEX[winner]]
+
+
 def test_weight_grid():
     assert ensemble.WEIGHT_GRID[0] == 0.0
     assert ensemble.WEIGHT_GRID[-1] == 1.0
