@@ -388,22 +388,31 @@ def _remote_cfg(cfg) -> textcorrect.RemoteCorrectorConfig:
     )
 
 
-def _run_corrector(text: str, cfg, args) -> textcorrect.CorrectionResult:
+def _corrector_inputs(cfg, args):
+    """What the `corrector` setting needs, checked before any text exists: the
+    remote config (remote mode, else None) and the lexicon (offline, or remote
+    with --fallback, else None)."""
     mode = cfg["corrector"]
     if mode not in ("offline", "remote"):
         raise ValueError(f"config corrector: expected offline or remote, got {mode!r}")
-    if mode == "remote":
+    remote = _remote_cfg(cfg) if mode == "remote" else None
+    lexicon = _lexicon(args) if remote is None or args.fallback else None
+    return remote, lexicon
+
+
+def _run_corrector(text: str, remote, lexicon) -> textcorrect.CorrectionResult:
+    if remote is not None:
         try:
-            return textcorrect.correct_remote(text, _remote_cfg(cfg))
+            return textcorrect.correct_remote(text, remote)
         except (textcorrect.TransportError, textcorrect.ProtocolError):
-            if not args.fallback:
+            if lexicon is None:
                 raise
-    return textcorrect.correct_offline(text, _lexicon(args))
+    return textcorrect.correct_offline(text, lexicon)
 
 
 def _cmd_correct(args) -> int:
     cfg = _config(args)
-    result = _run_corrector(args.text, cfg, args)
+    result = _run_corrector(args.text, *_corrector_inputs(cfg, args))
     for i, cand in enumerate(result.candidates, start=1):
         print(f"{i}. {cand}")
     if args.report:
@@ -441,8 +450,7 @@ def _atlas(args, cfg) -> videosynth.GestureAtlas:
     return videosynth.GestureAtlas(frames=datagen.synth_atlas(size=size), size=size)
 
 
-def _synthesize(text: str, cfg, args, out_dir: Path) -> dict:
-    atlas = _atlas(args, cfg)
+def _synthesize(text: str, atlas: videosynth.GestureAtlas, args, out_dir: Path) -> dict:
     keyframes = videosynth.text_to_keyframes(text, atlas)
     seq24 = videosynth.duplicate_frames(keyframes)
     seq60 = videosynth.interpolate_sequence(seq24)
@@ -464,7 +472,7 @@ def _synthesize(text: str, cfg, args, out_dir: Path) -> dict:
 def _cmd_synthesize(args) -> int:
     cfg = _config(args)
     out = Path(args.out)
-    info = _synthesize(args.text.upper(), cfg, args, out)
+    info = _synthesize(args.text.upper(), _atlas(args, cfg), args, out)
     write_json_report(
         out / "synthesize_report.json",
         {"schema_version": SCHEMA_VERSION, "text": args.text.upper(), "video": info},
@@ -481,6 +489,8 @@ def _cmd_translate(args) -> int:
     w_rfc = get_float(cfg, "ensemble.w_rfc", within=(0.0, 1.0))
     weights = ensemble.EnsembleWeights(w_rfc=w_rfc, w_cnn=round(1.0 - w_rfc, 10))
     decode_cfg = ensemble.StreamDecodeConfig(k=get_int(cfg, "decode.k", minimum=1))
+    remote, lexicon = _corrector_inputs(cfg, args)
+    atlas = _atlas(args, cfg)
     rfc_model, cnn_model = _load_models(args)
     X_lm = np.stack([flatten(f) for f in _read_landmark_rows(args.landmarks)])
     frame_files = sorted(Path(args.frames).glob("*.pgm"))
@@ -499,10 +509,10 @@ def _cmd_translate(args) -> int:
     if not raw.strip():
         raise ValueError("decoded stream is empty: no stable gesture sequence found")
 
-    result = _run_corrector(raw, cfg, args)
+    result = _run_corrector(raw, remote, lexicon)
     chosen = result.candidates[0]
     out = Path(args.out)
-    video_info = _synthesize(chosen, cfg, args, out)
+    video_info = _synthesize(chosen, atlas, args, out)
     write_json_report(
         out / "translate_report.json",
         {

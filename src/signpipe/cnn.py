@@ -7,6 +7,8 @@ the data gradient is computed as a convolution with the flipped, channel-
 transposed kernel, so no scatter-add appears on the hot path. That
 convolution pads the output gradient by kernel - 1 less the forward pad on
 each side, so it yields the input-sized gradient directly, with no crop.
+Each backward pass assigns its layer's weight and bias gradients (dW, db),
+so a training step's single pass leaves exactly that batch's gradients.
 """
 from __future__ import annotations
 
@@ -81,8 +83,8 @@ class Conv2D(_Weighted):
     def backward(self, dy: np.ndarray) -> np.ndarray:
         k = self.kh * self.kw * self.in_ch
         dy2 = dy.reshape(-1, self.out_ch)
-        self.dW += (self._patches.reshape(-1, k).T @ dy2).reshape(self.W.shape)
-        self.db += dy2.sum(axis=0)
+        self.dW = (self._patches.reshape(-1, k).T @ dy2).reshape(self.W.shape)
+        self.db = dy2.sum(axis=0)
         # Data gradient: correlate dy with the spatially flipped, in/out-
         # transposed kernel. Padding dy by k - 1 less the forward pad on each
         # side makes the result exactly the input's size.
@@ -156,8 +158,8 @@ class Dense(_Weighted):
         return x @ self.W + self.b
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.dW += self._x.T @ dy
-        self.db += dy.sum(axis=0)
+        self.dW = self._x.T @ dy
+        self.db = dy.sum(axis=0)
         return dy @ self.W.T
 
 
@@ -211,21 +213,15 @@ class CnnModel:
             x = layer.forward(x, train)
         return softmax(x)
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
-        g = dlogits
+    def backward(self, dlogits: np.ndarray) -> None:
         for layer in reversed(self.layers):
-            g = layer.backward(g)
-        return g
+            dlogits = layer.backward(dlogits)
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
 
     def grads(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads()]
-
-    def zero_grads(self) -> None:
-        for g in self.grads():
-            g[...] = 0.0
 
     def get_weights(self) -> list[np.ndarray]:
         return [p.copy() for p in self.params()]
@@ -392,7 +388,6 @@ def train(
             probs = model.forward(xb, train=True)
             batch_losses.append(cross_entropy(probs, yb) * len(yb))
             correct += int(np.sum(np.argmax(probs, axis=1) == yb))
-            model.zero_grads()
             model.backward(_loss_gradient(probs, yb))
             optimizer.step(model.params(), model.grads())
         val_loss, val_acc = _batched_eval(model, X_val, y_val)
@@ -452,9 +447,8 @@ def gradient_check(model: CnnModel, x: np.ndarray, y: np.ndarray) -> float:
     def loss() -> float:
         return cross_entropy(model.forward(x, train=False), y)
 
-    model.zero_grads()
     model.backward(_loss_gradient(model.forward(x, train=False), y))
-    analytic = [g.copy() for g in model.grads()]
+    analytic = model.grads()
 
     max_rel = 0.0
     for p, g in zip(model.params(), analytic, strict=True):

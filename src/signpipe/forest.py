@@ -98,14 +98,12 @@ class Forest:
     leaf_class: np.ndarray
 
 
-def _best_split(
-    Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int, hist: np.ndarray | None = None
-):
+def _best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int, hist: np.ndarray):
     """Best (column, threshold, weighted Gini) over the given feature columns.
 
     Ties resolve to the earliest column, then the lowest threshold. Returns
     None when no split satisfies the leaf-size constraint. `hist` is the
-    node's class histogram T (counted from yn when not given).
+    node's class histogram T, np.bincount(yn, minlength=n_classes).
 
     Gini needs only the sum of squared class counts on each side of a cut.
     In value order, the i-th sample's class already has k_i samples before
@@ -117,8 +115,6 @@ def _best_split(
     a per-class count table gives.
     """
     n, m = Xn.shape
-    if hist is None:
-        hist = np.bincount(yn, minlength=n_classes)
     cols = np.arange(m)
     # The order among equal values is free: a legal cut falls between two
     # distinct values, so the samples left of it are the same set either way.

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .imageops import round_half_up_u8
-from .io import read_pgm, sha256_bytes, sha256_file, write_pgm
+from .io import read_pgm, sha256_bytes, sha256_file, write_json_report, write_pgm
 from .labels import LETTERS, SPACE
 
 BLOCK_SIZE = 8
@@ -67,30 +67,6 @@ class FrameSequence:
                 f"{len(self.frames)} frames inconsistent with "
                 f"{self.fps} FPS x {self.n_sources} keyframes"
             )
-
-
-@dataclass(frozen=True)
-class FlowField:
-    """Backward-warp displacements toward each endpoint, (…, 2) as (dx, dy)."""
-
-    f_t0: np.ndarray
-    f_t1: np.ndarray
-
-    def __post_init__(self):
-        if self.f_t0.shape != self.f_t1.shape or self.f_t0.shape[-1] != 2:
-            raise ValueError("flow maps must share an (H, W, 2) shape")
-
-
-@dataclass(frozen=True)
-class ContextFeatures:
-    """3x3 local mean maps of the two endpoint frames."""
-
-    c0: np.ndarray
-    c1: np.ndarray
-
-    def __post_init__(self):
-        if self.c0.shape != self.c1.shape:
-            raise ValueError("context maps must share a shape")
 
 
 def text_to_keyframes(text: str, atlas: GestureAtlas) -> FrameSequence:
@@ -183,20 +159,24 @@ def _abs_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(x, y) - np.minimum(x, y)
 
 
-def _scale_flow(f01: np.ndarray, t: float) -> FlowField:
-    return FlowField(f_t0=-t * f01, f_t1=(1.0 - t) * f01)
+def _scale_flow(f01: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    return -t * f01, (1.0 - t) * f01
 
 
-def estimate_flow(i0: np.ndarray, i1: np.ndarray, t: float) -> FlowField:
-    """Block-matching flow between endpoints, scaled to intermediate time t."""
+def estimate_flow(i0: np.ndarray, i1: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Block-matching flow between endpoints, scaled to intermediate time t.
+
+    Returns the pair (f_t0, f_t1): the (H, W, 2) backward-warp displacements,
+    as (dx, dy), from time t toward endpoint 0 and toward endpoint 1.
+    """
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must be in (0, 1), got {t}")
     return _scale_flow(_block_flow(i0, i1), t)
 
 
-def context_features(i0: np.ndarray, i1: np.ndarray) -> ContextFeatures:
-    """3x3 box means with edge replication."""
-    return ContextFeatures(c0=_box_mean(i0), c1=_box_mean(i1))
+def context_features(i0: np.ndarray, i1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (c0, c1) of 3x3 box means of endpoints 0 and 1, edges replicated."""
+    return _box_mean(i0), _box_mean(i1)
 
 
 def _box_mean(img: np.ndarray) -> np.ndarray:
@@ -231,20 +211,21 @@ def _sample(img: np.ndarray, grid) -> np.ndarray:
     return top * (1 - fy) + bottom * fy
 
 
-def synthesize_frame(
-    i0: np.ndarray, i1: np.ndarray, flows: FlowField, contexts: ContextFeatures, t: float
-) -> np.ndarray:
+def synthesize_frame(i0: np.ndarray, i1: np.ndarray, flows, contexts, t: float) -> np.ndarray:
     """Warp both endpoints toward time t and fuse as (1-t)*warp0 + t*warp1.
 
-    Each endpoint and its context map are warped together through one
-    sampling grid per flow. Where the warped context maps disagree by more
-    than OCCLUSION_THRESHOLD, the temporally farther endpoint's weight is
-    multiplied by OCCLUSION_DAMPING and the weights renormalized; at t = 0.5
-    both endpoints are equally near, so no down-weighting applies.
+    flows is estimate_flow's (f_t0, f_t1) and contexts is context_features'
+    (c0, c1), endpoint 0 first in both. Each endpoint and its context map
+    are warped together through one sampling grid per flow. Where the warped
+    context maps disagree by more than OCCLUSION_THRESHOLD, the temporally
+    farther endpoint's weight is multiplied by OCCLUSION_DAMPING and the
+    weights renormalized; at t = 0.5 both endpoints are equally near, so no
+    down-weighting applies.
     """
-    grid0, grid1 = _bilinear_grid(flows.f_t0), _bilinear_grid(flows.f_t1)
-    warp0, wc0 = _sample(i0, grid0), _sample(contexts.c0, grid0)
-    warp1, wc1 = _sample(i1, grid1), _sample(contexts.c1, grid1)
+    (f_t0, f_t1), (c0, c1) = flows, contexts
+    grid0, grid1 = _bilinear_grid(f_t0), _bilinear_grid(f_t1)
+    warp0, wc0 = _sample(i0, grid0), _sample(c0, grid0)
+    warp1, wc1 = _sample(i1, grid1), _sample(c1, grid1)
     damping = np.where(np.abs(wc0 - wc1) > OCCLUSION_THRESHOLD, OCCLUSION_DAMPING, 1.0)
     w0 = (1.0 - t) * (damping if t > 0.5 else 1.0)
     w1 = t * (damping if t < 0.5 else 1.0)
@@ -317,7 +298,7 @@ def write_sequence(seq: FrameSequence, directory: str | Path) -> Path:
         "frames": entries,
     }
     path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json_report(path, manifest)
     return path
 
 

@@ -315,6 +315,26 @@ def test_atlas_size_below_1_exits_2(workspace, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--set", "corrector=bogus"], "config corrector: expected offline or remote, got 'bogus'"),
+    (["--set", "corrector=remote"], "corrector=remote requires remote.endpoint in the config"),
+    (["--set", "datagen.atlas_size=0"], "config datagen.atlas_size: expected an integer >= 1, got 0"),
+    (["--phrases", "{empty}"], "{empty}: no phrases"),
+    (["--set", "corrector=remote", "--set", "remote.endpoint=http://127.0.0.1:9/c",
+      "--fallback", "--phrases", "{empty}"], "{empty}: no phrases"),
+    (["--atlas", "{missing}"], "{missing}: atlas frame A.pgm is missing"),
+], ids=["corrector", "remote-endpoint", "atlas-size", "phrases", "fallback-phrases", "atlas"])
+def test_translate_checks_corrector_and_atlas_before_models(tmp_path, capsys, extra, message):
+    # The model paths do not exist: these inputs are checked before a model is read.
+    missing, empty, out = tmp_path / "missing", tmp_path / "empty.txt", tmp_path / "out"
+    empty.write_text("", encoding="ascii")
+    argv = ["translate", "--rfc", missing, "--cnn", missing, "--landmarks", missing,
+            "--frames", missing, "--out", out, *extra]
+    assert cli.main([str(a).format(empty=empty, missing=missing) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(empty=empty, missing=missing)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [b"HELLO\n\xff\n", b"", b"\n  \n"],
                          ids=["bad-byte", "empty", "blank-lines"])
 @pytest.mark.parametrize("flag", ["--config", "--phrases"])

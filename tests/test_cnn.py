@@ -113,6 +113,18 @@ def test_gradient_check_small_model(rng):
     assert err < 1e-4
 
 
+def test_backward_assigns_gradients(rng):
+    # A second pass over the same batch leaves that batch's gradients, not twice them.
+    model = small_model()
+    x = rng.uniform(0, 1, (3, 8, 8, 1))
+    dlogits = cnn._loss_gradient(model.forward(x), np.array([0, 1, 2]))
+    model.backward(dlogits)
+    first = [g.copy() for g in model.grads()]
+    model.backward(dlogits)
+    for want, got in zip(first, model.grads(), strict=True):
+        assert np.any(want != 0.0) and got.tobytes() == want.tobytes()
+
+
 def test_dropout_train_vs_eval(rng):
     layer = cnn.Dropout(0.5)
     x = np.ones((4, 10))

@@ -245,7 +245,7 @@ def test_synthesize_midpoint_of_black_and_white():
     black = np.zeros((16, 16), dtype=np.uint8)
     white = np.full((16, 16), 255, dtype=np.uint8)
     zero = np.zeros((16, 16, 2))
-    flows = videosynth.FlowField(f_t0=zero, f_t1=zero)
+    flows = (zero, zero)
     ctx = videosynth.context_features(black, white)
     out = videosynth.synthesize_frame(black, white, flows, ctx, t=0.5)
     assert np.all(out == 128)
@@ -256,7 +256,7 @@ def test_synthesize_occlusion_prefers_nearer_source():
     black = np.zeros((16, 16), dtype=np.uint8)
     white = np.full((16, 16), 255, dtype=np.uint8)
     zero = np.zeros((16, 16, 2))
-    flows = videosynth.FlowField(f_t0=zero, f_t1=zero)
+    flows = (zero, zero)
     ctx = videosynth.context_features(black, white)
     near0 = videosynth.synthesize_frame(black, white, flows, ctx, t=0.25)
     plain = videosynth.round_half_up_u8(0.75 * black + 0.25 * white)
@@ -283,10 +283,11 @@ def reference_backward_warp(img, flow):
 
 def reference_synthesize_frame(i0, i1, flows, contexts, t):
     """synthesize_frame as four separate warps and full weight maps, kept as its oracle."""
-    warp0 = reference_backward_warp(i0, flows.f_t0)
-    warp1 = reference_backward_warp(i1, flows.f_t1)
-    wc0 = reference_backward_warp(contexts.c0, flows.f_t0)
-    wc1 = reference_backward_warp(contexts.c1, flows.f_t1)
+    (f_t0, f_t1), (c0, c1) = flows, contexts
+    warp0 = reference_backward_warp(i0, f_t0)
+    warp1 = reference_backward_warp(i1, f_t1)
+    wc0 = reference_backward_warp(c0, f_t0)
+    wc1 = reference_backward_warp(c1, f_t1)
     w0 = np.full(warp0.shape, 1.0 - t)
     w1 = np.full(warp1.shape, t)
     disagree = np.abs(wc0 - wc1) > videosynth.OCCLUSION_THRESHOLD
@@ -324,9 +325,7 @@ def test_synthesize_frame_equals_reference_past_the_edge(h, w, seed, reach, t):
     rng = np.random.default_rng(seed)
     i0, i1 = (rng.integers(0, 256, (h, w), dtype=np.uint8) for _ in range(2))
     scale = reach * np.array([w, h], dtype=np.float64)
-    flows = videosynth.FlowField(
-        f_t0=rng.uniform(-1, 1, (h, w, 2)) * scale, f_t1=rng.uniform(-1, 1, (h, w, 2)) * scale
-    )
+    flows = tuple(rng.uniform(-1, 1, (h, w, 2)) * scale for _ in range(2))
     _assert_synthesis_equals_reference(i0, i1, flows, t)
 
 
