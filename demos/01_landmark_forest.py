@@ -29,13 +29,13 @@ tr, te = perm[:cut], perm[cut:]
 hp = forest.ForestHyperparams(n_estimators=OUT_TREES, max_depth=15)
 model = forest.train_forest(X[tr], y[tr], hp, seed=SEED)
 pred = forest.predict_class(model, X[te])
-report = confusion_and_metrics(pred, y[te], n_classes=len(RFC_CLASSES))
-print(f"test accuracy {report.accuracy:.4f} with {OUT_TREES} trees")
+report = confusion_and_metrics(pred, y[te], RFC_CLASSES)
+print(f"test accuracy {report['accuracy']:.4f} with {OUT_TREES} trees")
 
-worst = np.argsort(report.recall)[:3]
+worst = np.argsort(report["recall"])[:3]
 for i in worst:
     print(f"  weakest class {RFC_CLASSES[i]}: "
-          f"precision {report.precision[i]:.3f} recall {report.recall[i]:.3f}")
+          f"precision {report['precision'][i]:.3f} recall {report['recall'][i]:.3f}")
 
 # ---- 3. probability output feeds the ensemble downstream ------------------
 proba = forest.predict_proba(model, X[te][:3])

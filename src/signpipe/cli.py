@@ -193,19 +193,17 @@ def _cmd_train_rfc(args) -> int:
     tr, te = _split(len(X), seed, "rfc-split")
     model = forest.train_forest(X[tr], y[tr], hp, seed=seed)
     forest.save_forest(args.model, model)
-    report_obj = confusion_and_metrics(
-        forest.predict_class(model, X[te]), y[te], n_classes=len(RFC_CLASSES)
-    )
+    metrics = confusion_and_metrics(forest.predict_class(model, X[te]), y[te], RFC_CLASSES)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model_file": Path(args.model).name,
         "train_samples": len(tr),
         "test_samples": len(te),
         "hyperparams": asdict(model.hyperparams),
-        "metrics": report_obj.to_payload(class_names=list(RFC_CLASSES)),
+        "metrics": metrics,
     }
     write_json_report(args.report, payload)
-    print(f"landmark model: test accuracy {report_obj.accuracy:.4f} -> {args.model}")
+    print(f"landmark model: test accuracy {metrics['accuracy']:.4f} -> {args.model}")
     return 0
 
 
@@ -225,9 +223,7 @@ def _cmd_train_cnn(args) -> int:
     tr, te = _split(len(X), seed, "cnn-split")
     history = cnn_mod.train(model, X[tr], y[tr], X[te], y[te], train_cfg)
     cnn_mod.save_cnn(args.model, model)
-    report_obj = confusion_and_metrics(
-        cnn_mod.predict(model, X[te]), y[te], n_classes=len(CNN_CLASSES)
-    )
+    metrics = confusion_and_metrics(cnn_mod.predict(model, X[te]), y[te], CNN_CLASSES)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model_file": Path(args.model).name,
@@ -235,12 +231,12 @@ def _cmd_train_cnn(args) -> int:
         "test_samples": len(te),
         "epochs_run": len(history["val_loss"]),
         "history": history,
-        "metrics": report_obj.to_payload(class_names=list(CNN_CLASSES)),
+        "metrics": metrics,
     }
     write_json_report(args.report, payload)
     print(
         f"silhouette model: {len(history['val_loss'])} epochs, "
-        f"val accuracy {report_obj.accuracy:.4f} -> {args.model}"
+        f"val accuracy {metrics['accuracy']:.4f} -> {args.model}"
     )
     return 0
 
@@ -329,12 +325,12 @@ def _cmd_eval(args) -> int:
     _, te_sil = _split(len(images), seed, "cnn-split")
 
     rfc_report = confusion_and_metrics(
-        forest.predict_class(rfc_model, X_lm[te_lm]), y_lm[te_lm], n_classes=len(RFC_CLASSES)
+        forest.predict_class(rfc_model, X_lm[te_lm]), y_lm[te_lm], RFC_CLASSES
     )
     cnn_report = confusion_and_metrics(
         cnn_mod.predict(cnn_model, cnn_mod.images_to_input(images[te_sil])),
         y_sil[te_sil],
-        n_classes=len(CNN_CLASSES),
+        CNN_CLASSES,
     )
     p_rfc, p_cnn, y_shared = _ensemble_pairs(
         rfc_model, cnn_model, X_lm, y_lm, te_lm, images, y_sil, te_sil, seed
@@ -343,8 +339,8 @@ def _cmd_eval(args) -> int:
     ens_acc = grid_accs[ensemble.WEIGHT_GRID.index(weights.w_rfc)]
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "rfc": rfc_report.to_payload(class_names=list(RFC_CLASSES)),
-        "cnn": cnn_report.to_payload(class_names=list(CNN_CLASSES)),
+        "rfc": rfc_report,
+        "cnn": cnn_report,
         "ensemble": {
             "w_rfc": weights.w_rfc,
             "w_cnn": weights.w_cnn,
@@ -357,7 +353,7 @@ def _cmd_eval(args) -> int:
     }
     write_json_report(args.report, payload)
     print(
-        f"rfc {rfc_report.accuracy:.4f}  cnn {cnn_report.accuracy:.4f}  "
+        f"rfc {rfc_report['accuracy']:.4f}  cnn {cnn_report['accuracy']:.4f}  "
         f"ensemble {ens_acc:.4f} (w_rfc={weights.w_rfc})"
     )
     return 0
@@ -624,7 +620,7 @@ def main(argv: list[str] | None = None) -> int:
     except (textcorrect.TransportError, textcorrect.ProtocolError) as exc:
         print(f"remote corrector error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, BrokenExecutor) as exc:
+    except (ValueError, OSError, KeyError, BrokenExecutor, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -196,7 +196,7 @@ class Dropout(Layer):
 
 
 class CnnModel:
-    """A plain layer stack ending in logits; softmax is applied by callers."""
+    """A plain layer stack; forward applies softmax to the last layer's logits."""
 
     def __init__(self, layers: list, num_classes: int, input_shape: tuple[int, int, int]):
         self.layers = layers
@@ -478,18 +478,23 @@ def load_cnn(path) -> CnnModel:
     meta, arrays = read_blocks(path)
     if meta.get("schema") != "cnn/1":
         raise ValueError(f"{path}: not a cnn model file (schema {meta.get('schema')!r})")
-    if not isinstance(meta.get("num_classes"), int):
+    num_classes = meta.get("num_classes")
+    if not isinstance(num_classes, int):
         raise ValueError(f"{path}: meta num_classes must be an integer")
-    model = build_model(meta["num_classes"], seed=0)
-    names = [f"param_{i:03d}" for i in range(len(model.params()))]
+    # Shapes of a 2-class model with its output layer widened to num_classes:
+    # the stored arrays are checked before a model of that size is built.
+    shapes = [p.shape for p in build_model(2, seed=0).params()]
+    shapes[-2:] = [(shapes[-2][0], num_classes), (num_classes,)]
+    names = [f"param_{i:03d}" for i in range(len(shapes))]
     if sorted(arrays) != names:
         raise ValueError(f"{path}: expected arrays {names[0]}..{names[-1]}, got {sorted(arrays)}")
-    for name, p in zip(names, model.params()):
+    for name, shape in zip(names, shapes):
         a = arrays[name]
-        if a.shape != p.shape or a.dtype.kind != "f" or not np.all(np.isfinite(a)):
+        if a.shape != shape or a.dtype.kind != "f" or not np.all(np.isfinite(a)):
             raise ValueError(
                 f"{path}: {name} has shape {a.shape} and dtype {a.dtype}, "
-                f"expected {p.shape} finite float"
+                f"expected {shape} finite float"
             )
+    model = build_model(num_classes, seed=0)
     model.set_weights([arrays[name] for name in names])
     return model

@@ -322,9 +322,10 @@ def grid_search(
     Returns the accuracy maximizer (ties to earliest enumeration order) and
     one result row per configuration. Because tree i depends only on
     (seed, i), forests over the same data that differ only in n_estimators
-    share their tree prefix; the evaluation exploits that by growing the
-    largest forest once per fold and scoring the vote matrix's first
-    columns for each size.
+    share their tree prefix; the evaluation exploits that by growing, for
+    each structural configuration (every key but n_estimators), the largest
+    forest once per fold and scoring the vote matrix's first columns for
+    each size.
     """
     space = search_space or SEARCH_SPACE
     if not space:
@@ -335,46 +336,32 @@ def grid_search(
     y = np.asarray(y, dtype=np.int64)
     if len(X) < k:
         raise ValueError(f"fewer samples ({len(X)}) than folds ({k})")
-    keys = list(space.keys())
-    configs = [dict(zip(keys, combo)) for combo in itertools.product(*(space[k] for k in keys))]
+    keys = list(space)
+    struct_keys = [key for key in keys if key != "n_estimators"]
+    sizes = space.get("n_estimators", (ForestHyperparams().n_estimators,))
+    folds = np.array_split(substream(seed, "cv").permutation(len(X)), k)
 
-    perm = substream(seed, "cv").permutation(len(X))
-    folds = np.array_split(perm, k)
-    sizes = sorted(set(cfg.get("n_estimators", ForestHyperparams().n_estimators) for cfg in configs))
-    max_size = max(sizes)
-
-    # Accuracy per (structural config, fold, forest size); structural config
-    # is everything except n_estimators.
-    cache: dict[tuple, dict[int, list[float]]] = {}
-    for cfg in configs:
-        struct = tuple((kk, vv) for kk, vv in sorted(cfg.items()) if kk != "n_estimators")
-        if struct in cache:
-            continue
-        hp_full = ForestHyperparams(**{**cfg, "n_estimators": max_size})
-        by_size: dict[int, list[float]] = {s: [] for s in sizes}
+    # Fold accuracies per (structural values, forest size).
+    fold_accs: dict[tuple, list[float]] = {}
+    for struct in itertools.product(*(space[key] for key in struct_keys)):
+        hp = ForestHyperparams(**dict(zip(struct_keys, struct)), n_estimators=max(sizes))
+        by_size = {s: [] for s in sizes}
         for fold in folds:
-            mask = np.ones(len(X), dtype=bool)
-            mask[fold] = False
-            forest = train_forest(X[mask], y[mask], hp_full, seed)
+            forest = train_forest(np.delete(X, fold, axis=0), np.delete(y, fold), hp, seed)
             leaf = _leaf_classes(forest, X[fold])
-            for s in sizes:
+            for s, accs in by_size.items():
                 pred = np.argmax(_class_counts(leaf[:, :s], forest.n_classes), axis=1)
-                by_size[s].append(float(np.mean(pred == y[fold])))
-        cache[struct] = by_size
+                accs.append(float(np.mean(pred == y[fold])))
+        for s, accs in by_size.items():
+            fold_accs[struct, s] = accs
 
-    rows: list[dict] = []
-    best_cfg: dict | None = None
-    best_acc = -1.0
-    for cfg in configs:
-        struct = tuple((kk, vv) for kk, vv in sorted(cfg.items()) if kk != "n_estimators")
-        fold_accs = cache[struct][cfg.get("n_estimators", ForestHyperparams().n_estimators)]
-        mean_acc = float(np.mean(fold_accs))
-        rows.append({**cfg, "fold_accuracies": fold_accs, "mean_accuracy": mean_acc})
-        if mean_acc > best_acc:
-            best_acc = mean_acc
-            best_cfg = cfg
-    assert best_cfg is not None
-    return ForestHyperparams(**best_cfg), rows
+    rows = []
+    for combo in itertools.product(*(space[key] for key in keys)):
+        cfg = dict(zip(keys, combo))
+        accs = fold_accs[tuple(cfg[key] for key in struct_keys), cfg.get("n_estimators", sizes[0])]
+        rows.append({**cfg, "fold_accuracies": accs, "mean_accuracy": float(np.mean(accs))})
+    best = max(rows, key=lambda row: row["mean_accuracy"])
+    return ForestHyperparams(**{key: best[key] for key in keys}), rows
 
 
 def save_forest(path, forest: Forest) -> None:

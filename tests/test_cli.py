@@ -617,6 +617,28 @@ def test_translate_byte_corrupted_cnn_exits_2(workspace, tmp_path, capsys, old, 
     assert "Traceback" not in err
 
 
+def _eval_with_a_cnn_claiming_1e13_classes(workspace, tmp_path):
+    bad = tmp_path / "cnn.blk"
+    meta, arrays = io.read_blocks(workspace / "cnn.blk")
+    io.write_blocks(bad, {**meta, "num_classes": 10**13}, arrays)
+    return ["eval", "--rfc", workspace / "rfc.blk", "--cnn", bad,
+            "--landmarks", workspace / "data" / "landmarks.csv",
+            "--silhouettes", workspace / "data" / "silhouettes", "--report", tmp_path / "r.json"]
+
+
+# Each size asks for hundreds of terabytes or more, which the allocator refuses at once.
+@pytest.mark.parametrize("argv, message", [
+    (_eval_with_a_cnn_claiming_1e13_classes,
+     "param_008 has shape (128, 27) and dtype float64, expected (128, 10000000000000)"),
+    (lambda ws, tmp: ["synthesize", "--text", "A", "--out", tmp / "out",
+                      "--set", "datagen.atlas_size=10000000"], "Unable to allocate"),
+], ids=["cnn-num-classes", "atlas-size"])
+def test_oversized_count_exits_2_in_one_line(workspace, tmp_path, capsys, argv, message):
+    assert cli.main([str(a) for a in argv(workspace, tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_translate_rejects_a_cnn_of_another_label_space(workspace, tmp_path, capsys):
     path = tmp_path / "five.blk"
     cnn.save_cnn(path, cnn.build_model(5, seed=0))

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import signal
@@ -456,6 +457,91 @@ def test_load_rejects_child_in_another_tree(tmp_path, tiny_forest):
     io.write_blocks(tmp_path / "bad.blk", meta, arrays)
     with pytest.raises(ValueError, match="left child of node 0"):
         forest.load_forest(tmp_path / "bad.blk")
+
+
+def reference_grid_search(
+    X: np.ndarray,
+    y: np.ndarray,
+    search_space: dict[str, tuple] | None = None,
+    k: int = 5,
+    seed: int = 0,
+) -> tuple[forest.ForestHyperparams, list[dict]]:
+    """forest.grid_search as it was before it looped over structural configs:
+    every configuration enumerated, duplicates skipped through a cache.
+
+    Exhaustive k-fold CV over the hyperparameter cross-product.
+
+    Returns the accuracy maximizer (ties to earliest enumeration order) and
+    one result row per configuration. Because tree i depends only on
+    (seed, i), forests over the same data that differ only in n_estimators
+    share their tree prefix; the evaluation exploits that by growing the
+    largest forest once per fold and scoring the vote matrix's first
+    columns for each size.
+    """
+    space = search_space or forest.SEARCH_SPACE
+    if not space:
+        raise ValueError("search space must be non-empty")
+    if k < 2:
+        raise ValueError(f"need k >= 2 folds, got {k}")
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if len(X) < k:
+        raise ValueError(f"fewer samples ({len(X)}) than folds ({k})")
+    keys = list(space.keys())
+    configs = [dict(zip(keys, combo)) for combo in itertools.product(*(space[k] for k in keys))]
+
+    perm = substream(seed, "cv").permutation(len(X))
+    folds = np.array_split(perm, k)
+    sizes = sorted(set(cfg.get("n_estimators", forest.ForestHyperparams().n_estimators) for cfg in configs))
+    max_size = max(sizes)
+
+    # Accuracy per (structural config, fold, forest size); structural config
+    # is everything except n_estimators.
+    cache: dict[tuple, dict[int, list[float]]] = {}
+    for cfg in configs:
+        struct = tuple((kk, vv) for kk, vv in sorted(cfg.items()) if kk != "n_estimators")
+        if struct in cache:
+            continue
+        hp_full = forest.ForestHyperparams(**{**cfg, "n_estimators": max_size})
+        by_size: dict[int, list[float]] = {s: [] for s in sizes}
+        for fold in folds:
+            mask = np.ones(len(X), dtype=bool)
+            mask[fold] = False
+            model = forest.train_forest(X[mask], y[mask], hp_full, seed)
+            leaf = forest._leaf_classes(model, X[fold])
+            for s in sizes:
+                pred = np.argmax(forest._class_counts(leaf[:, :s], model.n_classes), axis=1)
+                by_size[s].append(float(np.mean(pred == y[fold])))
+        cache[struct] = by_size
+
+    rows: list[dict] = []
+    best_cfg: dict | None = None
+    best_acc = -1.0
+    for cfg in configs:
+        struct = tuple((kk, vv) for kk, vv in sorted(cfg.items()) if kk != "n_estimators")
+        fold_accs = cache[struct][cfg.get("n_estimators", forest.ForestHyperparams().n_estimators)]
+        mean_acc = float(np.mean(fold_accs))
+        rows.append({**cfg, "fold_accuracies": fold_accs, "mean_accuracy": mean_acc})
+        if mean_acc > best_acc:
+            best_acc = mean_acc
+            best_cfg = cfg
+    assert best_cfg is not None
+    return forest.ForestHyperparams(**best_cfg), rows
+
+
+@pytest.mark.parametrize("space", [
+    {"max_depth": (None, 3), "n_estimators": (3, 1), "min_samples_split": (2, 8),
+     "min_samples_leaf": (1, 4), "bootstrap": (True, False)},
+    {"max_depth": (2, None), "bootstrap": (False, True)},
+    {"n_estimators": (2, 5, 1)},
+    {"n_estimators": (1, 4), "max_depth": (6, None)},  # rows 3 and 4 tie at the top
+    {"n_estimators": (2, 2), "max_depth": (3, 3)},
+], ids=["all-keys-unsorted-sizes", "no-n-estimators", "only-n-estimators", "tied-rows",
+        "repeated-values"])
+def test_grid_search_matches_reference(tiny_landmarks, space):
+    X, y = tiny_landmarks
+    expected = reference_grid_search(X, y, search_space=space, k=3, seed=6)
+    assert forest.grid_search(X, y, search_space=space, k=3, seed=6) == expected
 
 
 def test_grid_search_reduced_space(tiny_landmarks):
