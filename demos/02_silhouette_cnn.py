@@ -1,8 +1,8 @@
 """Binarize synthetic hand silhouettes and train the small CNN on them.
 
-Walks the image path end to end: grayscale conversion, Otsu thresholding,
-morphological cleanup, resize to the 32x32 network input, then a short
-training run. Prints the layer-by-layer architecture first so the tensor
+Walks the image path end to end: Otsu thresholding of a grayscale frame,
+binarization, resize to the 32x32 network input, then a short training
+run. Prints the layer-by-layer architecture first so the tensor
 shapes are visible before any learning happens.
 """
 import numpy as np

@@ -34,8 +34,10 @@ from .io import (
     write_landmark_csv,
     write_pgm,
 )
-from .labels import CNN_CLASSES, CNN_INDEX, LETTERS, RFC_CLASSES, RFC_INDEX, SHARED_CLASSES, SHARED_INDEX
-from .landmarks import N_FEATURES, LandmarkFrame, flatten, unflatten
+from .labels import (
+    CNN_CLASSES, CNN_INDEX, LETTERS, RFC_CLASSES, RFC_INDEX, SHARED_CLASSES, SHARED_INDEX, SIGNABLE,
+)
+from .landmarks import N_FEATURES, LandmarkFrame
 from .metrics import confusion_and_metrics
 from .rng import substream
 
@@ -113,8 +115,7 @@ def _cmd_datagen(args) -> int:
 
     if stream_spec:
         lm, sils = datagen.synth_stream(stream_spec)
-        stream_frames = [unflatten(row, "NA") for row in lm]
-        write_landmark_csv(out / "stream_landmarks.csv", stream_frames)
+        write_landmark_csv(out / "stream_landmarks.csv", [LandmarkFrame(row, "NA") for row in lm])
         frames_dir = out / "stream_frames"
         frames_dir.mkdir(parents=True, exist_ok=True)
         for i, img in enumerate(sils):
@@ -365,7 +366,15 @@ def _cmd_eval(args) -> int:
 def _lexicon(args) -> textcorrect.Lexicon:
     if not args.phrases:
         return textcorrect.Lexicon.from_phrases(list(datagen.PHRASES))
-    phrases = [line.strip() for line in read_text(args.phrases).splitlines() if line.strip()]
+    phrases = []
+    for lineno, line in enumerate(read_text(args.phrases).splitlines(), start=1):
+        phrase = " ".join(line.upper().split())
+        bad = sorted(set(phrase) - SIGNABLE)
+        if bad:
+            raise ValueError(f"{args.phrases}:{lineno}: cannot sign characters {bad}: "
+                             "only A-Z and space are signable")
+        if phrase:
+            phrases.append(phrase)
     if not phrases:
         raise ValueError(f"{args.phrases}: no phrases")
     return textcorrect.Lexicon.from_phrases(phrases)
@@ -488,7 +497,7 @@ def _cmd_translate(args) -> int:
     remote, lexicon = _corrector_inputs(cfg, args)
     atlas = _atlas(args, cfg)
     rfc_model, cnn_model = _load_models(args)
-    X_lm = np.stack([flatten(f) for f in _read_landmark_rows(args.landmarks)])
+    X_lm = np.stack([f.values for f in _read_landmark_rows(args.landmarks)])
     frame_files = sorted(Path(args.frames).glob("*.pgm"))
     if not frame_files:
         raise ValueError(f"{args.frames}: no .pgm frames found")
@@ -534,76 +543,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="signpipe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file (defaults apply if omitted)")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
+    # Parent parsers: each flag that several subcommands share, declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value config file (defaults apply if omitted)")
+    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a config key (repeatable)")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True, help="output model file")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", required=True, help="output JSON report")
+    heads = argparse.ArgumentParser(add_help=False)
+    heads.add_argument("--rfc", required=True, help="forest model file")
+    heads.add_argument("--cnn", required=True, help="cnn model file")
+    corrector = argparse.ArgumentParser(add_help=False)
+    corrector.add_argument("--phrases", help="phrase file for the lexicon (default: built-in corpus)")
+    corrector.add_argument("--fallback", action="store_true",
+                           help="fall back to the offline corrector on remote failure")
+    video = argparse.ArgumentParser(add_help=False)
+    video.add_argument("--atlas", help="atlas directory of <LETTER>.pgm files (default: built-in)")
+    video.add_argument("--out", required=True, help="output directory")
+    video.add_argument("--stages", action="store_true", help="also write the 1 and 24 FPS stages")
 
-    p = sub.add_parser("datagen", help="generate synthetic datasets, atlas, and phrases")
-    common(p)
+    def command(name: str, func, summary: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[common, *parents])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("datagen", _cmd_datagen, "generate synthetic datasets, atlas, and phrases")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--stream-text", help="also synthesize an input stream signing this text")
-    p.set_defaults(func=_cmd_datagen)
 
-    p = sub.add_parser("train-rfc", help="train the landmark random forest")
-    common(p)
+    p = command("train-rfc", _cmd_train_rfc, "train the landmark random forest", model, report)
     p.add_argument("--data", required=True, help="landmark CSV")
-    p.add_argument("--model", required=True, help="output model file")
-    p.add_argument("--report", required=True, help="output JSON report")
-    p.set_defaults(func=_cmd_train_rfc)
 
-    p = sub.add_parser("train-cnn", help="train the silhouette CNN")
-    common(p)
+    p = command("train-cnn", _cmd_train_cnn, "train the silhouette CNN", model, report)
     p.add_argument("--data", required=True, help="silhouette directory (class subdirs of PGMs)")
-    p.add_argument("--model", required=True, help="output model file")
-    p.add_argument("--report", required=True, help="output JSON report")
-    p.set_defaults(func=_cmd_train_cnn)
 
-    p = sub.add_parser("tune", help="grid-search forest hyperparameters with k-fold CV")
-    common(p)
+    p = command("tune", _cmd_tune, "grid-search forest hyperparameters with k-fold CV", report)
     p.add_argument("--data", required=True, help="landmark CSV")
-    p.add_argument("--report", required=True, help="output JSON report")
-    p.set_defaults(func=_cmd_tune)
 
-    p = sub.add_parser("eval", help="evaluate both models and the weighted ensemble")
-    common(p)
-    p.add_argument("--rfc", required=True, help="forest model file")
-    p.add_argument("--cnn", required=True, help="cnn model file")
+    p = command("eval", _cmd_eval, "evaluate both models and the weighted ensemble", heads, report)
     p.add_argument("--landmarks", required=True, help="landmark CSV")
     p.add_argument("--silhouettes", required=True, help="silhouette directory")
-    p.add_argument("--report", required=True, help="output JSON report")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("correct", help="correct raw recognized text")
-    common(p)
+    p = command("correct", _cmd_correct, "correct raw recognized text", corrector)
     p.add_argument("--text", required=True, help="raw text to correct")
-    p.add_argument("--phrases", help="phrase file for the lexicon (default: built-in corpus)")
     p.add_argument("--report", help="optional JSON report path")
-    p.add_argument("--fallback", action="store_true",
-                   help="fall back to the offline corrector on remote failure")
-    p.set_defaults(func=_cmd_correct)
 
-    p = sub.add_parser("synthesize", help="render text as a 60 FPS gesture frame sequence")
-    common(p)
+    p = command("synthesize", _cmd_synthesize, "render text as a 60 FPS gesture frame sequence", video)
     p.add_argument("--text", required=True, help="text to sign (A-Z and spaces)")
-    p.add_argument("--atlas", help="atlas directory of <LETTER>.pgm files (default: built-in)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--stages", action="store_true", help="also write the 1 and 24 FPS stages")
-    p.set_defaults(func=_cmd_synthesize)
 
-    p = sub.add_parser("translate", help="landmark+frame stream -> text -> gesture video")
-    common(p)
-    p.add_argument("--rfc", required=True, help="forest model file")
-    p.add_argument("--cnn", required=True, help="cnn model file")
+    p = command("translate", _cmd_translate, "landmark+frame stream -> text -> gesture video",
+                heads, corrector, video)
     p.add_argument("--landmarks", required=True, help="stream landmark CSV")
     p.add_argument("--frames", required=True, help="stream silhouette frame directory")
-    p.add_argument("--phrases", help="phrase file for the lexicon (default: built-in corpus)")
-    p.add_argument("--atlas", help="atlas directory (default: built-in)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--fallback", action="store_true",
-                   help="fall back to the offline corrector on remote failure")
-    p.add_argument("--stages", action="store_true", help="also write the 1 and 24 FPS stages")
-    p.set_defaults(func=_cmd_translate)
 
     return parser
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labels import CNN_CLASSES, LETTERS, RFC_CLASSES, RFC_INDEX, SPACE
-from .landmarks import N_FEATURES, LandmarkFrame, unflatten
+from .landmarks import N_FEATURES, LandmarkFrame
 from .rng import substream
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -67,8 +67,7 @@ def synth_landmarks(spec: LandmarkDatasetSpec) -> list[LandmarkFrame]:
         noise = substream(spec.seed, "landmark", k).normal(
             0.0, spec.spread, (spec.per_class, N_FEATURES)
         )
-        for row in centroid + noise:
-            frames.append(unflatten(row, label))
+        frames.extend(LandmarkFrame(row, label) for row in centroid + noise)
     return frames
 
 
@@ -77,7 +76,7 @@ def frames_to_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack frames into (N, 126) features and integer class indices."""
     index = {name: i for i, name in enumerate(classes)}
-    X = np.stack([f.points.reshape(-1) for f in frames])
+    X = np.stack([f.values for f in frames])
     y = np.array([index[f.label] for f in frames], dtype=np.int64)
     return X, y
 

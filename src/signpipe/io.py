@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .landmarks import N_FEATURES, LandmarkFrame, unflatten
+from .landmarks import N_FEATURES, N_POINTS, LandmarkFrame
 
 BLOCK_MAGIC = b"SBLK\x01"
 
@@ -68,7 +68,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
 
 
 LANDMARK_CSV_HEADER = "label," + ",".join(
-    f"{axis}{i}" for i in range(1, 43) for axis in ("x", "y", "z")
+    f"{axis}{i}" for i in range(1, N_POINTS + 1) for axis in ("x", "y", "z")
 )
 
 
@@ -79,8 +79,7 @@ def write_landmark_csv(path: str | Path, frames: list[LandmarkFrame]) -> None:
     """
     lines = [LANDMARK_CSV_HEADER]
     for frame in frames:
-        values = frame.points.reshape(-1)
-        lines.append(",".join([frame.label] + [repr(float(v)) for v in values]))
+        lines.append(",".join([frame.label] + [repr(float(v)) for v in frame.values]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -123,7 +122,7 @@ def read_landmark_csv(path: str | Path) -> list[LandmarkFrame]:
             raise ValueError(f"{path}:{lineno}: non-numeric coordinate ({exc})") from None
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{path}:{lineno}: non-finite coordinate")
-        frames.append(unflatten(values, label))
+        frames.append(LandmarkFrame(values, label))
     return frames
 
 

@@ -15,6 +15,7 @@ BLANK = "BLANK"
 RFC_CLASSES: tuple[str, ...] = LETTERS + (SPACE, DELETE)
 CNN_CLASSES: tuple[str, ...] = LETTERS + (BLANK,)
 SHARED_CLASSES: tuple[str, ...] = LETTERS + (SPACE, DELETE, BLANK)
+SIGNABLE = frozenset(LETTERS + (" ",))  # the characters synthesis can render
 
 RFC_INDEX: dict[str, int] = {name: i for i, name in enumerate(RFC_CLASSES)}
 CNN_INDEX: dict[str, int] = {name: i for i, name in enumerate(CNN_CLASSES)}

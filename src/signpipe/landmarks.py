@@ -1,13 +1,14 @@
-"""Hand-landmark ingestion: one gesture observation as a flat feature vector.
+"""Hand-landmark ingestion: one gesture observation as a flat labelled row.
 
-A gesture observation is 42 tracked 3-D points. The forest consumes the
-flattened 126-value vector as it is: its axis-aligned splits route rows the
-same way under any per-feature affine rescale, so no normalization step is
-applied.
+A gesture observation is 42 tracked 3-D points, held as the 126-value row
+(x1, y1, z1, ..., x42, y42, z42) that datagen draws, the landmark CSV stores
+and the forest trains on. The forest consumes the row as it is: its
+axis-aligned splits route rows the same way under any per-feature affine
+rescale, so no normalization step is applied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,32 +16,18 @@ N_POINTS = 42
 N_FEATURES = 3 * N_POINTS
 
 
-@dataclass(frozen=True)
-class LandmarkFrame:
-    """One gesture observation: 42 ordered (x, y, z) points plus an optional label."""
+class LandmarkFrame(NamedTuple):
+    """One labelled gesture observation: the (126,) float64 row in CSV column order."""
 
-    points: np.ndarray  # (42, 3) float64
-    label: str | None = None
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.shape != (N_POINTS, 3):
-            raise ValueError(f"expected {N_POINTS} landmark points, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("landmark coordinates must be finite")
-        object.__setattr__(self, "points", pts)
-        self.points.setflags(write=False)
+    values: np.ndarray
+    label: str
 
 
-def flatten(frame: LandmarkFrame) -> np.ndarray:
-    """Flatten a frame to the 126-vector (x1, y1, z1, ..., x42, y42, z42)."""
-    return frame.points.reshape(N_FEATURES).copy()
-
-
-def unflatten(values: np.ndarray, label: str | None = None) -> LandmarkFrame:
-    """Inverse of :func:`flatten`; used for round-trip checks and CSV ingestion."""
+def unflatten(values: np.ndarray, label: str) -> LandmarkFrame:
+    """A checked frame: exactly 126 finite values, or a ValueError."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (N_FEATURES,):
         raise ValueError(f"expected {N_FEATURES} values, got shape {values.shape}")
-    return LandmarkFrame(points=values.reshape(N_POINTS, 3), label=label)
-
+    if not np.all(np.isfinite(values)):
+        raise ValueError("landmark coordinates must be finite")
+    return LandmarkFrame(values, label)

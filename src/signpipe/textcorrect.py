@@ -16,6 +16,8 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
+from .labels import SIGNABLE
+
 # Ranking/scoring constants, fixed for determinism.
 MAX_WORD_DISTANCE = 2
 UNKNOWN_WORD_DISTANCE = 3
@@ -237,6 +239,9 @@ def _parse_remote(payload: str) -> CorrectionResult:
     cands = tuple(" ".join(c.strip().upper().split()) for c in data)
     if any(not c for c in cands):
         raise ProtocolError(f"empty candidate in corrector response: {data!r}")
+    bad = sorted(set("".join(cands)) - SIGNABLE)
+    if bad:
+        raise ProtocolError(f"unsignable characters {bad} in corrector response: {data!r}")
     return CorrectionResult(candidates=cands, source="remote")
 
 

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .imageops import round_half_up_u8
 from .io import read_pgm, sha256_bytes, sha256_file, write_json_report, write_pgm
-from .labels import LETTERS, SPACE
+from .labels import LETTERS, SIGNABLE, SPACE
 
 BLOCK_SIZE = 8
 SEARCH_RADIUS = 8
@@ -71,7 +71,7 @@ class FrameSequence:
 
 def text_to_keyframes(text: str, atlas: GestureAtlas) -> FrameSequence:
     """One keyframe per character; SPACE maps to the blank frame."""
-    bad = sorted(set(text) - set(LETTERS) - {" "})
+    bad = sorted(set(text) - SIGNABLE)
     if bad:
         raise ValueError(f"cannot render characters {bad}: only A-Z and space are signable")
     if not text:

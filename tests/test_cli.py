@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing
 import os
@@ -40,12 +41,59 @@ def test_usage_errors(capsys):
     assert cli.main([]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err
+    # a missing flag declared on a shared parent parser, named in the message
+    assert cli.main(["eval", "--cnn", "c", "--landmarks", "l", "--silhouettes", "s",
+                     "--report", "r"]) == 1
+    assert "--rfc" in capsys.readouterr().err
+    assert cli.main(["synthesize", "--text", "HI"]) == 1
+    assert "--out" in capsys.readouterr().err
 
 
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+# Every subcommand's options: option string -> (required, default, action). The
+# shared flags are declared once on parent parsers; this pins what each command gets.
+STORE, APPEND, FLAG = "store", "append", "store_true"
+COMMON = {"--config": (False, None, STORE), "--set": (False, None, APPEND)}
+OPTIONS = {
+    "datagen": {**COMMON, "--out": (True, None, STORE), "--stream-text": (False, None, STORE)},
+    "train-rfc": {**COMMON, "--data": (True, None, STORE), "--model": (True, None, STORE),
+                  "--report": (True, None, STORE)},
+    "train-cnn": {**COMMON, "--data": (True, None, STORE), "--model": (True, None, STORE),
+                  "--report": (True, None, STORE)},
+    "tune": {**COMMON, "--data": (True, None, STORE), "--report": (True, None, STORE)},
+    "eval": {**COMMON, "--rfc": (True, None, STORE), "--cnn": (True, None, STORE),
+             "--landmarks": (True, None, STORE), "--silhouettes": (True, None, STORE),
+             "--report": (True, None, STORE)},
+    "correct": {**COMMON, "--text": (True, None, STORE), "--phrases": (False, None, STORE),
+                "--report": (False, None, STORE), "--fallback": (False, False, FLAG)},
+    "synthesize": {**COMMON, "--text": (True, None, STORE), "--atlas": (False, None, STORE),
+                   "--out": (True, None, STORE), "--stages": (False, False, FLAG)},
+    "translate": {**COMMON, "--rfc": (True, None, STORE), "--cnn": (True, None, STORE),
+                  "--landmarks": (True, None, STORE), "--frames": (True, None, STORE),
+                  "--phrases": (False, None, STORE), "--atlas": (False, None, STORE),
+                  "--out": (True, None, STORE), "--fallback": (False, False, FLAG),
+                  "--stages": (False, False, FLAG)},
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(OPTIONS)
+    action_names = {cls: name for name, cls in parser._registries["action"].items()
+                    if isinstance(name, str)}
+    for command, expected in OPTIONS.items():
+        options = {}
+        for action in sub.choices[command]._actions:
+            if action.dest != "help":
+                (flag,) = action.option_strings
+                options[flag] = (action.required, action.default, action_names[type(action)])
+        assert options == expected, command
 
 
 def test_datagen_outputs(workspace):
@@ -315,6 +363,10 @@ def test_atlas_size_below_1_exits_2(workspace, tmp_path, capsys, command):
     assert not out.exists()
 
 
+COMMA_PHRASES = "good morning\nHELLO, WORLD\n"
+UNSIGNABLE_COMMA = "{comma}:2: cannot sign characters [',']: only A-Z and space are signable"
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--set", "corrector=bogus"], "config corrector: expected offline or remote, got 'bogus'"),
     (["--set", "corrector=remote"], "corrector=remote requires remote.endpoint in the config"),
@@ -323,16 +375,36 @@ def test_atlas_size_below_1_exits_2(workspace, tmp_path, capsys, command):
     (["--set", "corrector=remote", "--set", "remote.endpoint=http://127.0.0.1:9/c",
       "--fallback", "--phrases", "{empty}"], "{empty}: no phrases"),
     (["--atlas", "{missing}"], "{missing}: atlas frame A.pgm is missing"),
-], ids=["corrector", "remote-endpoint", "atlas-size", "phrases", "fallback-phrases", "atlas"])
+    (["--phrases", "{comma}"], UNSIGNABLE_COMMA),
+    (["--set", "corrector=remote", "--set", "remote.endpoint=http://127.0.0.1:9/c",
+      "--fallback", "--phrases", "{comma}"], UNSIGNABLE_COMMA),
+], ids=["corrector", "remote-endpoint", "atlas-size", "phrases", "fallback-phrases", "atlas",
+        "unsignable-phrase", "fallback-unsignable-phrase"])
 def test_translate_checks_corrector_and_atlas_before_models(tmp_path, capsys, extra, message):
     # The model paths do not exist: these inputs are checked before a model is read.
     missing, empty, out = tmp_path / "missing", tmp_path / "empty.txt", tmp_path / "out"
     empty.write_text("", encoding="ascii")
+    comma = tmp_path / "comma.txt"
+    comma.write_text(COMMA_PHRASES, encoding="ascii")
+    paths = {"empty": empty, "missing": missing, "comma": comma}
     argv = ["translate", "--rfc", missing, "--cnn", missing, "--landmarks", missing,
             "--frames", missing, "--out", out, *extra]
-    assert cli.main([str(a).format(empty=empty, missing=missing) for a in argv]) == 2
-    assert capsys.readouterr().err == f"error: {message.format(empty=empty, missing=missing)}\n"
+    assert cli.main([str(a).format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     assert not out.exists()
+
+
+def test_correct_rejects_an_unsignable_phrase_line(tmp_path, capsys):
+    comma = tmp_path / "comma.txt"
+    comma.write_text(COMMA_PHRASES, encoding="ascii")
+    assert cli.main(["correct", "--text", "HELO", "--phrases", str(comma)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {UNSIGNABLE_COMMA.format(comma=comma)}\n"
+    assert captured.out == ""
+    lower = tmp_path / "lower.txt"
+    lower.write_text("hello world\n\tgood  morning \n", encoding="ascii")
+    assert cli.main(["correct", "--text", "HELO", "--phrases", str(lower)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1. HELLO"
 
 
 @pytest.mark.parametrize("content", [b"HELLO\n\xff\n", b"", b"\n  \n"],
@@ -501,6 +573,27 @@ def test_translate_end_to_end(workspace, tmp_path):
     n = len(report["chosen"])
     assert report["video"]["frames_60fps"] == 60 * n
     assert len(list((out / "frames60").glob("*.pgm"))) == 60 * n
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["no-fallback", "fallback"])
+def test_translate_unsignable_remote_candidate(workspace, tmp_path, capsys, server, fallback):
+    url, handler = server
+    handler.script.append({"status": 200, "body": json.dumps(["HELLO 2 YOU!", "HI", "HEY"])})
+    out = tmp_path / "xlat"
+    argv = translate_args(workspace, out) + ["--set", "corrector=remote",
+                                             "--set", f"remote.endpoint={url}"]
+    code = cli.main(argv + ["--fallback"] if fallback else argv)
+    err = capsys.readouterr().err
+    if fallback:
+        assert code == 0 and err == ""
+        report = json.loads((out / "translate_report.json").read_text())
+        assert report["corrector_source"] == "offline"
+        assert report["raw_text"] == "HI"
+    else:
+        assert code == 3
+        assert err.startswith("remote corrector error: unsignable characters ['!', '2']")
+        assert not out.exists()
+    assert len(handler.seen) == 1
 
 
 def test_translate_deterministic(workspace, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signpipe import forest, io
-from signpipe.landmarks import LandmarkFrame
+from signpipe.landmarks import N_FEATURES, unflatten
 
 from conftest import random_images
 
@@ -81,15 +81,38 @@ def test_pgm_mutated_bytes_raise_only_value_error(tmp_path_factory, data):
 
 def test_landmark_csv_roundtrip(tmp_path, rng):
     frames = [
-        LandmarkFrame(label="A", points=rng.uniform(0, 1, (42, 3))),
-        LandmarkFrame(label="SPACE", points=rng.uniform(0, 1, (42, 3))),
+        unflatten(rng.uniform(0, 1, N_FEATURES), "A"),
+        unflatten(rng.uniform(0, 1, N_FEATURES), "SPACE"),
     ]
     path = tmp_path / "lm.csv"
     io.write_landmark_csv(path, frames)
     back = io.read_landmark_csv(path)
     assert [f.label for f in back] == ["A", "SPACE"]
     for orig, loaded in zip(frames, back):
-        assert np.array_equal(orig.points, loaded.points)  # repr round-trip is exact
+        assert np.array_equal(orig.values, loaded.values)  # repr round-trip is exact
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+landmark_rows = st.lists(
+    st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=N_FEATURES, max_size=N_FEATURES,
+)
+landmark_labels = st.one_of(
+    st.sampled_from(("A", "Z", "NA", "SPACE", "DELETE", "BLANK")),
+    st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789", min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(landmark_rows, landmark_labels), max_size=4))
+@example(rows=[([-0.0] * N_FEATURES, "NA"), (list(EDGE_FLOATS) * (N_FEATURES // 6), "SPACE")])
+def test_landmark_csv_roundtrip_is_bit_exact(tmp_path_factory, rows):
+    frames = [unflatten(np.array(values), label) for values, label in rows]
+    path = tmp_path_factory.mktemp("csv") / "rt.csv"
+    io.write_landmark_csv(path, frames)
+    back = io.read_landmark_csv(path)
+    assert [f.label for f in back] == [f.label for f in frames]
+    assert [f.values.tobytes() for f in back] == [f.values.tobytes() for f in frames]
 
 
 def test_landmark_csv_header_line():
@@ -109,7 +132,7 @@ def test_landmark_csv_bad_header(tmp_path):
 
 
 def test_landmark_csv_short_row_cites_line_2(tmp_path, rng):
-    frame = LandmarkFrame(label="A", points=rng.uniform(0, 1, (42, 3)))
+    frame = unflatten(rng.uniform(0, 1, N_FEATURES), "A")
     path = tmp_path / "short.csv"
     io.write_landmark_csv(path, [frame])
     lines = path.read_text(encoding="ascii").splitlines()
@@ -120,7 +143,7 @@ def test_landmark_csv_short_row_cites_line_2(tmp_path, rng):
 
 
 def test_landmark_csv_non_numeric_cites_line(tmp_path, rng):
-    frames = [LandmarkFrame(label="A", points=rng.uniform(0, 1, (42, 3))) for _ in range(2)]
+    frames = [unflatten(rng.uniform(0, 1, N_FEATURES), "A") for _ in range(2)]
     path = tmp_path / "nn.csv"
     io.write_landmark_csv(path, frames)
     lines = path.read_text(encoding="ascii").splitlines()
@@ -258,7 +281,7 @@ def test_forest_mutated_bytes_raise_only_value_error(tmp_path_factory, forest_fi
 @pytest.fixture(scope="module")
 def stream_csv_bytes(tmp_path_factory):
     rng = np.random.default_rng(4)
-    frames = [LandmarkFrame(label=lab, points=rng.uniform(0, 1, (42, 3))) for lab in ("A", "NA", "SPACE")]
+    frames = [unflatten(rng.uniform(0, 1, N_FEATURES), lab) for lab in ("A", "NA", "SPACE")]
     path = tmp_path_factory.mktemp("csv") / "s.csv"
     io.write_landmark_csv(path, frames)
     return path.read_bytes()
@@ -274,7 +297,7 @@ def test_landmark_csv_mutated_bytes_raise_only_value_error(tmp_path_factory, str
     except ValueError as exc:
         assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc))
         return
-    assert all(f.points.shape == (42, 3) and np.all(np.isfinite(f.points)) for f in frames)
+    assert all(f.values.shape == (N_FEATURES,) and np.all(np.isfinite(f.values)) for f in frames)
 
 
 def test_json_report_stable_bytes(tmp_path):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from signpipe import io
 from signpipe.landmarks import (
     N_FEATURES,
     N_POINTS,
     LandmarkFrame,
-    flatten,
     unflatten,
 )
 
@@ -17,28 +17,40 @@ def test_constants():
 
 def test_frame_shape_enforced():
     with pytest.raises(ValueError):
-        LandmarkFrame(label="A", points=np.zeros((21, 3)))
+        unflatten(np.zeros(21 * 3), "A")
+    with pytest.raises(ValueError):
+        unflatten(np.zeros((N_POINTS, 3)), "A")
 
 
-def test_flatten_unflatten_roundtrip(rng):
+def test_unflatten_keeps_row_and_label(rng):
+    v = rng.uniform(0, 1, N_FEATURES)
+    frame = unflatten(v, "Q")
+    assert isinstance(frame, LandmarkFrame)
+    assert frame.label == "Q"
+    assert frame.values.shape == (N_FEATURES,) and frame.values.dtype == np.float64
+    assert np.array_equal(frame.values, v)
+
+
+def test_row_order_is_xyz_per_point(rng, tmp_path):
+    # point i occupies values[3i:3i+3] as (x, y, z), the CSV's column order
     pts = rng.uniform(0, 1, (N_POINTS, 3))
-    frame = LandmarkFrame(label="Q", points=pts)
-    v = flatten(frame)
-    assert v.shape == (N_FEATURES,)
-    back = unflatten(v, "Q")
-    assert back.label == "Q"
-    assert np.array_equal(back.points, pts)
-
-
-def test_flatten_order_is_xyz_per_point(rng):
-    pts = rng.uniform(0, 1, (N_POINTS, 3))
-    v = flatten(LandmarkFrame(label="A", points=pts))
-    # point i occupies v[3i:3i+3] as (x, y, z)
-    assert np.array_equal(v[:3], pts[0])
-    assert np.array_equal(v[3:6], pts[1])
+    path = tmp_path / "lm.csv"
+    io.write_landmark_csv(path, [unflatten(pts.reshape(-1), "A")])
+    header, row = path.read_text(encoding="ascii").splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    for i in (0, 1, N_POINTS - 1):
+        for axis, value in zip("xyz", pts[i]):
+            assert float(cells[f"{axis}{i + 1}"]) == value
 
 
 def test_unflatten_wrong_length():
     with pytest.raises(ValueError):
-        unflatten(np.zeros(125))
+        unflatten(np.zeros(125), "A")
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unflatten_rejects_non_finite(bad):
+    values = np.zeros(N_FEATURES)
+    values[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        unflatten(values, "A")

@@ -1,8 +1,6 @@
 import functools
 import json
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -215,51 +213,6 @@ def test_evaluate_corrector_empty_errors():
 # ------------------------------------------------------------- remote
 
 
-class _ScriptedHandler(BaseHTTPRequestHandler):
-    """Serves scripted responses in order; records request bodies/headers."""
-
-    script = []
-    seen = []
-    lock = threading.Lock()
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length)
-        with self.lock:
-            type(self).seen.append(
-                {"body": body, "auth": self.headers.get("Authorization")}
-            )
-            step = self.script.pop(0) if self.script else {"status": 200, "body": "[]"}
-        delay = step.get("delay", 0.0)
-        if delay:
-            time.sleep(delay)
-        payload = step["body"].encode("utf-8")
-        try:
-            self.send_response(step["status"])
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # a delayed reply whose client already timed out and hung up
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def server():
-    handler = type("Handler", (_ScriptedHandler,), {"script": [], "seen": []})
-    srv = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{srv.server_port}/correct", handler
-    finally:
-        srv.shutdown()
-        srv.server_close()
-
-
 def ok_body(cands=("HELLO WORLD", "WORLD HELLO", "HELLO")):
     return json.dumps(list(cands))
 
@@ -299,6 +252,23 @@ def test_remote_two_candidates_is_protocol_error(server):
     cfg = textcorrect.RemoteCorrectorConfig(endpoint=url)
     with pytest.raises(textcorrect.ProtocolError):
         textcorrect.correct_remote("HI", cfg)
+
+
+@pytest.mark.parametrize("cands", [("HELLO 2 YOU!", "HI", "HEY"), ("HI", "HEY", "CAF\u00c9")],
+                         ids=["digit-and-bang", "non-ascii"])
+def test_remote_unsignable_candidate_is_protocol_error(server, cands):
+    url, handler = server
+    handler.script.append({"status": 200, "body": ok_body(cands)})
+    cfg = textcorrect.RemoteCorrectorConfig(endpoint=url)
+    with pytest.raises(textcorrect.ProtocolError, match="unsignable"):
+        textcorrect.correct_remote("HI", cfg)
+
+
+def test_remote_lowercase_candidates_are_uppercased(server):
+    url, handler = server
+    handler.script.append({"status": 200, "body": ok_body(("hello  world", " hi", "Hey"))})
+    result = textcorrect.correct_remote("HI", textcorrect.RemoteCorrectorConfig(endpoint=url))
+    assert result.candidates == ("HELLO WORLD", "HI", "HEY")
 
 
 def test_remote_malformed_json_is_protocol_error(server):
