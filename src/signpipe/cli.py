@@ -35,7 +35,7 @@ from .io import (
     write_pgm,
 )
 from .labels import (
-    CNN_CLASSES, CNN_INDEX, LETTERS, RFC_CLASSES, RFC_INDEX, SHARED_CLASSES, SHARED_INDEX, SIGNABLE,
+    BLANK, CNN_CLASSES, CNN_INDEX, LETTERS, RFC_CLASSES, RFC_INDEX, SHARED_CLASSES, SIGNABLE,
 )
 from .landmarks import N_FEATURES, LandmarkFrame
 from .metrics import confusion_and_metrics
@@ -88,13 +88,10 @@ def _cmd_datagen(args) -> int:
     write_landmark_csv(out / "landmarks.csv", frames)
 
     images, labels = datagen.synth_silhouettes(sil_spec)
-    counters: dict[str, int] = {}
-    for img, label in zip(images, labels):
-        idx = counters.get(label, 0)
-        counters[label] = idx + 1
+    for i, (img, label) in enumerate(zip(images, labels)):  # class by class
         class_dir = out / "silhouettes" / label
         class_dir.mkdir(parents=True, exist_ok=True)
-        write_pgm(class_dir / f"img_{idx:05d}.pgm", img)
+        write_pgm(class_dir / f"img_{i % sil_spec.per_class:05d}.pgm", img)
 
     atlas_dir = out / "atlas"
     atlas_dir.mkdir(parents=True, exist_ok=True)
@@ -271,38 +268,30 @@ def _cmd_tune(args) -> int:
 def _ensemble_pairs(
     rfc_model, cnn_model, X_lm, y_lm, te_lm, X_sil, y_sil, te_sil, seed: int
 ):
-    """Pair held-out samples into shared-space frames.
+    """Pair held-out samples into shared-space frames, in class order, rows in split order.
 
-    Letters pair landmark and silhouette test samples positionally; SPACE and
-    DELETE pair landmarks with a black (rest) frame; BLANK pairs rest frames
-    with uniform-noise landmarks, mirroring what a live stream would feed.
+    Letters pair landmark and silhouette test samples positionally, up to the
+    shorter side; SPACE and DELETE pair landmarks with a black (rest) frame;
+    BLANK pairs rest frames with uniform-noise landmarks, mirroring what a live
+    stream would feed.
     """
-    lm_rows: list[np.ndarray] = []
-    sil_imgs: list[np.ndarray] = []
-    y_shared: list[int] = []
-    black = np.zeros(X_sil.shape[1:], dtype=np.uint8)
-    noise_rng = substream(seed, "eval-noise")
-    lm_by_class = {c: [i for i in te_lm if y_lm[i] == RFC_INDEX[c]] for c in RFC_CLASSES}
-    sil_by_class = {c: [i for i in te_sil if y_sil[i] == CNN_INDEX[c]] for c in CNN_CLASSES}
-    for c in SHARED_CLASSES:
+    lm_rows, sil_imgs = [], []
+    for c in SHARED_CLASSES:  # index -1 selects nothing: the head lacks the class
+        lm = te_lm[y_lm[te_lm] == RFC_INDEX.get(c, -1)]
+        sil = te_sil[y_sil[te_sil] == CNN_INDEX.get(c, -1)]
         if c in LETTERS:
-            for i, j in zip(lm_by_class[c], sil_by_class[c]):
-                lm_rows.append(X_lm[i])
-                sil_imgs.append(X_sil[j])
-                y_shared.append(SHARED_INDEX[c])
-        elif c in ("SPACE", "DELETE"):
-            for i in lm_by_class[c]:
-                lm_rows.append(X_lm[i])
-                sil_imgs.append(black)
-                y_shared.append(SHARED_INDEX[c])
-        else:  # BLANK
-            for j in sil_by_class["BLANK"]:
-                lm_rows.append(noise_rng.uniform(0.0, 1.0, N_FEATURES))
-                sil_imgs.append(X_sil[j])
-                y_shared.append(SHARED_INDEX[c])
-    p_rfc = forest.predict_proba(rfc_model, np.stack(lm_rows))
-    p_cnn = cnn_mod.predict_proba(cnn_model, cnn_mod.images_to_input(np.stack(sil_imgs)))
-    return p_rfc, p_cnn, np.array(y_shared, dtype=np.int64)
+            n = min(len(lm), len(sil))
+            lm_rows.append(X_lm[lm[:n]])
+            sil_imgs.append(X_sil[sil[:n]])
+        elif c == BLANK:
+            lm_rows.append(substream(seed, "eval-noise").uniform(0.0, 1.0, (len(sil), N_FEATURES)))
+            sil_imgs.append(X_sil[sil])
+        else:  # SPACE and DELETE
+            lm_rows.append(X_lm[lm])
+            sil_imgs.append(np.zeros((len(lm), *X_sil.shape[1:]), dtype=X_sil.dtype))
+    p_rfc = forest.predict_proba(rfc_model, np.concatenate(lm_rows))
+    p_cnn = cnn_mod.predict_proba(cnn_model, cnn_mod.images_to_input(np.concatenate(sil_imgs)))
+    return p_rfc, p_cnn, np.repeat(np.arange(len(SHARED_CLASSES)), [len(r) for r in lm_rows])
 
 
 def _load_models(args) -> tuple[forest.Forest, cnn_mod.CnnModel]:
@@ -337,7 +326,7 @@ def _cmd_eval(args) -> int:
         rfc_model, cnn_model, X_lm, y_lm, te_lm, images, y_sil, te_sil, seed
     )
     weights, grid_accs = ensemble.optimize_weights(p_rfc, p_cnn, y_shared)
-    ens_acc = grid_accs[ensemble.WEIGHT_GRID.index(weights.w_rfc)]
+    ens_acc = max(grid_accs)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "rfc": rfc_report,
@@ -363,16 +352,21 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------- correct
 
 
+def _signable(text: str, where: str) -> str:
+    """The normalized text; a character outside A-Z and space is an error at `where`."""
+    norm = textcorrect.normalize(text)
+    bad = sorted(set(norm) - SIGNABLE)
+    if bad:
+        raise ValueError(f"{where}: cannot sign characters {bad}: only A-Z and space are signable")
+    return norm
+
+
 def _lexicon(args) -> textcorrect.Lexicon:
     if not args.phrases:
         return textcorrect.Lexicon.from_phrases(list(datagen.PHRASES))
     phrases = []
     for lineno, line in enumerate(read_text(args.phrases).splitlines(), start=1):
-        phrase = " ".join(line.upper().split())
-        bad = sorted(set(phrase) - SIGNABLE)
-        if bad:
-            raise ValueError(f"{args.phrases}:{lineno}: cannot sign characters {bad}: "
-                             "only A-Z and space are signable")
+        phrase = _signable(line, f"{args.phrases}:{lineno}")
         if phrase:
             phrases.append(phrase)
     if not phrases:
@@ -417,7 +411,7 @@ def _run_corrector(text: str, remote, lexicon) -> textcorrect.CorrectionResult:
 
 def _cmd_correct(args) -> int:
     cfg = _config(args)
-    result = _run_corrector(args.text, *_corrector_inputs(cfg, args))
+    result = _run_corrector(_signable(args.text, "--text"), *_corrector_inputs(cfg, args))
     for i, cand in enumerate(result.candidates, start=1):
         print(f"{i}. {cand}")
     if args.report:

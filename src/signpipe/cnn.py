@@ -44,15 +44,13 @@ class Layer:
 
 
 class _Weighted(Layer):
-    """Glorot-uniform weights W, a zero bias b over W's last axis, and their
-    gradients. Fans count every kernel position: kh*kw*in and kh*kw*out."""
+    """Glorot-uniform weights W and a zero bias b over W's last axis; backward
+    assigns dW and db. Fans count every kernel position: kh*kw*in and kh*kw*out."""
 
     def __init__(self, shape: tuple[int, ...], rng: np.random.Generator):
         limit = np.sqrt(6.0 / (math.prod(shape[:-2]) * (shape[-2] + shape[-1])))
         self.W = rng.uniform(-limit, limit, size=shape)
         self.b = np.zeros(shape[-1])
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
 
     def params(self):
         return [self.W, self.b]

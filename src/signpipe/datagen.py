@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import CNN_CLASSES, LETTERS, RFC_CLASSES, RFC_INDEX, SPACE
+from .labels import CNN_CLASSES, LETTERS, RFC_CLASSES, RFC_INDEX, SIGNABLE, SPACE
 from .landmarks import N_FEATURES, LandmarkFrame
 from .rng import substream
 
@@ -387,7 +387,7 @@ class StreamSpec:
     def __post_init__(self):
         if not self.text:
             raise ValueError("stream text must be non-empty")
-        bad = set(self.text) - set(LETTERS) - {" "}
+        bad = set(self.text) - SIGNABLE
         if bad:
             raise ValueError(f"stream text must be uppercase letters and spaces, got {sorted(bad)}")
         if self.hold < 1:

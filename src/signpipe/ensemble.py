@@ -78,25 +78,18 @@ def optimize_weights(
     """Grid search w_rfc over {0, 0.05, …, 1} maximizing top-1 accuracy.
 
     Inputs are raw model distributions ((N, 28) and (N, 27)) with shared-space
-    integer labels. Ties break toward larger w_rfc. Returns the winner plus
-    the per-grid-point accuracies in grid order.
+    integer labels. Returns the winner plus the per-grid-point accuracies in
+    grid order. The winner is the max of (accuracy, grid index), so among
+    equal accuracies the larger w_rfc wins.
     """
     y_true = np.asarray(y_true, dtype=np.int64)
     if len(y_true) == 0:
         raise ValueError("validation set must be non-empty")
     if not (len(p_rfc) == len(p_cnn) == len(y_true)):
         raise ValueError(f"length mismatch: {len(p_rfc)}, {len(p_cnn)}, {len(y_true)}")
-    accuracies = []
-    best_w = WEIGHT_GRID[0]
-    best_acc = -1.0
-    for w_rfc in WEIGHT_GRID:
-        w = EnsembleWeights(w_rfc=w_rfc, w_cnn=round(1.0 - w_rfc, 2))
-        acc = float(np.mean(recognize(p_rfc, p_cnn, w) == y_true))
-        accuracies.append(acc)
-        if acc >= best_acc:  # >= so later (larger) w_rfc wins ties
-            best_acc = acc
-            best_w = w_rfc
-    return EnsembleWeights(w_rfc=best_w, w_cnn=round(1.0 - best_w, 2)), accuracies
+    grid = [EnsembleWeights(w_rfc=w, w_cnn=round(1.0 - w, 2)) for w in WEIGHT_GRID]
+    accuracies = [float(np.mean(recognize(p_rfc, p_cnn, w) == y_true)) for w in grid]
+    return grid[max(range(len(grid)), key=lambda i: (accuracies[i], i))], accuracies
 
 
 @dataclass(frozen=True)

@@ -125,9 +125,18 @@ def _string_score(words: list[str], lexicon: Lexicon) -> float:
     return score + BIGRAM_WEIGHT * _bigram_score(words, lexicon)
 
 
+def normalize(text: str) -> str:
+    """The text's words, uppercased and joined by single spaces."""
+    return " ".join(text.upper().split())
+
+
 def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
-    """Top-3 whole-string corrections; deterministic for a given lexicon."""
-    norm = " ".join(text.strip().upper().split())
+    """Top-3 whole-string corrections; deterministic for a given lexicon.
+
+    Each distinct string keeps its least beam distance and ranks by
+    (distance, -score, string). With fewer than three strings the best repeats.
+    """
+    norm = normalize(text)
     if not norm:
         raise ValueError("cannot correct empty text")
     per_word = [word_candidates(w, lexicon) for w in norm.split()]
@@ -140,7 +149,7 @@ def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
         beam = grown[:BEAM_WIDTH]
 
     # Reorder pass: adjacent swaps that strictly raise the bigram score.
-    pool: dict[str, tuple[int, float]] = {}
+    least: dict[str, int] = {}
     for dist, words in beam:
         variants = [words]
         base = _bigram_score(words, lexicon)
@@ -150,15 +159,10 @@ def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
                 variants.append(swapped)
         for v in variants:
             s = " ".join(v)
-            entry = (dist, _string_score(v, lexicon))
-            if s not in pool or entry < pool[s]:
-                pool[s] = entry
+            least[s] = min(dist, least.get(s, dist))
 
-    ranked = sorted(pool.items(), key=lambda kv: (kv[1][0], -kv[1][1], kv[0]))
-    top = [s for s, _ in ranked[:3]]
-    while len(top) < 3:
-        top.append(top[0])
-    return CorrectionResult(candidates=tuple(top), source="offline")
+    ranked = sorted(least, key=lambda s: (least[s], -_string_score(s.split(), lexicon), s))
+    return CorrectionResult(candidates=tuple((ranked + ranked[:1] * 2)[:3]), source="offline")
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ def correct_remote(text: str, cfg: RemoteCorrectorConfig) -> CorrectionResult:
     budget pays for both attempts and backoff sleeps. Anything else from the
     server is a ProtocolError.
     """
-    norm = " ".join(text.strip().upper().split())
+    norm = normalize(text)
     if not norm:
         raise ValueError("cannot correct empty text")
     body = json.dumps({"input": norm, "prompt": PROMPT_TEMPLATE.format(text=norm)}).encode("utf-8")
@@ -236,7 +240,7 @@ def _parse_remote(payload: str) -> CorrectionResult:
         raise ProtocolError(f"corrector response is not JSON: {exc}") from exc
     if not isinstance(data, list) or len(data) != 3 or not all(isinstance(c, str) for c in data):
         raise ProtocolError(f"expected a JSON array of exactly 3 strings, got {data!r}")
-    cands = tuple(" ".join(c.strip().upper().split()) for c in data)
+    cands = tuple(normalize(c) for c in data)
     if any(not c for c in cands):
         raise ProtocolError(f"empty candidate in corrector response: {data!r}")
     bad = sorted(set("".join(cands)) - SIGNABLE)

@@ -4,10 +4,19 @@ import multiprocessing
 import os
 import shutil
 import signal
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signpipe import cli, cnn, datagen, forest, io
+from signpipe.labels import (
+    CNN_CLASSES, CNN_INDEX, LETTERS, RFC_CLASSES, RFC_INDEX, SHARED_CLASSES, SHARED_INDEX,
+)
+from signpipe.landmarks import N_FEATURES
+from signpipe.rng import substream
 
 SMALL = [
     "--set", "datagen.landmark_per_class=12",
@@ -483,6 +492,101 @@ def test_eval_mismatched_label_space_exits_2(workspace, tmp_path, capsys):
     ])
     assert code == 2
     assert "label space" in capsys.readouterr().err
+
+
+def reference_ensemble_pairs(rfc_model, cnn_model, X_lm, y_lm, te_lm, X_sil, y_sil, te_sil, seed):
+    """cli._ensemble_pairs as per-index loops, kept as an oracle."""
+    lm_rows, sil_imgs, y_shared = [], [], []
+    black = np.zeros(X_sil.shape[1:], dtype=np.uint8)
+    noise_rng = substream(seed, "eval-noise")
+    lm_by_class = {c: [i for i in te_lm if y_lm[i] == RFC_INDEX[c]] for c in RFC_CLASSES}
+    sil_by_class = {c: [i for i in te_sil if y_sil[i] == CNN_INDEX[c]] for c in CNN_CLASSES}
+    for c in SHARED_CLASSES:
+        if c in LETTERS:
+            for i, j in zip(lm_by_class[c], sil_by_class[c]):
+                lm_rows.append(X_lm[i])
+                sil_imgs.append(X_sil[j])
+                y_shared.append(SHARED_INDEX[c])
+        elif c in ("SPACE", "DELETE"):
+            for i in lm_by_class[c]:
+                lm_rows.append(X_lm[i])
+                sil_imgs.append(black)
+                y_shared.append(SHARED_INDEX[c])
+        else:  # BLANK
+            for j in sil_by_class["BLANK"]:
+                lm_rows.append(noise_rng.uniform(0.0, 1.0, N_FEATURES))
+                sil_imgs.append(X_sil[j])
+                y_shared.append(SHARED_INDEX[c])
+    p_rfc = forest.predict_proba(rfc_model, np.stack(lm_rows))
+    p_cnn = cnn.predict_proba(cnn_model, cnn.images_to_input(np.stack(sil_imgs)))
+    return p_rfc, p_cnn, np.array(y_shared, dtype=np.int64)
+
+
+def assert_same_pairs(lm_labels, sil_labels, lm_test, sil_test, seed):
+    """Both pairings feed the heads the same rows: the heads are stubbed to
+    return their input, so the arrays compared are the paired inputs."""
+    r = substream(seed, "pairs")
+    args = (None, None, r.uniform(0.0, 1.0, (len(lm_labels), N_FEATURES)),
+            np.array(lm_labels, dtype=np.int64), np.array(lm_test, dtype=np.int64),
+            r.integers(0, 256, (len(sil_labels), 4, 4)).astype(np.uint8),
+            np.array(sil_labels, dtype=np.int64), np.array(sil_test, dtype=np.int64), seed)
+    with mock.patch.object(forest, "predict_proba", lambda model, X: X), \
+            mock.patch.object(cnn, "predict_proba", lambda model, X: X):
+        got = cli._ensemble_pairs(*args)
+        try:
+            want = reference_ensemble_pairs(*args)
+        except ValueError:  # no pair at all, so np.stack had nothing to stack
+            assert [len(a) for a in got] == [0, 0, 0]
+            return
+    for g, w in zip(got, want, strict=True):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+# Landmark labels index RFC_CLASSES and silhouette labels CNN_CLASSES.
+A, B, SPACE, DELETE = (RFC_INDEX[c] for c in ("A", "B", "SPACE", "DELETE"))
+BLANK = CNN_INDEX["BLANK"]
+
+
+@pytest.mark.parametrize("lm_labels, sil_labels", [
+    # A: 4 landmark test rows, 2 silhouette test rows; B: the other way round
+    ([A, B, A, SPACE, A, DELETE, A, B], [B, A, BLANK, A, B, BLANK, B]),
+    # no BLANK silhouettes at all, so no noise rows are drawn
+    ([A, SPACE, B, DELETE, A], [A, B, A]),
+], ids=["uneven-classes", "no-blank"])
+def test_ensemble_pairs_match_reference(lm_labels, sil_labels):
+    lm_test = list(reversed(range(len(lm_labels))))
+    sil_test = list(reversed(range(len(sil_labels))))
+    assert_same_pairs(lm_labels, sil_labels, lm_test, sil_test, seed=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ensemble_pairs_match_reference_drawn(data):
+    lm_labels = data.draw(st.lists(st.integers(0, len(RFC_CLASSES) - 1), max_size=30))
+    sil_labels = data.draw(st.lists(st.integers(0, len(CNN_CLASSES) - 1), max_size=30))
+    lm_test = data.draw(st.permutations(range(len(lm_labels))))
+    sil_test = data.draw(st.permutations(range(len(sil_labels))))
+    lm_cut = data.draw(st.integers(0, len(lm_labels)))
+    sil_cut = data.draw(st.integers(0, len(sil_labels)))
+    assert_same_pairs(lm_labels, sil_labels, lm_test[:lm_cut], sil_test[:sil_cut],
+                      seed=data.draw(st.integers(0, 2**31)))
+
+
+UNSIGNABLE_TEXT = ("error: --text: cannot sign characters ['!', '2']: "
+                   "only A-Z and space are signable\n")
+
+
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--fallback", "--set", "corrector=remote", "--set", "remote.endpoint=http://127.0.0.1:9/c",
+     "--set", "remote.timeout_ms=100", "--set", "remote.max_retries=0"],
+], ids=["offline", "remote-fallback"])
+def test_correct_rejects_unsignable_text(tmp_path, capsys, extra):
+    report = tmp_path / "c.json"
+    assert cli.main(["correct", "--text", "HELO 2 YOU!", "--report", str(report), *extra]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", UNSIGNABLE_TEXT)
+    assert not report.exists()
 
 
 def test_correct_offline(tmp_path, capsys):

@@ -137,6 +137,41 @@ def test_optimize_weights_never_below_endpoints(rng):
         assert acc >= max(accs[0], accs[-1])
 
 
+def reference_optimize_weights(p_rfc, p_cnn, y_true):
+    """optimize_weights as a running best over the grid, kept as an oracle."""
+    y_true = np.asarray(y_true, dtype=np.int64)
+    accuracies = []
+    best_w = ensemble.WEIGHT_GRID[0]
+    best_acc = -1.0
+    for w_rfc in ensemble.WEIGHT_GRID:
+        w = ensemble.EnsembleWeights(w_rfc=w_rfc, w_cnn=round(1.0 - w_rfc, 2))
+        acc = float(np.mean(ensemble.recognize(p_rfc, p_cnn, w) == y_true))
+        accuracies.append(acc)
+        if acc >= best_acc:  # >= so later (larger) w_rfc wins ties
+            best_acc = acc
+            best_w = w_rfc
+    return ensemble.EnsembleWeights(w_rfc=best_w, w_cnn=round(1.0 - best_w, 2)), accuracies
+
+
+# Coarse masses make many frames flip at the same weight, and at most 8 frames
+# give at most 9 distinct accuracies, so every 21-point grid holds ties.
+coarse_mass = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_optimize_weights_matches_running_best(data):
+    n = data.draw(st.integers(1, 8))
+    p_rfc = np.array(data.draw(st.lists(st.lists(coarse_mass, min_size=28, max_size=28),
+                                        min_size=n, max_size=n)))
+    p_cnn = np.array(data.draw(st.lists(st.lists(coarse_mass, min_size=27, max_size=27),
+                                        min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(st.integers(0, 28), min_size=n, max_size=n)))
+    got = ensemble.optimize_weights(p_rfc, p_cnn, y)
+    assert len(set(got[1])) < len(got[1])
+    assert got == reference_optimize_weights(p_rfc, p_cnn, y)
+
+
 def test_optimize_weights_empty_errors():
     with pytest.raises(ValueError):
         ensemble.optimize_weights(np.zeros((0, 28)), np.zeros((0, 27)), np.zeros(0, dtype=int))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signpipe import textcorrect
+from signpipe import datagen, textcorrect
 from signpipe.datagen import PHRASES
+from signpipe.rng import substream
 
 
 def reference_osa(a: str, b: str) -> int:
@@ -179,6 +180,58 @@ def test_correct_offline_whitespace_normalization(lexicon):
     assert a == b
 
 
+def reference_correct_offline(text, lexicon):
+    """correct_offline with its earlier ranking, kept as an oracle: a
+    (distance, score) pair per string, the least pair kept, and padding by a
+    loop."""
+    norm = " ".join(text.strip().upper().split())
+    per_word = [textcorrect.word_candidates(w, lexicon) for w in norm.split()]
+    beam = [(0, [])]
+    for choices in per_word:
+        grown = [(dist + d, words + [cand]) for dist, words in beam for cand, d in choices]
+        grown.sort(key=lambda s: (s[0], -textcorrect._string_score(s[1], lexicon), " ".join(s[1])))
+        beam = grown[: textcorrect.BEAM_WIDTH]
+    pool = {}
+    for dist, words in beam:
+        variants = [words]
+        base = textcorrect._bigram_score(words, lexicon)
+        for i in range(len(words) - 1):
+            swapped = words[:i] + [words[i + 1], words[i]] + words[i + 2 :]
+            if textcorrect._bigram_score(swapped, lexicon) > base:
+                variants.append(swapped)
+        for v in variants:
+            s = " ".join(v)
+            entry = (dist, textcorrect._string_score(v, lexicon))
+            if s not in pool or entry < pool[s]:
+                pool[s] = entry
+    ranked = sorted(pool.items(), key=lambda kv: (kv[1][0], -kv[1][1], kv[0]))
+    top = [s for s, _ in ranked[:3]]
+    while len(top) < 3:
+        top.append(top[0])
+    return tuple(top)
+
+
+def test_correct_offline_matches_reference_ranking(lexicon):
+    rng = substream(11, "ranking-oracle")
+    texts = [datagen.corrupt_text(c, datagen.ErrorMix(), rng)[0]
+             for c in datagen.sample_phrases(150, rng)]
+    texts += ["HELLO WORLD", "ZEBRA CROSSING", "you thank", "  toy   bok ", "THANK YOU"]
+    for text in texts:
+        assert textcorrect.correct_offline(text, lexicon).candidates == \
+            reference_correct_offline(text, lexicon), text
+    # two distinct strings: the best one pads the third slot
+    tiny = textcorrect.Lexicon(words={"CAT": 2, "CAR": 1}, bigrams={})
+    assert textcorrect.correct_offline("CAX", tiny).candidates == ("CAT", "CAR", "CAT")
+    assert reference_correct_offline("CAX", tiny) == ("CAT", "CAR", "CAT")
+
+
+@pytest.mark.parametrize("text, norm", [
+    ("  helo \t wrld\n", "HELO WRLD"), ("HI", "HI"), (" \n ", ""), ("caf\u00e9", "CAF\u00c9"),
+])
+def test_normalize(text, norm):
+    assert textcorrect.normalize(text) == norm
+
+
 # ------------------------------------------------------------- evaluate
 
 
@@ -227,6 +280,10 @@ def test_remote_success(server):
     sent = json.loads(handler.seen[0]["body"])
     assert sent["input"] == "HELO WRLD"
     assert "HELO WRLD" in sent["prompt"]
+    assert handler.seen[0]["body"] == (
+        b'{"input": "HELO WRLD", "prompt": "Correct this recognized sign text, reply with '
+        b'a JSON array of exactly 3 candidate strings: HELO WRLD"}'
+    )
 
 
 def test_remote_sends_bearer_token(server, monkeypatch):

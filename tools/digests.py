@@ -1,0 +1,98 @@
+"""Print a sha256 digest of every output of a fixed, seeded CLI run.
+
+Runs datagen, train-rfc, train-cnn, eval, tune, correct, synthesize and
+translate for seeds 3 and 8 against one checkout's `src/`, with one BLAS
+thread, and prints one `sha256 path` line per output file, per frame
+directory (its .pgm names and bytes in order) and per command's stdout
+(temporary paths stripped). A change that claims the same bytes prints the
+same lines as its parent:
+
+    python tools/digests.py --repo PARENT_CHECKOUT > parent.txt
+    python tools/digests.py > change.txt
+    diff parent.txt change.txt
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (3, 8)
+CORRECT_TEXTS = ("TOY BOK", "you thank", "HELLO WORLD", "ZEBRA CROSSING")
+STREAM_TEXT = "HELLO DEAR FRIEND"
+
+
+def _commands(seed: int):
+    """(name, argv) per command; paths are relative to the run directory."""
+    s = ["--set", f"seed={seed}"]
+    heads = ["--rfc", "rfc.blk", "--cnn", "cnn.blk"]
+    yield "datagen", ["datagen", "--out", "data", "--stream-text", STREAM_TEXT, *s,
+                      "--set", "datagen.landmark_per_class=20",
+                      "--set", "datagen.silhouette_per_class=20"]
+    yield "datagen-tune", ["datagen", "--out", "tune_data", *s,
+                           "--set", "datagen.landmark_per_class=4",
+                           "--set", "datagen.silhouette_per_class=1"]
+    yield "train-rfc", ["train-rfc", "--data", "data/landmarks.csv",
+                        "--model", "rfc.blk", "--report", "rfc.json", *s]
+    yield "train-cnn", ["train-cnn", "--data", "data/silhouettes", "--model", "cnn.blk",
+                        "--report", "cnn.json", *s,
+                        "--set", "cnn.batch_size=8", "--set", "cnn.max_epochs=3"]
+    yield "eval", ["eval", *heads, "--landmarks", "data/landmarks.csv",
+                   "--silhouettes", "data/silhouettes", "--report", "eval.json", *s]
+    yield "tune", ["tune", "--data", "tune_data/landmarks.csv", "--report", "tune.json", *s,
+                   "--set", "rfc.cv_folds=2"]
+    for i, text in enumerate(CORRECT_TEXTS):
+        yield f"correct-{i}", ["correct", "--text", text, "--report", f"correct_{i}.json", *s]
+    yield "synthesize", ["synthesize", "--text", STREAM_TEXT, "--out", "synth", "--stages", *s]
+    yield "translate", ["translate", *heads, "--landmarks", "data/stream_landmarks.csv",
+                        "--frames", "data/stream_frames", "--out", "translate", "--stages", *s]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _tree_digests(root: Path) -> list[tuple[str, str]]:
+    """(digest, path) for each non-PGM file and each directory holding PGMs."""
+    out = []
+    for d in sorted(p for p in [root, *root.rglob("*")] if p.is_dir()):
+        files = sorted(p for p in d.iterdir() if p.is_file())
+        pgms = [p for p in files if p.suffix == ".pgm"]
+        if pgms:
+            h = hashlib.sha256()
+            for p in pgms:
+                h.update(p.name.encode() + b"\0" + p.read_bytes())
+            out.append((h.hexdigest(), f"{d.relative_to(root)}/*.pgm"))
+        out.extend((_sha(p.read_bytes()), str(p.relative_to(root))) for p in files if p.suffix != ".pgm")
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", default=str(Path(__file__).resolve().parents[1]),
+                        help="checkout whose src/ is run (default: this one)")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(args.repo).resolve() / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            run = Path(tmp)
+            for name, cmd in _commands(seed):
+                proc = subprocess.run([sys.executable, "-m", "signpipe.cli", *cmd], cwd=run,
+                                      env=env, capture_output=True, text=True)
+                if proc.returncode != 0:
+                    sys.stderr.write(proc.stderr)
+                    raise SystemExit(f"seed {seed} {name}: exit {proc.returncode}")
+                stdout = proc.stdout.replace(str(run), "<tmp>")
+                print(f"{_sha(stdout.encode())} seed{seed}/stdout/{name}")
+            for digest, path in _tree_digests(run):
+                print(f"{digest} seed{seed}/{path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
