@@ -189,6 +189,11 @@ def _cmd_train_rfc(args) -> int:
     hp = _forest_hp(cfg)
     X, y = _load_landmark_dataset(args.data)
     tr, te = _split(len(X), seed, "rfc-split")
+    if len(tr) < hp.min_samples_split:
+        raise ValueError(
+            f"{args.data}: {len(X)} landmark row(s) leave {len(tr)} for training after the "
+            f"80/20 split, and the forest needs at least {hp.min_samples_split}"
+        )
     model = forest.train_forest(X[tr], y[tr], hp, seed=seed)
     forest.save_forest(args.model, model)
     metrics = confusion_and_metrics(forest.predict_class(model, X[te]), y[te], RFC_CLASSES)
@@ -266,14 +271,15 @@ def _cmd_tune(args) -> int:
 
 
 def _ensemble_pairs(
-    rfc_model, cnn_model, X_lm, y_lm, te_lm, X_sil, y_sil, te_sil, seed: int
+    rfc_model, cnn_model, X_lm, y_lm, te_lm, X_sil, y_sil, te_sil, seed: int, where: str = "eval"
 ):
     """Pair held-out samples into shared-space frames, in class order, rows in split order.
 
     Letters pair landmark and silhouette test samples positionally, up to the
     shorter side; SPACE and DELETE pair landmarks with a black (rest) frame;
     BLANK pairs rest frames with uniform-noise landmarks, mirroring what a live
-    stream would feed.
+    stream would feed. No pair at all raises ValueError naming `where`, before
+    either head predicts.
     """
     lm_rows, sil_imgs = [], []
     for c in SHARED_CLASSES:  # index -1 selects nothing: the head lacks the class
@@ -289,9 +295,15 @@ def _ensemble_pairs(
         else:  # SPACE and DELETE
             lm_rows.append(X_lm[lm])
             sil_imgs.append(np.zeros((len(lm), *X_sil.shape[1:]), dtype=X_sil.dtype))
+    y_shared = np.repeat(np.arange(len(SHARED_CLASSES)), [len(r) for r in lm_rows])
+    if not len(y_shared):
+        raise ValueError(
+            f"{where}: no held-out landmark row pairs with a held-out silhouette, "
+            "so there is no ensemble to evaluate"
+        )
     p_rfc = forest.predict_proba(rfc_model, np.concatenate(lm_rows))
     p_cnn = cnn_mod.predict_proba(cnn_model, cnn_mod.images_to_input(np.concatenate(sil_imgs)))
-    return p_rfc, p_cnn, np.repeat(np.arange(len(SHARED_CLASSES)), [len(r) for r in lm_rows])
+    return p_rfc, p_cnn, y_shared
 
 
 def _load_models(args) -> tuple[forest.Forest, cnn_mod.CnnModel]:
@@ -313,6 +325,10 @@ def _cmd_eval(args) -> int:
     images, y_sil = _load_silhouette_dataset(args.silhouettes, cnn_model.input_shape[:2])
     _, te_lm = _split(len(X_lm), seed, "rfc-split")
     _, te_sil = _split(len(images), seed, "cnn-split")
+    p_rfc, p_cnn, y_shared = _ensemble_pairs(
+        rfc_model, cnn_model, X_lm, y_lm, te_lm, images, y_sil, te_sil, seed,
+        where=f"{args.landmarks}, {args.silhouettes}",
+    )
 
     rfc_report = confusion_and_metrics(
         forest.predict_class(rfc_model, X_lm[te_lm]), y_lm[te_lm], RFC_CLASSES
@@ -321,9 +337,6 @@ def _cmd_eval(args) -> int:
         cnn_mod.predict(cnn_model, cnn_mod.images_to_input(images[te_sil])),
         y_sil[te_sil],
         CNN_CLASSES,
-    )
-    p_rfc, p_cnn, y_shared = _ensemble_pairs(
-        rfc_model, cnn_model, X_lm, y_lm, te_lm, images, y_sil, te_sil, seed
     )
     weights, grid_accs = ensemble.optimize_weights(p_rfc, p_cnn, y_shared)
     ens_acc = max(grid_accs)

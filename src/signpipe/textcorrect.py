@@ -1,13 +1,19 @@
 """Text correction: offline edit-distance corrector and remote HTTP client.
 
 The offline path retrieves per-word lexicon candidates within Damerau-
-Levenshtein distance 2, beams over whole-string combinations scored by word
-frequency and bigram counts, and proposes adjacent-word swaps that raise the
-bigram score. The remote path POSTs to a hosted corrector and enforces the
-three-candidate response contract; both return exactly three candidates.
+Levenshtein distance 2 from a symmetric-delete index (every string within two
+deletions of a lexicon word of at most 20 letters), which is exact for that
+distance; longer lexicon words are measured directly, and a query word too
+long for the index is compared with those alone. A word with no candidate in
+range stands for itself. The path beams over whole-string combinations scored
+by word frequency and bigram counts, and proposes adjacent-word swaps that
+raise the bigram score. The remote path POSTs to a hosted corrector and
+enforces the three-candidate response contract; both return exactly three
+candidates.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -24,6 +30,9 @@ UNKNOWN_WORD_DISTANCE = 3
 CANDIDATES_PER_WORD = 4
 BEAM_WIDTH = 8
 BIGRAM_WEIGHT = 2.0
+# Longest word the deletion index holds: a word of length L adds about L*L/2
+# keys of about L characters, so longer words are measured directly instead.
+MAX_INDEXED_LENGTH = 20
 # What the remote corrector is asked; {text} is the normalized input.
 PROMPT_TEMPLATE = (
     "Correct this recognized sign text, reply with a JSON array of exactly 3 candidate strings: {text}"
@@ -64,6 +73,34 @@ class Lexicon:
                 bigrams[pair] = bigrams.get(pair, 0) + 1
         return Lexicon(words=words, bigrams=bigrams)
 
+    @functools.cached_property
+    def deletes(self) -> dict[str, tuple[str, ...]]:
+        """Every string within MAX_WORD_DISTANCE deletions of a word of at most
+        MAX_INDEXED_LENGTH letters -> those words.
+
+        Built on first use; a cached property stores it beside the fields.
+        """
+        index: dict[str, tuple[str, ...]] = {}
+        for word in self.words:
+            if len(word) <= MAX_INDEXED_LENGTH:
+                for key in _deletes(word):  # a tuple: nearly every key has one word
+                    index[key] = index.get(key, ()) + (word,)
+        return index
+
+    @functools.cached_property
+    def unindexed(self) -> list[str]:
+        """The words longer than MAX_INDEXED_LENGTH, which every lookup measures."""
+        return [w for w in self.words if len(w) > MAX_INDEXED_LENGTH]
+
+
+def _deletes(word: str) -> set[str]:
+    """The word and every string made by deleting up to MAX_WORD_DISTANCE of its characters."""
+    found = frontier = {word}
+    for _ in range(MAX_WORD_DISTANCE):
+        frontier = {w[:i] + w[i + 1 :] for w in frontier for i in range(len(w))}
+        found = found | frontier
+    return found
+
 
 def damerau_levenshtein(a: str, b: str, cap: int | None = None) -> int:
     """Optimal-string-alignment distance (substitute/insert/delete/transpose).
@@ -100,15 +137,27 @@ class CorrectionResult:
 
 
 def word_candidates(word: str, lexicon: Lexicon) -> list[tuple[str, int]]:
-    """Lexicon words within distance 2, ranked (distance, -frequency, alpha).
+    """Lexicon words within distance 2, ranked (distance, -frequency, word).
 
-    A word with no candidate in range stands for itself at a penalty distance.
+    Ties in distance and frequency go to the alphabetically first word. A word
+    in range shares a key of `lexicon.deletes` with the query, since a distance
+    d <= 2 needs at most d deletions from each string (a substitution or a
+    transposition is one from each, an insertion one from the longer), so the
+    lookup misses none. The words too long for the index are measured for
+    every query. A query longer than MAX_INDEXED_LENGTH + 2 is out of range of
+    every indexed word, so it generates no deletion and is measured against
+    the long words alone. A word with no candidate in range stands for itself
+    at a penalty distance.
     """
+    pool = set(lexicon.unindexed)
+    if len(word) <= MAX_INDEXED_LENGTH + MAX_WORD_DISTANCE:
+        index = lexicon.deletes
+        pool.update(*(index.get(key, ()) for key in _deletes(word)))
     found: list[tuple[int, int, str]] = []
-    for cand, freq in lexicon.words.items():
+    for cand in pool:
         d = damerau_levenshtein(word, cand, cap=MAX_WORD_DISTANCE)
         if d <= MAX_WORD_DISTANCE:
-            found.append((d, -freq, cand))
+            found.append((d, -lexicon.words[cand], cand))
     if not found:
         return [(word, UNKNOWN_WORD_DISTANCE)]
     found.sort()

@@ -181,6 +181,22 @@ def test_train_rfc_rejects_foreign_labels(tmp_path, capsys):
     assert "WAVE" in capsys.readouterr().err
 
 
+def test_train_rfc_on_too_few_rows_names_the_file_and_counts(tmp_path, capsys):
+    frames = datagen.synth_landmarks(
+        datagen.LandmarkDatasetSpec(per_class=1, seed=0, classes=("A", "B"))
+    )
+    path = tmp_path / "one.csv"
+    io.write_landmark_csv(path, frames[:1])
+    code = cli.main(["train-rfc", "--data", str(path), "--model", str(tmp_path / "m.blk"),
+                     "--report", str(tmp_path / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: 1 landmark row(s) leave 0 for training after the 80/20 split, "
+        "and the forest needs at least 5\n"
+    )
+    assert not (tmp_path / "m.blk").exists()
+
+
 BAD_CSVS = {
     "non-ascii": (io.LANDMARK_CSV_HEADER + "\nA,0.5\n").encode() + b"B,\xff\n",
     "bad-header": b"label,x1,y1\nA,0.5,0.5\n",
@@ -494,6 +510,34 @@ def test_eval_mismatched_label_space_exits_2(workspace, tmp_path, capsys):
     assert "label space" in capsys.readouterr().err
 
 
+def test_eval_without_a_shared_pair_exits_2_before_predicting(workspace, tmp_path, capsys,
+                                                               monkeypatch):
+    # A landmark rows only and B silhouettes only: no held-out pair shares a class
+    frames = io.read_landmark_csv(workspace / "data" / "landmarks.csv")
+    landmarks = tmp_path / "a.csv"
+    io.write_landmark_csv(landmarks, [f for f in frames if f.label == "A"])
+    silhouettes = tmp_path / "sil"
+    shutil.copytree(workspace / "data" / "silhouettes" / "B", silhouettes / "B")
+
+    def no_predict(*args):
+        raise AssertionError("predicted before the pairing was checked")
+
+    for module, name in [(forest, "predict_proba"), (forest, "predict_class"),
+                         (cnn, "predict_proba"), (cnn, "predict")]:
+        monkeypatch.setattr(module, name, no_predict)
+    report = tmp_path / "e.json"
+    code = cli.main([
+        "eval", "--rfc", str(workspace / "rfc.blk"), "--cnn", str(workspace / "cnn.blk"),
+        "--landmarks", str(landmarks), "--silhouettes", str(silhouettes), "--report", str(report),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {landmarks}, {silhouettes}: no held-out landmark row pairs with a held-out "
+        "silhouette, so there is no ensemble to evaluate\n"
+    )
+    assert not report.exists()
+
+
 def reference_ensemble_pairs(rfc_model, cnn_model, X_lm, y_lm, te_lm, X_sil, y_sil, te_sil, seed):
     """cli._ensemble_pairs as per-index loops, kept as an oracle."""
     lm_rows, sil_imgs, y_shared = [], [], []
@@ -532,12 +576,13 @@ def assert_same_pairs(lm_labels, sil_labels, lm_test, sil_test, seed):
             np.array(sil_labels, dtype=np.int64), np.array(sil_test, dtype=np.int64), seed)
     with mock.patch.object(forest, "predict_proba", lambda model, X: X), \
             mock.patch.object(cnn, "predict_proba", lambda model, X: X):
-        got = cli._ensemble_pairs(*args)
         try:
             want = reference_ensemble_pairs(*args)
         except ValueError:  # no pair at all, so np.stack had nothing to stack
-            assert [len(a) for a in got] == [0, 0, 0]
+            with pytest.raises(ValueError, match="^eval: no held-out landmark row pairs"):
+                cli._ensemble_pairs(*args)
             return
+        got = cli._ensemble_pairs(*args)
     for g, w in zip(got, want, strict=True):
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 

@@ -1,6 +1,13 @@
 import functools
 import json
+import os
+import resource
+import string
+import subprocess
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +139,139 @@ def test_word_candidates_exact_match_first(lexicon):
 def test_word_candidates_unknown_word(lexicon):
     cands = textcorrect.word_candidates("XQZWJVK", lexicon)
     assert cands == [("XQZWJVK", 3)]
+
+
+def reference_word_candidates(word, lexicon):
+    """word_candidates as a scan over every lexicon word, kept as an oracle."""
+    found = []
+    for cand, freq in lexicon.words.items():
+        d = textcorrect.damerau_levenshtein(word, cand, cap=textcorrect.MAX_WORD_DISTANCE)
+        if d <= textcorrect.MAX_WORD_DISTANCE:
+            found.append((d, -freq, cand))
+    if not found:
+        return [(word, textcorrect.UNKNOWN_WORD_DISTANCE)]
+    found.sort()
+    return [(cand, d) for d, _, cand in found[: textcorrect.CANDIDATES_PER_WORD]]
+
+
+CORPUS_WORDS = sorted(textcorrect.Lexicon.from_phrases(list(PHRASES)).words)
+
+
+@st.composite
+def edited(draw, word, alphabet):
+    """A drawn word with 0-3 random deletions, insertions, substitutions or transpositions."""
+    chars = list(draw(word))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["delete", "insert", "substitute", "transpose"]))
+        if op == "insert":
+            chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from(alphabet)))
+        elif chars:
+            i = draw(st.integers(0, len(chars) - 1))
+            if op == "delete":
+                del chars[i]
+            elif op == "substitute":
+                chars[i] = draw(st.sampled_from(alphabet))
+            elif i + 1 < len(chars):
+                chars[i], chars[i + 1] = chars[i + 1], chars[i]
+    return "".join(chars)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(word=edited(st.sampled_from(CORPUS_WORDS), string.ascii_uppercase)
+       | st.text(alphabet=string.ascii_uppercase + "'-1\u00c9", max_size=12))
+def test_word_candidates_match_scan(lexicon, word):
+    assert textcorrect.word_candidates(word, lexicon) == reference_word_candidates(word, lexicon)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_word_candidates_match_scan_on_small_lexicons(data):
+    # a three-letter alphabet and frequencies 1-2 make equal distances and
+    # equal frequencies common, so the alphabetical tie rule decides often;
+    # a drawn index bound splits the lexicon into indexed and measured words
+    words = data.draw(st.dictionaries(st.text("ABC", min_size=1, max_size=6), st.integers(1, 2),
+                                      min_size=1, max_size=12))
+    word = data.draw(edited(st.sampled_from(sorted(words)), "ABCD") | st.text("ABCD", max_size=9))
+    with mock.patch.object(textcorrect, "MAX_INDEXED_LENGTH", data.draw(st.integers(0, 6))):
+        lex = textcorrect.Lexicon(words=words, bigrams={})
+        assert textcorrect.word_candidates(word, lex) == reference_word_candidates(word, lex)
+
+
+def test_word_candidates_checks_few_words(lexicon, monkeypatch):
+    calls = []
+    distance = textcorrect.damerau_levenshtein
+
+    def counted(a, b, cap=None):
+        calls.append(b)
+        return distance(a, b, cap)
+
+    want = reference_word_candidates("HELLO", lexicon)
+    monkeypatch.setattr(textcorrect, "damerau_levenshtein", counted)
+    assert textcorrect.word_candidates("HELLO", lexicon) == want
+    # the scan measures all 386 lexicon words; the index hands over a dozen
+    assert len(lexicon.words) == 386
+    assert len(calls) <= 36
+
+
+def no_deletes(word):
+    raise AssertionError(f"deletions generated for a {len(word)}-letter word")
+
+
+def test_over_long_word_returns_before_any_deletion(lexicon, monkeypatch):
+    word = "".join(substream(5, "long-word").choice(list(string.ascii_uppercase), 20_000))
+    monkeypatch.setattr(textcorrect, "_deletes", no_deletes)
+    start = time.perf_counter()
+    assert textcorrect.word_candidates(word, lexicon) == [(word, textcorrect.UNKNOWN_WORD_DISTANCE)]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_index_bound_splits_indexed_and_measured_words(monkeypatch):
+    letters = list("ABCDEFGH")
+    indexed = "".join(substream(7, "indexed").choice(letters, textcorrect.MAX_INDEXED_LENGTH))
+    long = indexed + "XYZ"
+    lex = textcorrect.Lexicon(words={indexed: 1, long: 1}, bigrams={})
+    assert lex.unindexed == [long]
+    assert long not in {w for ws in lex.deletes.values() for w in ws}
+    # two letters longer than the longest indexed word still reach it
+    assert textcorrect.word_candidates(indexed + "XY", lex) == [(long, 1), (indexed, 2)]
+    # one letter more and only the measured long word is compared
+    monkeypatch.setattr(textcorrect, "_deletes", no_deletes)
+    assert textcorrect.word_candidates(long + "Q", lex) == [(long, 1)]
+    over = indexed + "QQQ"
+    assert textcorrect.word_candidates(over, lex) == [(over, textcorrect.UNKNOWN_WORD_DISTANCE)]
+
+
+def _limit_memory():
+    # deleting from a long word unbounded builds millions of long strings:
+    # this process fails on its own address-space limit instead of filling
+    # the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def run_correct(*args):
+    """`signpipe correct` in a subprocess under a time and memory limit: its exit code and lines."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "signpipe.cli", "correct", *args],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    return result.returncode, result.stdout.splitlines(), result.stderr[-2000:]
+
+
+LONG_WORD = "".join(substream(6, "long-word").choice(list(string.ascii_uppercase), 20_000))
+
+
+def test_correct_cli_with_an_over_long_word_exits_0():
+    assert run_correct("--text", LONG_WORD) == (0, [f"{i}. {LONG_WORD}" for i in (1, 2, 3)], "")
+
+
+def test_correct_cli_with_an_over_long_lexicon_word_exits_0(tmp_path):
+    other = "".join(substream(7, "long-word").choice(list(string.ascii_uppercase), 20_000))
+    phrases = tmp_path / "phrases.txt"
+    phrases.write_text(f"HELLO WORLD\n{other}\n")
+    assert run_correct("--phrases", str(phrases), "--text", f"HELO {LONG_WORD}") == (
+        0, [f"{i}. HELLO {LONG_WORD}" for i in (1, 2, 3)], "")
 
 
 # ------------------------------------------------------------- offline
