@@ -1,9 +1,10 @@
-"""Binarize synthetic hand silhouettes and train the small CNN on them.
+"""Train the small CNN on synthetic hand silhouettes.
 
-Walks the image path end to end: Otsu thresholding of a grayscale frame,
-binarization, resize to the 32x32 network input, then a short training
-run. Prints the layer-by-layer architecture first so the tensor
-shapes are visible before any learning happens.
+Prints the layer-by-layer architecture first so the tensor shapes are
+visible before any learning happens, then shows Otsu's threshold on a raw
+grayscale frame, then runs a short training. Pipeline frames are already
+binary (0 or 255) and 32x32, the network input, so the threshold is only
+shown here: no command thresholds or resizes a frame.
 """
 import numpy as np
 
@@ -23,17 +24,14 @@ for layer, shape, count in zip(rows, shapes, counts):
     print(f"  {type(layer).__name__:<10s} {str(shape):<14s} {count}")
 print(f"total parameters: {sum(counts)}")
 
-# ---- 2. what the preprocessing stage does to one raw frame ----------------
+# ---- 2. Otsu's threshold on one raw grayscale frame ------------------------
 # bright blob on a dark noisy background, the shape a backlit hand produces
 rng = substream(SEED, "raw-frame")
 gray = rng.integers(0, 90, size=(48, 48)).astype(np.uint8)
 yy, xx = np.mgrid[:48, :48]
 gray[(yy - 24) ** 2 + (xx - 24) ** 2 < 14**2] = 210
 t = imageops.otsu_threshold(gray)
-mask = imageops.binarize(gray, t)
-small = imageops.resize(mask, 32, 32)
-print(f"otsu threshold {t} keeps foreground fraction {(mask > 0).mean():.2f}, "
-      f"network input {small.shape}")
+print(f"otsu threshold {t} keeps foreground fraction {(gray > t).mean():.2f}")
 
 # ---- 3. synthesize silhouettes and train ----------------------------------
 images, labels = datagen.synth_silhouettes(

@@ -145,6 +145,15 @@ def _load_landmark_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     return datagen.frames_to_arrays(frames, classes=RFC_CLASSES)
 
 
+def _check_two_classes(path, y: np.ndarray) -> None:
+    """A forest needs two classes: a file of one is an error naming it and the class."""
+    if len(np.unique(y)) < 2:
+        raise ValueError(
+            f"{path}: every landmark row is class {RFC_CLASSES[y[0]]}, "
+            "and the forest needs at least 2 classes"
+        )
+
+
 def _read_frames(paths, shape: tuple[int, int]) -> np.ndarray:
     """PGM images stacked, each checked against the CNN's (height, width)."""
     images = [read_pgm(path) for path in paths]
@@ -194,6 +203,7 @@ def _cmd_train_rfc(args) -> int:
             f"{args.data}: {len(X)} landmark row(s) leave {len(tr)} for training after the "
             f"80/20 split, and the forest needs at least {hp.min_samples_split}"
         )
+    _check_two_classes(args.data, y)
     model = forest.train_forest(X[tr], y[tr], hp, seed=seed)
     forest.save_forest(args.model, model)
     metrics = confusion_and_metrics(forest.predict_class(model, X[te]), y[te], RFC_CLASSES)
@@ -249,6 +259,16 @@ def _cmd_tune(args) -> int:
     seed = get_int(cfg, "seed")
     folds = get_int(cfg, "rfc.cv_folds", minimum=2)
     X, y = _load_landmark_dataset(args.data)
+    if len(X) < folds:
+        raise ValueError(f"{args.data}: {len(X)} landmark row(s) cannot fill {folds} folds")
+    smallest = len(X) - (len(X) + folds - 1) // folds  # training rows beside the largest fold
+    need = max(forest.SEARCH_SPACE["min_samples_split"])
+    if smallest < need:
+        raise ValueError(
+            f"{args.data}: {len(X)} landmark row(s) leave {smallest} for training in the "
+            f"smallest of {folds} folds, and the search needs at least {need}"
+        )
+    _check_two_classes(args.data, y)
     best, rows = forest.grid_search(X, y, k=folds, seed=seed)
 
     def hyperparams(values: dict) -> str:

@@ -203,8 +203,6 @@ class CnnModel:
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 3:
-            x = x[None]
         if x.shape[1:] != self.input_shape:
             raise ValueError(f"expected input shape {self.input_shape}, got {x.shape[1:]}")
         for layer in self.layers:

@@ -47,7 +47,6 @@ class SilhouetteDatasetSpec:
 
     per_class: int = 100
     seed: int = 0
-    classes: tuple[str, ...] = CNN_CLASSES
 
     def __post_init__(self):
         if self.per_class < 1:
@@ -140,11 +139,11 @@ def render_silhouette(
 
 
 def synth_silhouettes(spec: SilhouetteDatasetSpec) -> tuple[np.ndarray, list[str]]:
-    """Generate per_class jittered glyphs per class; BLANK renders all-black."""
-    images = np.zeros((len(spec.classes) * spec.per_class, GLYPH_SIZE, GLYPH_SIZE), dtype=np.uint8)
+    """Generate per_class jittered glyphs per CNN class, class-major; BLANK renders all-black."""
+    images = np.zeros((len(CNN_CLASSES) * spec.per_class, GLYPH_SIZE, GLYPH_SIZE), dtype=np.uint8)
     labels: list[str] = []
     pos = 0
-    for k, label in enumerate(spec.classes):
+    for k, label in enumerate(CNN_CLASSES):
         rng = substream(spec.seed, "silhouette", "asl", k)
         for _ in range(spec.per_class):
             if label != "BLANK":

@@ -105,25 +105,44 @@ def _deletes(word: str) -> set[str]:
 def damerau_levenshtein(a: str, b: str, cap: int | None = None) -> int:
     """Optimal-string-alignment distance (substitute/insert/delete/transpose).
 
-    With a cap, returns cap+1 for any distance above it, as soon as that is certain.
+    With a cap, returns cap+1 for any distance above it, as soon as that is
+    certain. Only the cells within cap of the diagonal are filled, since every
+    other cell exceeds the cap; each row keeps 2*cap+3 values, its two ends
+    cap+1. Without a cap the band is the longer length, which no distance
+    exceeds, so it spans the whole table.
     """
+    if len(a) > len(b):  # the distance is symmetric; fewer rows of the same width
+        a, b = b, a
     la, lb = len(a), len(b)
-    if cap is not None and abs(la - lb) > cap:
+    if cap is None:
+        cap = lb
+    elif lb - la > cap:
         return cap + 1
+    over = cap + 1
     prev2: list[int] | None = None
-    prev = list(range(lb + 1))
+    prev = [over] * (2 * cap + 3)
+    prev[cap + 1 : cap + 2 + min(lb, cap)] = range(min(lb, cap) + 1)
     for i in range(1, la + 1):
-        cur = [i] + [0] * lb
-        for j in range(1, lb + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            best = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-            if i > 1 and j > 1 and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]:
-                best = min(best, prev2[j - 2] + 1)
-            cur[j] = best
-        if cap is not None and min(cur) > cap:
-            return cap + 1
+        # cell (i, j) sits at k = j - i + cap + 1, and so do (i-1, j-1) and (i-2, j-2)
+        ai, before = a[i - 1], (a[i - 2] if i > 1 else None)
+        offset = cap + 1 - i
+        cur = [over] * (2 * cap + 3)
+        if i <= cap:
+            cur[offset] = i
+        for j in range(max(1, i - cap), min(lb, i + cap) + 1):
+            k = j + offset
+            best = prev[k] + (ai != b[j - 1])  # substitute or match
+            if prev[k + 1] < best:  # delete
+                best = prev[k + 1] + 1
+            if cur[k - 1] < best:  # insert
+                best = cur[k - 1] + 1
+            if before == b[j - 1] and j > 1 and ai == b[j - 2] and prev2[k] < best:  # transpose
+                best = prev2[k] + 1
+            cur[k] = best
+        if min(cur) > cap:
+            return over
         prev2, prev = prev, cur
-    return prev[lb] if cap is None else min(prev[lb], cap + 1)
+    return min(prev[lb - la + cap + 1], over)
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,29 @@ def test_train_rfc_on_too_few_rows_names_the_file_and_counts(tmp_path, capsys):
     assert not (tmp_path / "m.blk").exists()
 
 
+@pytest.mark.parametrize("command, a_rows, b_rows, message", [
+    ("tune", 3, 3, "6 landmark row(s) leave 4 for training in the smallest of 5 folds, "
+                   "and the search needs at least 10"),
+    ("tune", 1, 0, "1 landmark row(s) cannot fill 5 folds"),
+    ("tune", 20, 0, "every landmark row is class A, and the forest needs at least 2 classes"),
+    ("train-rfc", 10, 0, "every landmark row is class A, and the forest needs at least 2 classes"),
+], ids=["tune-6-rows", "tune-1-row", "tune-one-class", "train-rfc-one-class"])
+def test_small_or_one_class_csv_names_the_file(tmp_path, capsys, command, a_rows, b_rows, message):
+    frames = datagen.synth_landmarks(
+        datagen.LandmarkDatasetSpec(per_class=20, seed=0, classes=("A", "B"))
+    )
+    path = tmp_path / "small.csv"
+    io.write_landmark_csv(path, frames[:a_rows] + frames[20 : 20 + b_rows])
+    model, report = tmp_path / "m.blk", tmp_path / "r.json"
+    argv = {
+        "tune": ["tune", "--data", path, "--report", report, "--set", "rfc.cv_folds=5"],
+        "train-rfc": ["train-rfc", "--data", path, "--model", model, "--report", report],
+    }[command]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not model.exists() and not report.exists()
+
+
 BAD_CSVS = {
     "non-ascii": (io.LANDMARK_CSV_HEADER + "\nA,0.5\n").encode() + b"B,\xff\n",
     "bad-header": b"label,x1,y1\nA,0.5,0.5\n",

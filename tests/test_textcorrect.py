@@ -90,6 +90,17 @@ def test_distance_cap():
     assert dl("A", "ABCDEF", cap=2) == 3  # length gap alone exceeds the cap
 
 
+def one_letter_changed(word: str, at: int) -> str:
+    return word[:at] + ("A" if word[at] != "A" else "B") + word[at + 1 :]
+
+
+def test_capped_distance_of_long_words_fills_only_the_band():
+    word = "".join(substream(5, "long-word").choice(list(string.ascii_uppercase), 20_000))
+    start = time.perf_counter()
+    assert textcorrect.damerau_levenshtein(word, one_letter_changed(word, 10_000), cap=2) == 1
+    assert time.perf_counter() - start < 1.0
+
+
 words = st.text(alphabet="ABCD", max_size=9)
 
 
@@ -272,6 +283,16 @@ def test_correct_cli_with_an_over_long_lexicon_word_exits_0(tmp_path):
     phrases.write_text(f"HELLO WORLD\n{other}\n")
     assert run_correct("--phrases", str(phrases), "--text", f"HELO {LONG_WORD}") == (
         0, [f"{i}. HELLO {LONG_WORD}" for i in (1, 2, 3)], "")
+
+
+def test_correct_cli_with_a_long_word_near_a_long_lexicon_word_exits_0(tmp_path):
+    phrases = tmp_path / "phrases.txt"
+    phrases.write_text(f"HELLO WORLD\n{LONG_WORD}\n")
+    near = one_letter_changed(LONG_WORD, 10_000)
+    start = time.perf_counter()
+    assert run_correct("--phrases", str(phrases), "--text", near) == (
+        0, [f"{i}. {LONG_WORD}" for i in (1, 2, 3)], "")
+    assert time.perf_counter() - start < 20.0
 
 
 # ------------------------------------------------------------- offline
