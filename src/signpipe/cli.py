@@ -145,11 +145,12 @@ def _load_landmark_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     return datagen.frames_to_arrays(frames, classes=RFC_CLASSES)
 
 
-def _check_two_classes(path, y: np.ndarray) -> None:
-    """A forest needs two classes: a file of one is an error naming it and the class."""
+def _check_two_classes(path, y: np.ndarray, rows: str = "every landmark row") -> None:
+    """A forest needs two classes: rows of one are an error naming the file,
+    the rows and the class."""
     if len(np.unique(y)) < 2:
         raise ValueError(
-            f"{path}: every landmark row is class {RFC_CLASSES[y[0]]}, "
+            f"{path}: {rows} is class {RFC_CLASSES[y[0]]}, "
             "and the forest needs at least 2 classes"
         )
 
@@ -204,6 +205,7 @@ def _cmd_train_rfc(args) -> int:
             f"80/20 split, and the forest needs at least {hp.min_samples_split}"
         )
     _check_two_classes(args.data, y)
+    _check_two_classes(args.data, y[tr], "every training row of the 80/20 split")
     model = forest.train_forest(X[tr], y[tr], hp, seed=seed)
     forest.save_forest(args.model, model)
     metrics = confusion_and_metrics(forest.predict_class(model, X[te]), y[te], RFC_CLASSES)
@@ -269,6 +271,10 @@ def _cmd_tune(args) -> int:
             f"smallest of {folds} folds, and the search needs at least {need}"
         )
     _check_two_classes(args.data, y)
+    for i, fold in enumerate(forest.cv_folds(len(X), folds, seed), 1):
+        _check_two_classes(
+            args.data, np.delete(y, fold), f"every training row of fold {i} of {folds}"
+        )
     best, rows = forest.grid_search(X, y, k=folds, seed=seed)
 
     def hyperparams(values: dict) -> str:

@@ -9,6 +9,9 @@ convolution pads the output gradient by kernel - 1 less the forward pad on
 each side, so it yields the input-sized gradient directly, with no crop.
 Each backward pass assigns its layer's weight and bias gradients (dW, db),
 so a training step's single pass leaves exactly that batch's gradients.
+Only a train-mode forward keeps what backward reads, and the model's
+backward stops at the first layer's weight gradients: nothing reads the
+gradient with respect to the image.
 """
 from __future__ import annotations
 
@@ -73,17 +76,27 @@ class Conv2D(_Weighted):
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         xp = np.pad(x, ((0, 0), *self.pads, (0, 0))) if self.padding == "same" else x
-        self._patches = _im2col(xp, self.kh, self.kw)
-        n, oh, ow, k = self._patches.shape
-        out = self._patches.reshape(-1, k) @ self.W.reshape(k, self.out_ch) + self.b
+        patches = _im2col(xp, self.kh, self.kw)
+        if train:
+            self._patches = patches
+        n, oh, ow, k = patches.shape
+        out = patches.reshape(-1, k) @ self.W.reshape(k, self.out_ch) + self.b
         return out.reshape(n, oh, ow, self.out_ch)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        self.weight_backward(dy)
+        return self.data_backward(dy)
+
+    def weight_backward(self, dy: np.ndarray) -> None:
+        """Assign dW and db; the first layer of a model stops here."""
         k = self.kh * self.kw * self.in_ch
         dy2 = dy.reshape(-1, self.out_ch)
         self.dW = (self._patches.reshape(-1, k).T @ dy2).reshape(self.W.shape)
         self.db = dy2.sum(axis=0)
-        # Data gradient: correlate dy with the spatially flipped, in/out-
+
+    def data_backward(self, dy: np.ndarray) -> np.ndarray:
+        """The gradient with respect to the layer's input."""
+        # Correlate dy with the spatially flipped, in/out-
         # transposed kernel. Padding dy by k - 1 less the forward pad on each
         # side makes the result exactly the input's size.
         (pt, pb), (pl, pr) = self.pads
@@ -116,6 +129,8 @@ class MaxPool2D(Layer):
             hp, wp = (h // s) * s, (w // s) * s
             xp = x[:, :hp, :wp, :]
         oh, ow = hp // s, wp // s
+        if not train:
+            return xp.reshape(n, oh, s, ow, s, c).max(axis=(2, 4))
         windows = (
             xp.reshape(n, oh, s, ow, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, s * s, c)
         )
@@ -152,7 +167,8 @@ class Dense(_Weighted):
         super().__init__((in_dim, out_dim), rng)
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        self._x = x
+        if train:
+            self._x = x
         return x @ self.W + self.b
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -163,8 +179,10 @@ class Dense(_Weighted):
 
 class ReLU(Layer):
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        if train:
+            self._mask = mask
+        return np.where(mask, x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._mask
@@ -210,8 +228,11 @@ class CnnModel:
         return softmax(x)
 
     def backward(self, dlogits: np.ndarray) -> None:
-        for layer in reversed(self.layers):
+        """Backpropagate a train-mode forward's loss gradient; the first layer
+        (a convolution) computes its weight gradients only."""
+        for layer in reversed(self.layers[1:]):
             dlogits = layer.backward(dlogits)
+        self.layers[0].weight_backward(dlogits)
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
@@ -433,7 +454,8 @@ def images_to_input(images: np.ndarray) -> np.ndarray:
 def gradient_check(model: CnnModel, x: np.ndarray, y: np.ndarray) -> float:
     """Max relative error between backprop and central finite differences.
 
-    Runs in deterministic mode (dropout off). Checks every element of every
+    The analytic pass runs the same layers in train mode without dropout,
+    which is the identity at inference. Checks every element of every
     parameter, so call it on tiny models only.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -443,8 +465,12 @@ def gradient_check(model: CnnModel, x: np.ndarray, y: np.ndarray) -> float:
     def loss() -> float:
         return cross_entropy(model.forward(x, train=False), y)
 
-    model.backward(_loss_gradient(model.forward(x, train=False), y))
-    analytic = model.grads()
+    plain = CnnModel(
+        [layer for layer in model.layers if not isinstance(layer, Dropout)],
+        model.num_classes, model.input_shape,
+    )
+    plain.backward(_loss_gradient(plain.forward(x, train=True), y))
+    analytic = plain.grads()
 
     max_rel = 0.0
     for p, g in zip(model.params(), analytic, strict=True):

@@ -220,6 +220,29 @@ def test_small_or_one_class_csv_names_the_file(tmp_path, capsys, command, a_rows
     assert not model.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("command, a_rows, message", [
+    ("train-rfc", 10, "every training row of the 80/20 split is class A, "
+                      "and the forest needs at least 2 classes"),
+    ("tune", 19, "every training row of fold 1 of 2 is class A, "
+                 "and the forest needs at least 2 classes"),
+], ids=["train-rfc-split", "tune-fold"])
+def test_one_class_split_or_fold_names_the_file(tmp_path, capsys, command, a_rows, message):
+    # Two classes in the file, but the one B row falls outside a training part.
+    frames = datagen.synth_landmarks(
+        datagen.LandmarkDatasetSpec(per_class=20, seed=0, classes=("A", "B"))
+    )
+    path = tmp_path / "split.csv"
+    io.write_landmark_csv(path, frames[:a_rows] + frames[20:21])
+    model, report = tmp_path / "m.blk", tmp_path / "r.json"
+    argv = {
+        "tune": ["tune", "--data", path, "--report", report, "--set", "rfc.cv_folds=2"],
+        "train-rfc": ["train-rfc", "--data", path, "--model", model, "--report", report],
+    }[command]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not model.exists() and not report.exists()
+
+
 BAD_CSVS = {
     "non-ascii": (io.LANDMARK_CSV_HEADER + "\nA,0.5\n").encode() + b"B,\xff\n",
     "bad-header": b"label,x1,y1\nA,0.5,0.5\n",

@@ -116,8 +116,9 @@ def test_gradient_check_small_model(rng):
 def test_backward_assigns_gradients(rng):
     # A second pass over the same batch leaves that batch's gradients, not twice them.
     model = small_model()
+    model.layers[-2].rng = substream(0, "dropout")
     x = rng.uniform(0, 1, (3, 8, 8, 1))
-    dlogits = cnn._loss_gradient(model.forward(x), np.array([0, 1, 2]))
+    dlogits = cnn._loss_gradient(model.forward(x, train=True), np.array([0, 1, 2]))
     model.backward(dlogits)
     first = [g.copy() for g in model.grads()]
     model.backward(dlogits)
@@ -210,6 +211,53 @@ def test_predict_batches_equal_one_256_row_forward(rng):
     assert cnn.PREDICT_BATCH < 256
     assert cnn.predict_proba(model, x).tobytes() == whole.tobytes()
     assert np.array_equal(cnn.predict(model, x), np.argmax(whole, axis=1))
+
+
+def _without_dropout(model):
+    return cnn.CnnModel([l for l in model.layers if not isinstance(l, cnn.Dropout)],
+                        model.num_classes, model.input_shape)
+
+
+@pytest.mark.parametrize("make, side", [
+    (lambda: small_model(), 8),  # floor pool 2 (8 -> 7 does not divide) and ceil pool 3
+    (lambda: cnn.build_model(27, seed=5), 32),  # floor pools 2 and 3, ceil pool 5
+], ids=["small", "reference"])
+@pytest.mark.parametrize("kind", ["uniform", "binary"])  # binary frames tie in every pool
+def test_inference_equals_train_mode_forward_without_dropout(rng, make, side, kind):
+    model = make()
+    x = rng.uniform(0, 1, (cnn.PREDICT_BATCH, side, side, 1))
+    if kind == "binary":
+        x = np.round(x)
+    want = _without_dropout(model).forward(x, train=True)
+    assert cnn.predict_proba(model, x).tobytes() == want.tobytes()
+
+
+def test_inference_forward_keeps_no_backward_state(rng):
+    for model, side in ((small_model(), 8), (cnn.build_model(27, seed=0), 32)):
+        cnn.predict_proba(model, rng.uniform(0, 1, (2, side, side, 1)))
+        for layer in model.layers:
+            for name in ("_patches", "_mask", "_argmax", "_x"):
+                assert getattr(layer, name, None) is None, (type(layer).__name__, name)
+
+
+def test_backward_skips_only_the_image_gradient(rng, monkeypatch):
+    # Each layer's full backward in turn, conv 1's data gradient included,
+    # gives the bytes of the model's backward under the same dropout draws.
+    x = rng.uniform(0, 1, (3, 8, 8, 1))
+    grads = []
+    for full in (True, False):
+        model = small_model()
+        model.layers[-2].rng = substream(0, "dropout")
+        dy = cnn._loss_gradient(model.forward(x, train=True), np.array([0, 1, 2]))
+        if full:
+            for layer in reversed(model.layers):
+                dy = layer.backward(dy)
+            assert dy.shape == x.shape
+        else:
+            monkeypatch.setattr(model.layers[0], "data_backward", None)  # never called
+            model.backward(dy)
+        grads.append([g.tobytes() for g in model.grads()])
+    assert grads[0] == grads[1]
 
 
 def _eval_one_forward_per_256_rows(model, X, y):

@@ -2,8 +2,10 @@ import itertools
 import multiprocessing
 import os
 import signal
+import tempfile
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,22 @@ def reference_votes(model: forest.Forest, X: np.ndarray) -> np.ndarray:
                 node = model.left[node] if go_left else model.right[node]
             votes[i, t] = model.leaf_class[node]
     return votes
+
+
+def reference_leaf_classes(model: forest.Forest, X: np.ndarray) -> np.ndarray:
+    """(N, n_trees) votes from the walk that drops finished pairs on every level."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n_trees = len(model.trees)
+    node = np.tile(model.trees, len(X))
+    live = np.arange(len(node))
+    while len(live):
+        cur = node[live]
+        feat = model.feature[cur]
+        split = feat >= 0
+        live, cur, feat = live[split], cur[split], feat[split]
+        go_left = X[live // n_trees, feat] <= model.threshold[cur]
+        node[live] = np.where(go_left, model.left[cur], model.right[cur])
+    return model.leaf_class[node].reshape(len(X), n_trees)
 
 
 def reference_best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int):
@@ -346,6 +364,86 @@ def test_threshold_goes_left_and_ties_go_to_lowest_class():
     expected = [[0, 0.5, 0.5], [0, 0, 1], [0, 0.5, 0.5]]
     assert np.array_equal(forest.predict_proba(model, X), expected)
     assert np.array_equal(forest.predict_class(model, X), [1, 2, 1])
+
+
+LEVELS = (-1.0, -0.5, 0.0, 0.5, 1.0)  # every threshold, and most row values
+
+
+def two_stumps() -> forest.Forest:
+    """x <= 0.5 -> 2 else 1, and x <= 0.25 -> 1 else 2."""
+    return forest.Forest(
+        hyperparams=forest.ForestHyperparams(n_estimators=2), n_classes=3, n_features=1,
+        trees=np.array([0, 3]),
+        feature=np.array([0, -1, -1, 0, -1, -1], dtype=np.int32),
+        threshold=np.array([0.5, 0, 0, 0.25, 0, 0]),
+        left=np.array([1, -1, -1, 4, -1, -1], dtype=np.int32),
+        right=np.array([2, -1, -1, 5, -1, -1], dtype=np.int32),
+        leaf_class=np.array([-1, 2, 1, -1, 1, 2], dtype=np.int32),
+    )
+
+
+@st.composite
+def forests_and_rows(draw):
+    """A random node table in the writer's preorder, and rows to route.
+
+    Thresholds come from LEVELS, so many row values sit exactly on one;
+    rows also hold other floats and NaN, and there may be none.
+    """
+    n_features = draw(st.integers(1, 3))
+    n_classes = draw(st.integers(2, 4))
+    table = {k: [] for k in NODE_ARRAYS}
+
+    def grow(depth: int) -> int:
+        node = len(table["feature"])
+        for k, v in zip(NODE_ARRAYS, (-1, 0.0, -1, -1, -1)):
+            table[k].append(v)
+        if depth < 7 and draw(st.booleans()):
+            table["feature"][node] = draw(st.integers(0, n_features - 1))
+            table["threshold"][node] = draw(st.sampled_from(LEVELS))
+            table["left"][node] = grow(depth + 1)
+            table["right"][node] = grow(depth + 1)
+        else:
+            table["leaf_class"][node] = draw(st.integers(0, n_classes - 1))
+        return node
+
+    roots = [grow(0) for _ in range(draw(st.integers(1, 4)))]
+    model = forest.Forest(
+        hyperparams=forest.ForestHyperparams(n_estimators=len(roots)),
+        n_classes=n_classes, n_features=n_features, trees=np.array(roots, dtype=np.int64),
+        **{k: np.array(v, dtype=forest._NODE_DTYPES[k]) for k, v in table.items()},
+    )
+    values = st.sampled_from(LEVELS + (np.nan,)) | st.floats(-2, 2)
+    rows = draw(st.lists(st.lists(values, min_size=n_features, max_size=n_features), max_size=6))
+    return model, np.array(rows, dtype=np.float64).reshape(len(rows), n_features)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forests_and_rows())
+@example((two_stumps(), np.empty((0, 1))))
+@example((two_stumps(), np.array([[0.5]])))  # on the first stump's threshold
+@example((two_stumps(), np.array([[0.25], [np.nan]])))
+def test_leaf_classes_equal_compressing_walk(case):
+    model, X = case
+    want = reference_leaf_classes(model, X)
+    assert np.array_equal(want, reference_votes(model, X).reshape(want.shape))
+    assert np.array_equal(forest._leaf_classes(model, X), want)
+    with tempfile.TemporaryDirectory() as tmp:
+        forest.save_forest(Path(tmp) / "f.blk", model)
+        loaded = forest.load_forest(Path(tmp) / "f.blk")
+    assert np.array_equal(forest._leaf_classes(loaded, X), want)
+    if len(X):
+        assert np.array_equal(forest._leaf_classes(model, X[0]), want[:1])
+
+
+def test_leaf_classes_on_thresholds_equal_compressing_walk(deep_forest):
+    # one row per split of a trained forest, holding that split's threshold
+    model, X, _ = deep_forest
+    split = np.flatnonzero(model.feature >= 0)
+    on = np.repeat(X[:1], len(split), axis=0)
+    on[np.arange(len(split)), model.feature[split]] = model.threshold[split]
+    for rows in (on, X, X[:0]):
+        assert np.array_equal(forest._leaf_classes(model, rows),
+                              reference_leaf_classes(model, rows))
 
 
 def test_training_determinism(tiny_landmarks):
