@@ -236,6 +236,10 @@ def _cmd_train_cnn(args) -> int:
     images, y = _load_silhouette_dataset(args.data, model.input_shape[:2])
     X = cnn_mod.images_to_input(images)
     tr, te = _split(len(X), seed, "cnn-split")
+    if len(tr) == 0:
+        raise ValueError(
+            f"{args.data}: {len(X)} silhouette image(s) leave 0 for training after the 80/20 split"
+        )
     history = cnn_mod.train(model, X[tr], y[tr], X[te], y[te], train_cfg)
     cnn_mod.save_cnn(args.model, model)
     metrics = confusion_and_metrics(cnn_mod.predict(model, X[te]), y[te], CNN_CLASSES)

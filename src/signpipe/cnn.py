@@ -129,14 +129,12 @@ class MaxPool2D(Layer):
             hp, wp = (h // s) * s, (w // s) * s
             xp = x[:, :hp, :wp, :]
         oh, ow = hp // s, wp // s
-        if not train:
-            return xp.reshape(n, oh, s, ow, s, c).max(axis=(2, 4))
-        windows = (
-            xp.reshape(n, oh, s, ow, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, s * s, c)
-        )
-        self._argmax = windows.argmax(axis=3)
-        self._x_shape = x.shape
-        return np.take_along_axis(windows, self._argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+        blocks = xp.reshape(n, oh, s, ow, s, c)
+        if train:
+            windows = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, s * s, c)
+            self._argmax = windows.argmax(axis=3)
+            self._x_shape = x.shape
+        return blocks.max(axis=(2, 4))
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         # Each window's gradient goes to its first maximum. The window grid

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,9 @@ import numpy as np
 from .landmarks import N_FEATURES, N_POINTS, LandmarkFrame
 
 BLOCK_MAGIC = b"SBLK\x01"
+# One PGM header field: whitespace and '#' comments (to end of line) skipped,
+# then the field's bytes up to the next whitespace; no field at end of data.
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]\S*)?")
 
 
 def write_pgm(path: str | Path, img: np.ndarray) -> bytes:
@@ -36,25 +40,17 @@ def read_pgm(path: str | Path) -> np.ndarray:
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
-    # Header tokens may be separated by arbitrary whitespace and comments.
     pos = 2
     fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    for _ in range(3):
+        match = _PGM_FIELD.match(data, pos)
+        token, pos = match.group(1), match.end()
+        if token is None:
             raise ValueError(f"{path}: truncated PGM header")
         try:
-            fields.append(int(data[start:pos]))
+            fields.append(int(token))
         except ValueError:
-            raise ValueError(f"{path}: bad PGM header field {data[start:pos][:16]!r}") from None
+            raise ValueError(f"{path}: bad PGM header field {token[:16]!r}") from None
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
     if w < 1 or h < 1:

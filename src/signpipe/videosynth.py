@@ -1,10 +1,11 @@
 """Text to gesture video: keyframes, duplication, flow-based interpolation.
 
 Text renders as 1 FPS keyframes from a letter atlas, duplicates to 24 FPS
-(pure copies), then resamples to 60 FPS. Output frames whose time aligns
-with a source frame, or whose two bracketing frames are identical, are
-bit-exact copies; the rest are synthesized between the bracketing frames
-by block-matching flow with a context-based occlusion heuristic.
+(pure copies), then resamples to 60 FPS. Each 60 FPS output is a bit-exact
+copy of the source frame at or before its time, except those strictly
+between two differing neighbouring source frames: those are synthesized
+between that pair by block-matching flow with a context-based occlusion
+heuristic.
 """
 from __future__ import annotations
 
@@ -233,37 +234,28 @@ def synthesize_frame(i0: np.ndarray, i1: np.ndarray, flows, contexts, t: float) 
 
 
 def interpolate_sequence(seq: FrameSequence) -> FrameSequence:
-    """24 -> 60 FPS. Output j covers time j/60; when that hits a source time
-    (every 5th output, since lcm(24,60)=120) the source frame is copied
-    bit-exactly, otherwise the bracketing frames synthesize it.
+    """24 -> 60 FPS. Output j covers time j/60, source position 24j/60.
 
-    Between two identical frames every output is an exact copy: the flow is
-    zero, the context maps agree, and the fusion reproduces the frame for
-    every t, so the copy skips work without changing a byte. Flow and
-    context features are computed once per distinct bracketing pair, and
-    only the current pair is held.
+    Every output starts as a copy of the source frame at or before its time:
+    exact where that time is a source time (every 5th output, since
+    lcm(24,60)=120) and between two identical frames, where the flow is
+    zero, the context maps agree and the fusion reproduces the frame for
+    every t. Only the outputs strictly between two differing neighbours i
+    and i+1 are synthesized, with one flow and one pair of context maps per
+    such pair.
     """
     if seq.fps != 24:
         raise ValueError(f"expected a 24 FPS sequence, got {seq.fps}")
     frames = seq.frames
-    t_in = len(frames)
-    out = np.empty((60 * seq.n_sources,) + frames.shape[1:], dtype=np.uint8)
-    pair_idx = -1
-    for j in range(len(out)):
-        num = 24 * j  # source position = num/60 = j * 24/60
-        if num % 60 == 0:
-            out[j] = frames[num // 60]
-            continue
-        pos = num / 60.0
-        idx0 = int(np.floor(pos))
-        t = pos - idx0
-        i0, i1 = frames[idx0], frames[min(idx0 + 1, t_in - 1)]
+    out = frames[24 * np.arange(60 * seq.n_sources) // 60]
+    for i in range(len(frames) - 1):
+        i0, i1 = frames[i], frames[i + 1]
         if np.array_equal(i0, i1):
-            out[j] = i0
             continue
-        if idx0 != pair_idx:
-            pair_idx, flow, contexts = idx0, _block_flow(i0, i1), context_features(i0, i1)
-        out[j] = synthesize_frame(i0, i1, _scale_flow(flow, t), contexts, t)
+        flow, contexts = _block_flow(i0, i1), context_features(i0, i1)
+        for j in range(5 * i // 2 + 1, -(-5 * (i + 1) // 2)):  # i < 24j/60 < i + 1
+            t = 24 * j / 60.0 - i  # not 0.4 * j - i: that differs in the last bit
+            out[j] = synthesize_frame(i0, i1, _scale_flow(flow, t), contexts, t)
     return FrameSequence(frames=out, fps=60, n_sources=seq.n_sources)
 
 

@@ -197,6 +197,20 @@ def test_train_rfc_on_too_few_rows_names_the_file_and_counts(tmp_path, capsys):
     assert not (tmp_path / "m.blk").exists()
 
 
+def test_train_cnn_on_one_image_names_the_directory_and_counts(tmp_path, capsys, workspace):
+    data = tmp_path / "one"
+    (data / "A").mkdir(parents=True)
+    shutil.copy(workspace / "data" / "silhouettes" / "A" / "img_00000.pgm", data / "A")
+    model, report = tmp_path / "m.blk", tmp_path / "r.json"
+    code = cli.main(["train-cnn", "--data", str(data), "--model", str(model),
+                     "--report", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: 1 silhouette image(s) leave 0 for training after the 80/20 split\n"
+    )
+    assert not model.exists() and not report.exists()
+
+
 @pytest.mark.parametrize("command, a_rows, b_rows, message", [
     ("tune", 3, 3, "6 landmark row(s) leave 4 for training in the smallest of 5 folds, "
                    "and the search needs at least 10"),

@@ -79,6 +79,62 @@ def test_pgm_mutated_bytes_raise_only_value_error(tmp_path_factory, data):
         assert img.dtype == np.uint8 and img.ndim == 2 and img.size >= 1
 
 
+def reference_read_pgm(path):
+    """The byte-by-byte header tokenizer read_pgm replaced, kept as its oracle."""
+    data = path.read_bytes()
+    if not data.startswith(b"P5"):
+        raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos : pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ValueError(f"{path}: truncated PGM header")
+        try:
+            fields.append(int(data[start:pos]))
+        except ValueError:
+            raise ValueError(f"{path}: bad PGM header field {data[start:pos][:16]!r}") from None
+    pos += 1
+    w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PGM size {w}x{h} has no pixels")
+    if maxval != 255:
+        raise ValueError(f"{path}: unsupported maxval {maxval} (expected 255)")
+    pixels = data[pos : pos + w * h]
+    if len(pixels) != w * h:
+        raise ValueError(f"{path}: expected {w * h} pixel bytes, got {len(pixels)}")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).copy()
+
+
+def _read_or_error(reader, path):
+    try:
+        img = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return img.shape, img.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_pgms())
+@example(b"P5#c\n3 2 255 ABCDEF")  # comment right after the magic
+@example(b"P5\n3#x 2\n255\n")  # '#' inside a field is part of it
+@example(b"P5\n3 2\n255 # c")  # comment where the pixels start
+@example(b"P5\n# c")  # comment up to the end of the data
+@example(b"P5\x0b3\x0c2\r255\tABCDEF")  # every ASCII whitespace byte
+def test_read_pgm_equals_reference_tokenizer(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+    path.write_bytes(data)
+    assert _read_or_error(io.read_pgm, path) == _read_or_error(reference_read_pgm, path)
+
+
 def test_landmark_csv_roundtrip(tmp_path, rng):
     frames = [
         unflatten(rng.uniform(0, 1, N_FEATURES), "A"),

@@ -372,6 +372,21 @@ def test_interpolate_matches_per_frame_reference(atlas, text):
     assert out.tobytes() == _reference_interpolate(seq24).tobytes()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_interpolate_with_irregular_repeats_matches_reference(data):
+    # neighbours drawn from a pool of 2-3 frames, so equal and differing
+    # pairs alternate irregularly, including at the sequence's end
+    n_sources = data.draw(st.integers(1, 3))
+    size = data.draw(st.integers(9, 20))
+    pool = random_images(data.draw(st.integers(2, 3)), size, data.draw(st.integers(0, 2**16)))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                               min_size=24 * n_sources, max_size=24 * n_sources))
+    seq24 = videosynth.FrameSequence(frames=pool[picks], fps=24, n_sources=n_sources)
+    out = videosynth.interpolate_sequence(seq24).frames
+    assert out.tobytes() == _reference_interpolate(seq24).tobytes()
+
+
 def test_interpolate_work_counts(atlas, monkeypatch):
     calls = {"_block_flow": 0, "synthesize_frame": 0}
     for name in calls:

@@ -1,6 +1,7 @@
 """Print a sha256 digest of every output of a fixed, seeded CLI run.
 
-Runs datagen, train-rfc, train-cnn, eval, tune, correct, synthesize and
+Runs datagen, train-rfc, train-cnn, eval, tune, correct, synthesize (at the
+default atlas size and at 36 px, whose flow has partial 8x8 blocks) and
 translate for seeds 3 and 8 against one checkout's `src/`, with one BLAS
 thread, and prints one `sha256 path` line per output file, per frame
 directory (its .pgm names and bytes in order) and per command's stdout
@@ -48,6 +49,9 @@ def _commands(seed: int):
     for i, text in enumerate(CORRECT_TEXTS):
         yield f"correct-{i}", ["correct", "--text", text, "--report", f"correct_{i}.json", *s]
     yield "synthesize", ["synthesize", "--text", STREAM_TEXT, "--out", "synth", "--stages", *s]
+    # 36 px is not a multiple of the 8 px flow block: partial edge blocks
+    yield "synthesize-36", ["synthesize", "--text", STREAM_TEXT, "--out", "synth36", *s,
+                            "--set", "datagen.atlas_size=36"]
     yield "translate", ["translate", *heads, "--landmarks", "data/stream_landmarks.csv",
                         "--frames", "data/stream_frames", "--out", "translate", "--stages", *s]
 
