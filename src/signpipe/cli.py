@@ -57,6 +57,15 @@ def _config(args) -> dict[str, str]:
     return apply_overrides(load_config(args.config), args.set or [])
 
 
+def _out_dir(args) -> Path:
+    """--out, checked before any work: it may be missing, but neither it nor a parent a file."""
+    out = Path(args.out)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise ValueError(f"{found}: exists and is not a directory")
+    return out
+
+
 def _split(n: int, seed: int, tag: str):
     perm = substream(seed, tag).permutation(n)
     cut = int(0.8 * n)
@@ -67,6 +76,7 @@ def _split(n: int, seed: int, tag: str):
 
 
 def _cmd_datagen(args) -> int:
+    out = _out_dir(args)
     cfg = _config(args)
     seed = get_int(cfg, "seed")
     spread = get_float(cfg, "datagen.spread", above=0.0)
@@ -82,7 +92,6 @@ def _cmd_datagen(args) -> int:
         text=args.stream_text.upper(), dataset_seed=seed, stream_seed=seed + 1, spread=spread
     ) if args.stream_text else None
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     frames = datagen.synth_landmarks(lm_spec)
     write_landmark_csv(out / "landmarks.csv", frames)
@@ -512,8 +521,8 @@ def _synthesize(text: str, atlas: videosynth.GestureAtlas, args, out_dir: Path) 
 
 
 def _cmd_synthesize(args) -> int:
+    out = _out_dir(args)
     cfg = _config(args)
-    out = Path(args.out)
     info = _synthesize(args.text.upper(), _atlas(args, cfg), args, out)
     write_json_report(
         out / "synthesize_report.json",
@@ -527,6 +536,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    out = _out_dir(args)
     cfg = _config(args)
     w_rfc = get_float(cfg, "ensemble.w_rfc", within=(0.0, 1.0))
     weights = ensemble.EnsembleWeights(w_rfc=w_rfc, w_cnn=round(1.0 - w_rfc, 10))
@@ -553,7 +563,6 @@ def _cmd_translate(args) -> int:
 
     result = _run_corrector(raw, remote, lexicon)
     chosen = result.candidates[0]
-    out = Path(args.out)
     video_info = _synthesize(chosen, atlas, args, out)
     write_json_report(
         out / "translate_report.json",

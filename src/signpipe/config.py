@@ -1,9 +1,9 @@
 """Flat key=value configuration files with typed access and CLI overrides.
 
-Format: one `key = value` per line; blank lines and lines starting with '#'
-are ignored. Keys are dotted lowercase (e.g. cnn.batch_size). Values stay
-strings until a typed getter converts them, so error messages can cite both
-the key and the offending text.
+Format: one `key = value` per line, each key at most once; blank lines and
+lines starting with '#' are ignored. Keys are dotted lowercase (e.g.
+cnn.batch_size). Values stay strings until a typed getter converts them, so
+error messages can cite both the key and the offending text.
 """
 from __future__ import annotations
 
@@ -40,32 +40,37 @@ DEFAULTS: dict[str, str] = {
 
 
 def load_config(path: str | Path | None) -> dict[str, str]:
-    """Defaults overlaid with the file's keys; unknown keys are an error."""
+    """Defaults overlaid with the file's keys; unknown or repeated keys are an error."""
     cfg = dict(DEFAULTS)
     if path is None:
         return cfg
-    settings = 0
+    set_on: dict[str, int] = {}  # line of each key the file sets
     for lineno, line in enumerate(read_text(path, "utf-8").splitlines(), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             where = f"{path}:{lineno}"
-            _assign(cfg, stripped, where, f"{where}: expected 'key = value'")
-            settings += 1
-    if not settings:
+            key = _assign(cfg, stripped, where, f"{where}: expected 'key = value'")
+            if key in set_on:
+                raise ValueError(f"{where}: key {key!r} is already set on line {set_on[key]}")
+            set_on[key] = lineno
+    if not set_on:
         raise ValueError(f"{path}: no 'key = value' lines")
     return cfg
 
 
 def apply_overrides(cfg: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    """Apply --set key=value pairs on top of a loaded config."""
+    """Apply --set key=value pairs on top of a loaded config; a repeated key's last value wins."""
     out = dict(cfg)
     for item in overrides:
         _assign(out, item, "--set", "--set expects key=value")
     return out
 
 
-def _assign(cfg: dict[str, str], item: str, where: str, malformed: str) -> None:
-    """Set one 'key = value' item in cfg; errors cite where, or malformed if no '='."""
+def _assign(cfg: dict[str, str], item: str, where: str, malformed: str) -> str:
+    """Set one 'key = value' item in cfg and return its key.
+
+    Errors cite where, or malformed if the item has no '='.
+    """
     if "=" not in item:
         raise ValueError(f"{malformed}, got {item!r}")
     key, _, value = item.partition("=")
@@ -73,6 +78,7 @@ def _assign(cfg: dict[str, str], item: str, where: str, malformed: str) -> None:
     if key not in DEFAULTS:
         raise ValueError(f"{where}: unknown config key {key!r}")
     cfg[key] = value.strip()
+    return key
 
 
 def get_int(cfg: dict[str, str], key: str, minimum: int | None = None) -> int:

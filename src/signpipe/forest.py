@@ -2,13 +2,15 @@
 
 Trees grow on bootstrap resamples with a random ceil(sqrt(d))-feature subset
 per node; candidate thresholds are midpoints between consecutive distinct
-sorted values. Each cut's Gini comes from running class counts: two integer
-cumsums give the sums of squared class counts left and right of every cut,
-with no per-class count table. Prediction is the mode of per-tree votes and
-the probability of a class is the fraction of trees voting for it. Tree i
-draws only from substream (seed, "tree", i), so forests with the same seed
-share a tree prefix whatever their size; grid_search scores every forest
-size from one grown forest on that basis.
+sorted values. A node keeps each distinct row of its sample once, with the
+number of times the bootstrap drew it as a weight. Each cut's Gini comes
+from running class counts: integer cumsums give the sums of squared class
+counts left and right of every cut, with no per-class count table.
+Prediction is the mode of per-tree votes and the probability of a class is
+the fraction of trees voting for it. Tree i draws only from substream
+(seed, "tree", i), so forests with the same seed share a tree prefix
+whatever their size; grid_search scores every forest size from one grown
+forest on that basis.
 
 The whole forest is one flat node table, used alike by training, by
 prediction (every row walks every tree together, one vectorized step per
@@ -20,8 +22,11 @@ Training splits the trees into contiguous index ranges, one per CPU the
 process may use. Each range grows into a node table of its own, the parent
 growing the first while forked workers grow the rest, and the tables are
 joined in tree order with their children shifted by the nodes before them.
-Since tree i depends only on its substream, the joined table is the one a
-single loop over the trees builds.
+Within a range the trees grow in lockstep: each step takes the next node
+of every tree and scores all of them in batched split searches of at most
+_SEARCH_ROWS rows each. Since tree i depends only on its substream, and
+draws and numbers its nodes in its own order, the joined table is the one
+a single loop over the trees, one node at a time, builds.
 """
 from __future__ import annotations
 
@@ -110,125 +115,237 @@ class Forest:
         ).ravel()
 
 
-def _best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int, hist: np.ndarray):
-    """Best (column, threshold, weighted Gini) over the given feature columns.
+# Most rows one batched split search takes in. A step's splittable nodes are
+# searched in consecutive groups whose rows fit under it, and a node with
+# more rows is searched alone, so a search's arrays stay a few MB whatever
+# the number of trees.
+_SEARCH_ROWS = 2048
 
-    Ties resolve to the earliest column, then the lowest threshold. Returns
-    None when no split satisfies the leaf-size constraint. `hist` is the
-    node's class histogram T, np.bincount(yn, minlength=n_classes).
 
-    Gini needs only the sum of squared class counts on each side of a cut.
-    In value order, the i-th sample's class already has k_i samples before
-    it, so taking it in raises the left sum by 2*k_i + 1. With l the left
-    class counts, the right sum is sum((T - l)^2) = sum(T^2) - 2*sum(T*l)
-    + sum(l^2), and sum(T*l) is a running sum of T[label]. Both sums are
-    integers far below 2**53, so in float64 they equal the summed squares
-    of per-class counts exactly: every cost, and so every tie, is the one
-    a per-class count table gives.
+def _value_ranks(X: np.ndarray) -> np.ndarray:
+    """(d, n) table whose [f, i] is the dense rank of X[i, f] in column f.
+
+    Equal values share a rank, so two entries of a column differ in rank
+    exactly where a cut between them is legal.
     """
-    n, m = Xn.shape
-    cols = np.arange(m)
-    # The order among equal values is free: a legal cut falls between two
-    # distinct values, so the samples left of it are the same set either way.
-    order = np.argsort(Xn, axis=0)
-    V = Xn[order, cols]
-    L = yn[order]
-    # k: earlier samples in the same column with the same class. A stable
-    # sort by class keeps each class's samples in value order, and every
-    # column holds all the node's samples, so in class order the r-th
-    # sample of every column has k = r - (samples of lower classes). The
-    # smallest unsigned key type makes this sort a radix sort.
-    by_class = np.argsort(L.astype(np.min_scalar_type(n_classes - 1)), axis=0, kind="stable")
-    k = np.empty((n, m), dtype=np.int64)
-    k[by_class, cols] = (np.arange(n) - np.repeat(np.cumsum(hist) - hist, hist))[:, None]
-    sq_left = np.cumsum(2 * k + 1, axis=0)
-    sq_right = np.dot(hist, hist) - 2 * np.cumsum(hist[L], axis=0) + sq_left
-    nl = np.arange(1, n + 1, dtype=np.float64)[:, None]
-    nr = np.float64(n) - nl
+    order = np.argsort(X.T, axis=1)
+    V = np.take_along_axis(X.T, order, axis=1)
+    in_order = np.zeros(V.shape, dtype=np.int64)
+    np.cumsum(V[:, 1:] > V[:, :-1], axis=1, out=in_order[:, 1:])
+    rank = np.empty_like(in_order)
+    np.put_along_axis(rank, order, in_order, axis=1)
+    return rank
+
+
+def _search_splits(
+    X: np.ndarray, rank: np.ndarray, y: np.ndarray, min_leaf: int, rows: np.ndarray,
+    w: np.ndarray, sizes: np.ndarray, feats: np.ndarray, hist: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (column, threshold, weighted Gini) of each node of a group.
+
+    Node j holds the next sizes[j] entries of rows, distinct row indices of
+    X with multiplicities w, may cut on the columns feats[j], and has the
+    weighted class histogram hist[j]; rank is _value_ranks(X). Returns, per
+    node, the index into feats[j] of the best column (-1 where no cut
+    satisfies the leaf-size constraint), its threshold and its cost. Ties
+    resolve to the earliest column, then the lowest threshold.
+
+    Each (column, node) pair is one segment of a transposed (m, rows)
+    layout, and one sort by segment * n + rank puts every segment in value
+    order. The order among equal values is free: a legal cut falls between
+    two distinct values, so the rows left of it are the same set either way.
+    Gini needs only the sum of squared class counts on each side of a cut.
+    In value order, a row of multiplicity w whose class already has k
+    samples before it raises the left sum by (k + w)^2 - k^2 = (2k + w) * w.
+    With l the left class counts, the right sum is sum((T - l)^2) = sum(T^2)
+    - 2*sum(T*l) + sum(l^2), and sum(T*l) is a running sum of w * T[label].
+    All sums are integers far below 2**53, so in float64 they equal the
+    summed squares of per-class counts exactly: every cost, and so every
+    tie, is the one a per-class count table over the node's samples gives.
+    """
+    n_nodes, m = feats.shape
+    n_rows, n_classes = len(rows), hist.shape[1]
+    node = np.repeat(np.arange(n_nodes), sizes)
+    seg_size = np.tile(sizes, m)  # segments run over (column, node), column-major
+    seg_start = np.cumsum(seg_size) - seg_size
+    seg = np.repeat(np.arange(m * n_nodes), seg_size)
+
+    def running(a: np.ndarray) -> np.ndarray:
+        """a's inclusive running sum within each segment, in place."""
+        head = a[seg_start]
+        np.cumsum(a, out=a)
+        a -= np.repeat(a[seg_start] - head, seg_size)
+        return a
+
+    def per_segment(per_node: np.ndarray) -> np.ndarray:
+        return np.repeat(np.tile(per_node, m), seg_size)
+
+    # Temporaries are dropped or overwritten once spent: a search's arrays
+    # are fresh memory on every call, and a lower peak faults in fewer pages.
+    # The sort key is segment * n + rank with the entry's position in rows in
+    # the low bits; segment * n + rank rises exactly where a cut is legal.
+    bits = n_rows.bit_length()
+    key = np.take(rank, feats[node].T * len(X) + rows).ravel()
+    key += seg * len(X)
+    key <<= bits
+    key |= np.tile(np.arange(n_rows), m)
+    key.sort()
+    u = key & ((1 << bits) - 1)
+    key >>= bits
+    # A segment's last entry has nr == 0 below, so its comparison with the
+    # next segment's first key never makes a legal cut.
+    cut_ok = np.zeros(len(key), dtype=bool)
+    cut_ok[:-1] = key[1:] > key[:-1]
+    del key
+    W = np.take(w, u)
+    label = np.take(y[rows], u)
+    # k: the weight of the segment's earlier entries of the same class. A
+    # stable sort by class (a radix sort) orders the entries by (class,
+    # segment, value), and k is the weight taken in that order since the
+    # first entry of the (class, segment) group.
+    by_class = np.argsort(label.astype(np.min_scalar_type(n_classes - 1)), kind="stable")
+    group = np.take(seg * n_classes + label, by_class)
+    first = np.ones(len(group), dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=first[1:])
+    Wc = np.take(W, by_class)
+    k = np.cumsum(Wc)
+    k -= Wc
+    k -= np.maximum.accumulate(np.where(first, k, 0))
+    sq_left = np.empty_like(k)
+    sq_left[by_class] = (2 * k + Wc) * Wc
+    del group, first, by_class, Wc, k
+    running(sq_left)
+    tl = np.take(hist, np.take(node * n_classes, u) + label)  # T[label]
+    tl *= W
+    running(tl)
+    sq_right = per_segment((hist * hist).sum(axis=1)) - 2 * tl + sq_left
+    del label, tl
+    nl = running(W).astype(np.float64)
+    n = per_segment(hist.sum(axis=1).astype(np.float64))
+    nr = n - nl
+    cut_ok &= (nl >= min_leaf) & (nr >= min_leaf)
+    # (nl * gl + nr * gr) / n. Ties compare exact floats, so this order of
+    # float operations is part of the result.
     gl = 1.0 - sq_left.astype(np.float64) / nl**2
+    del sq_left, W
     with np.errstate(divide="ignore", invalid="ignore"):
         gr = 1.0 - sq_right.astype(np.float64) / nr**2
-    weighted = (nl * gl + nr * gr) / n
-    cut_ok = V[1:] > V[:-1]
-    cut_ok &= (nl[:-1] >= min_leaf) & (nr[:-1] >= min_leaf)
-    if not cut_ok.any():
-        return None
-    costs = np.where(cut_ok, weighted[:-1], np.inf)
-    flat = np.argmin(costs.T.ravel())  # column-major: earliest column wins ties
-    col, pos = divmod(flat, n - 1)
-    return int(col), float((V[pos, col] + V[pos + 1, col]) / 2.0), float(costs[pos, col])
+    del sq_right
+    gl *= nl
+    gr *= nr
+    gl += gr
+    gl /= n
+    costs = np.where(cut_ok, gl, np.inf)
+    del gl, gr, cut_ok, nl, nr, n
+    seg_min = np.minimum.reduceat(costs, seg_start)
+    best_col = np.argmin(seg_min.reshape(m, n_nodes), axis=0)  # earliest column wins ties
+    best = best_col * n_nodes + np.arange(n_nodes)
+    cost = seg_min[best]
+    found = cost < np.inf
+    # The lowest position of each chosen segment's minimum, and the next one.
+    at_min = np.flatnonzero(costs == np.repeat(seg_min, seg_size))
+    split = np.flatnonzero(found)
+    pos = at_min[np.searchsorted(at_min, seg_start[best[split]])]
+    col = feats[split, best_col[split]]
+    threshold = np.zeros(n_nodes)
+    threshold[split] = (X[rows[u[pos]], col] + X[rows[u[pos + 1]], col]) / 2.0
+    return np.where(found, best_col, -1), threshold, cost
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    hp: ForestHyperparams,
-    rng: np.random.Generator,
-    table: dict[str, list],
-) -> int:
-    """Append one tree's nodes to the given node lists; returns its root index."""
-    n, d = X.shape
-    m = int(np.ceil(np.sqrt(d)))
-    if hp.bootstrap:
-        idx = rng.integers(0, n, size=n)
-    else:
-        idx = np.arange(n)
+def _capped_groups(sizes: np.ndarray):
+    """Consecutive (lo, hi) index ranges whose sizes sum to at most _SEARCH_ROWS.
 
-    feature, threshold, left, right, leaf_class = (table[k] for k in _NODE_ARRAYS)
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        leaf_class.append(-1)
-        return len(feature) - 1
-
-    # Preorder DFS with an explicit stack; RNG draws happen in pop order, so
-    # the structure is reproducible without recursion-depth limits.
-    root = new_node()
-    stack: list[tuple[int, np.ndarray, int]] = [(root, idx, 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        yn = y[rows]
-        hist = np.bincount(yn, minlength=n_classes)
-        splittable = (
-            len(rows) >= hp.min_samples_split
-            and (hp.max_depth is None or depth < hp.max_depth)
-            and hist.max() < len(rows)  # not pure
-        )
-        split = None
-        if splittable:
-            feats = rng.choice(d, size=min(m, d), replace=False)
-            split = _best_split(X[np.ix_(rows, feats)], yn, n_classes, hp.min_samples_leaf, hist)
-        if split is None:
-            leaf_class[node] = int(np.argmax(hist))
-            continue
-        col, thr, _ = split
-        feature[node] = int(feats[col])
-        threshold[node] = thr
-        go_left = X[rows, feature[node]] <= thr
-        lnode, rnode = new_node(), new_node()
-        left[node], right[node] = lnode, rnode
-        stack.append((rnode, rows[~go_left], depth + 1))
-        stack.append((lnode, rows[go_left], depth + 1))
-    return root
+    A size above the cap makes a range of its own.
+    """
+    lo, total = 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if i > lo and total + size > _SEARCH_ROWS:
+            yield lo, i
+            lo, total = i, 0
+        total += size
+    if len(sizes):
+        yield lo, len(sizes)
 
 
 def _grow_trees(
     X: np.ndarray, y: np.ndarray, n_classes: int, hp: ForestHyperparams, seed: int,
     start: int, stop: int,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Grow trees start..stop-1 into a node table of their own: (roots, arrays)."""
-    table: dict[str, list] = {k: [] for k in _NODE_ARRAYS}
-    roots = [
-        _grow_tree(X, y, n_classes, hp, substream(seed, "tree", i), table)
-        for i in range(start, stop)
-    ]
-    return np.array(roots, dtype=np.int64), {
-        k: np.array(v, dtype=_NODE_DTYPES[k]) for k, v in table.items()
-    }
+    """Grow trees start..stop-1 into a node table of their own: (roots, arrays).
+
+    The trees grow in lockstep. Each keeps its own preorder DFS stack and
+    substream, and every step pops the next node of every unfinished tree,
+    draws each splittable node's candidate columns from its tree's stream,
+    and scores all of them in batched split searches. A tree's draws and
+    node numbers come in its own pop order, so each tree is the one it would
+    be grown alone. A node holds distinct row indices and their multiplicity
+    in the tree's bootstrap sample, as a (2, rows) array.
+    """
+    n, d = X.shape
+    m = min(int(np.ceil(np.sqrt(d))), d)
+    rank = _value_ranks(X)
+    max_depth = np.inf if hp.max_depth is None else hp.max_depth
+    rngs = [substream(seed, "tree", i) for i in range(start, stop)]
+    stacks = []
+    for rng in rngs:
+        if hp.bootstrap:
+            w = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        else:
+            w = np.ones(n, dtype=np.int64)
+        rows = np.flatnonzero(w)
+        stacks.append([(0, 0, np.stack([rows, w[rows]]))])  # (node, depth, rows and weights)
+    n_made = np.ones(len(rngs), dtype=np.int64)  # nodes numbered so far, per tree
+    steps = []
+    live = np.arange(len(rngs))
+    while len(live):
+        node, depth, data = zip(*(stacks[t].pop() for t in live))
+        depth = np.array(depth)
+        sizes = np.array([a.shape[1] for a in data])
+        rows, w = np.concatenate(data, axis=1)
+        at = np.repeat(np.arange(len(live)), sizes)
+        hist = np.bincount(at * n_classes + y[rows], weights=w, minlength=len(live) * n_classes)
+        hist = hist.reshape(len(live), n_classes).astype(np.int64)
+        count = hist.sum(axis=1)
+        cand = np.flatnonzero(
+            (count >= hp.min_samples_split) & (depth < max_depth) & (hist.max(axis=1) < count)
+        )
+        feats = np.array([rngs[t].choice(d, size=m, replace=False) for t in live[cand].tolist()],
+                         dtype=np.int64).reshape(len(cand), m)
+        feature = np.full(len(live), -1)
+        threshold = np.zeros(len(live))
+        for lo, hi in _capped_groups(sizes[cand]):
+            js = cand[lo:hi]
+            group_rows, group_w = np.concatenate([data[j] for j in js], axis=1)
+            col, threshold[js], _ = _search_splits(X, rank, y, hp.min_samples_leaf, group_rows,
+                                                   group_w, sizes[js], feats[lo:hi], hist[js])
+            feature[js] = np.where(col >= 0, feats[np.arange(lo, hi), col], -1)
+        split = np.flatnonzero(feature >= 0)
+        left = np.full(len(live), -1)
+        left[split] = n_made[live[split]]
+        n_made[live[split]] += 2
+        steps.append((live, np.array(node), feature, threshold, left,
+                      np.where(feature < 0, np.argmax(hist, axis=1), -1)))
+        # Children, left on top of the stack. A leaf's feature -1 reads the
+        # last column, and nothing reads what it gives.
+        go_left = X[rows, feature[at]] <= threshold[at]
+        starts = (np.cumsum(sizes) - sizes).tolist()
+        for j in split.tolist():
+            stack, child, below = stacks[live[j]], int(left[j]), int(depth[j]) + 1
+            block = data[j]
+            lhs = go_left[starts[j]:starts[j] + block.shape[1]]
+            stack.append((child + 1, below, block[:, ~lhs]))
+            stack.append((child, below, block[:, lhs]))
+        live = live[[bool(stacks[t]) for t in live.tolist()]]
+    tree, node, feature, threshold, left, leaf_class = (np.concatenate(a) for a in zip(*steps))
+    roots = np.cumsum(n_made) - n_made
+    index = roots[tree] + node
+    left = np.where(left >= 0, roots[tree] + left, -1)
+    right = np.where(left >= 0, left + 1, -1)
+    arrays = {}
+    for k, values in zip(_NODE_ARRAYS, (feature, threshold, left, right, leaf_class)):
+        arrays[k] = np.empty(len(index), dtype=_NODE_DTYPES[k])
+        arrays[k][index] = values
+    return roots, arrays
 
 
 def _usable_cpus() -> int:

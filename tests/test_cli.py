@@ -330,15 +330,18 @@ def test_bad_pgm_exits_2_naming_the_file(workspace, tmp_path, capsys, command, d
 
 
 def test_dead_forest_worker_exits_2(workspace, tmp_path, capsys, monkeypatch):
-    parent, grow = os.getpid(), forest._grow_tree
+    parent, grow = os.getpid(), forest._grow_trees
 
     def grow_or_die(*args):
         if os.getpid() != parent:
             os._exit(1)
         return grow(*args)
 
+    # The pool pickles the function by module and name; under the name it
+    # replaces, the forked worker unpickles this hook from the patched module.
+    grow_or_die.__module__, grow_or_die.__qualname__ = forest.__name__, "_grow_trees"
     monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(forest, "_grow_tree", grow_or_die)
+    monkeypatch.setattr(forest, "_grow_trees", grow_or_die)
     model, report = tmp_path / "m.blk", tmp_path / "r.json"
     argv = ["train-rfc", "--data", workspace / "data" / "landmarks.csv",
             "--model", model, "--report", report, "--set", "rfc.n_estimators=4"]
@@ -445,6 +448,32 @@ def test_atlas_size_below_1_exits_2(workspace, tmp_path, capsys, command):
     assert _main_within([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err == "error: config datagen.atlas_size: expected an integer >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", ["", "clip"], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["datagen", "synthesize", "translate"])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, command, under):
+    # translate's inputs do not exist: --out is checked before any of them is read.
+    file, missing = tmp_path / "out.txt", tmp_path / "missing"
+    file.write_bytes(b"not a clip\n")
+    out = file / under  # the file itself where under is empty
+    argv = {
+        "datagen": ["datagen", "--out", out, *SMALL],
+        "synthesize": ["synthesize", "--text", "HI", "--out", out],
+        "translate": ["translate", "--rfc", missing, "--cnn", missing, "--landmarks", missing,
+                      "--frames", missing, "--out", out],
+    }[command]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {file}: exists and is not a directory\n"
+    assert file.read_bytes() == b"not a clip\n"
+
+
+def test_config_setting_a_key_twice_exits_2(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg", tmp_path / "data"
+    cfg.write_text("seed = 1\nseed = 2\n", encoding="ascii")
+    assert cli.main(["datagen", "--out", str(out), "--config", str(cfg), *SMALL]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: key 'seed' is already set on line 1\n"
     assert not out.exists()
 
 

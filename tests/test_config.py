@@ -156,3 +156,21 @@ def test_config_file_without_settings_is_named(tmp_path):
     with pytest.raises(ValueError) as exc:
         config.load_config(path)
     assert str(exc.value) == f"{path}:2: non-UTF-8 byte 0xff"
+
+
+def test_key_set_twice_in_a_file_cites_both_lines(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("seed = 1\n# again\nseed = 2\n", encoding="ascii")
+    with pytest.raises(ValueError) as exc:
+        config.load_config(path)
+    assert str(exc.value) == f"{path}:3: key 'seed' is already set on line 1"
+    path.write_text("seed = 1\n rfc.bootstrap=false\ncnn.patience = 2\nrfc.bootstrap = true\n",
+                    encoding="ascii")
+    with pytest.raises(ValueError) as exc:
+        config.load_config(path)
+    assert str(exc.value) == f"{path}:4: key 'rfc.bootstrap' is already set on line 2"
+
+
+def test_repeated_set_keeps_the_last_value():
+    cfg = config.apply_overrides(config.load_config(None), ["seed=1", "seed=2"])
+    assert cfg["seed"] == "2"

@@ -3,16 +3,19 @@ import multiprocessing
 import os
 import signal
 import tempfile
+import tracemalloc
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signpipe import forest, io
+from signpipe import datagen, forest, io
+from signpipe.forest import _NODE_ARRAYS, ForestHyperparams
 from signpipe.rng import substream
 
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_class")
@@ -92,21 +95,152 @@ def reference_best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_lea
     return int(col), float((V[pos, col] + V[pos + 1, col]) / 2.0), float(costs[pos, col])
 
 
+# The serial oracle: forest.py's per-node split search and one-tree-at-a-time
+# growth from before trees grew in lockstep, kept verbatim.
+def _best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int, hist: np.ndarray):
+    """Best (column, threshold, weighted Gini) over the given feature columns.
+
+    Ties resolve to the earliest column, then the lowest threshold. Returns
+    None when no split satisfies the leaf-size constraint. `hist` is the
+    node's class histogram T, np.bincount(yn, minlength=n_classes).
+
+    Gini needs only the sum of squared class counts on each side of a cut.
+    In value order, the i-th sample's class already has k_i samples before
+    it, so taking it in raises the left sum by 2*k_i + 1. With l the left
+    class counts, the right sum is sum((T - l)^2) = sum(T^2) - 2*sum(T*l)
+    + sum(l^2), and sum(T*l) is a running sum of T[label]. Both sums are
+    integers far below 2**53, so in float64 they equal the summed squares
+    of per-class counts exactly: every cost, and so every tie, is the one
+    a per-class count table gives.
+    """
+    n, m = Xn.shape
+    cols = np.arange(m)
+    # The order among equal values is free: a legal cut falls between two
+    # distinct values, so the samples left of it are the same set either way.
+    order = np.argsort(Xn, axis=0)
+    V = Xn[order, cols]
+    L = yn[order]
+    # k: earlier samples in the same column with the same class. A stable
+    # sort by class keeps each class's samples in value order, and every
+    # column holds all the node's samples, so in class order the r-th
+    # sample of every column has k = r - (samples of lower classes). The
+    # smallest unsigned key type makes this sort a radix sort.
+    by_class = np.argsort(L.astype(np.min_scalar_type(n_classes - 1)), axis=0, kind="stable")
+    k = np.empty((n, m), dtype=np.int64)
+    k[by_class, cols] = (np.arange(n) - np.repeat(np.cumsum(hist) - hist, hist))[:, None]
+    sq_left = np.cumsum(2 * k + 1, axis=0)
+    sq_right = np.dot(hist, hist) - 2 * np.cumsum(hist[L], axis=0) + sq_left
+    nl = np.arange(1, n + 1, dtype=np.float64)[:, None]
+    nr = np.float64(n) - nl
+    gl = 1.0 - sq_left.astype(np.float64) / nl**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gr = 1.0 - sq_right.astype(np.float64) / nr**2
+    weighted = (nl * gl + nr * gr) / n
+    cut_ok = V[1:] > V[:-1]
+    cut_ok &= (nl[:-1] >= min_leaf) & (nr[:-1] >= min_leaf)
+    if not cut_ok.any():
+        return None
+    costs = np.where(cut_ok, weighted[:-1], np.inf)
+    flat = np.argmin(costs.T.ravel())  # column-major: earliest column wins ties
+    col, pos = divmod(flat, n - 1)
+    return int(col), float((V[pos, col] + V[pos + 1, col]) / 2.0), float(costs[pos, col])
+
+
+def _grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    n_classes: int,
+    hp: ForestHyperparams,
+    rng: np.random.Generator,
+    table: dict[str, list],
+) -> int:
+    """Append one tree's nodes to the given node lists; returns its root index."""
+    n, d = X.shape
+    m = int(np.ceil(np.sqrt(d)))
+    if hp.bootstrap:
+        idx = rng.integers(0, n, size=n)
+    else:
+        idx = np.arange(n)
+
+    feature, threshold, left, right, leaf_class = (table[k] for k in _NODE_ARRAYS)
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        leaf_class.append(-1)
+        return len(feature) - 1
+
+    # Preorder DFS with an explicit stack; RNG draws happen in pop order, so
+    # the structure is reproducible without recursion-depth limits.
+    root = new_node()
+    stack: list[tuple[int, np.ndarray, int]] = [(root, idx, 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        yn = y[rows]
+        hist = np.bincount(yn, minlength=n_classes)
+        splittable = (
+            len(rows) >= hp.min_samples_split
+            and (hp.max_depth is None or depth < hp.max_depth)
+            and hist.max() < len(rows)  # not pure
+        )
+        split = None
+        if splittable:
+            feats = rng.choice(d, size=min(m, d), replace=False)
+            split = _best_split(X[np.ix_(rows, feats)], yn, n_classes, hp.min_samples_leaf, hist)
+        if split is None:
+            leaf_class[node] = int(np.argmax(hist))
+            continue
+        col, thr, _ = split
+        feature[node] = int(feats[col])
+        threshold[node] = thr
+        go_left = X[rows, feature[node]] <= thr
+        lnode, rnode = new_node(), new_node()
+        left[node], right[node] = lnode, rnode
+        stack.append((rnode, rows[~go_left], depth + 1))
+        stack.append((lnode, rows[go_left], depth + 1))
+    return root
+
+
+def reference_grow_trees(X: np.ndarray, y: np.ndarray, n_classes: int,
+                         hp: forest.ForestHyperparams, seed: int, start: int, stop: int):
+    """The serial oracle of forest._grow_trees: one tree at a time, one split search per node."""
+    table = {k: [] for k in NODE_ARRAYS}
+    roots = [
+        _grow_tree(X, y, n_classes, hp, substream(seed, "tree", i), table)
+        for i in range(start, stop)
+    ]
+    return np.array(roots, dtype=np.int64), {
+        k: np.array(v, dtype=forest._NODE_DTYPES[k]) for k, v in table.items()
+    }
+
+
 def reference_train_forest(X: np.ndarray, y: np.ndarray, hp: forest.ForestHyperparams,
                            seed: int) -> forest.Forest:
     """The serial loop: every tree appended to one node table in the calling process."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    table = {k: [] for k in NODE_ARRAYS}
-    roots = [
-        forest._grow_tree(X, y, int(y.max()) + 1, hp, substream(seed, "tree", i), table)
-        for i in range(hp.n_estimators)
-    ]
-    return forest.Forest(
-        hyperparams=hp, n_classes=int(y.max()) + 1, n_features=X.shape[1],
-        trees=np.array(roots, dtype=np.int64),
-        **{k: np.array(v, dtype=forest._NODE_DTYPES[k]) for k, v in table.items()},
+    roots, arrays = reference_grow_trees(X, y, int(y.max()) + 1, hp, seed, 0, hp.n_estimators)
+    return forest.Forest(hyperparams=hp, n_classes=int(y.max()) + 1, n_features=X.shape[1],
+                         trees=roots, **arrays)
+
+
+def best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int):
+    """_best_split's answer from forest._search_splits on a group of one node.
+
+    Repeated (row, label) pairs become one row with their count as its
+    multiplicity, as a bootstrap sample's repeats do; the node may cut on
+    every column.
+    """
+    pairs, w = np.unique(np.column_stack([Xn, yn]), axis=0, return_counts=True)
+    X, y = pairs[:, :-1], pairs[:, -1].astype(np.int64)
+    hist = np.bincount(y, weights=w, minlength=n_classes).astype(np.int64)
+    col, thr, cost = forest._search_splits(
+        X, forest._value_ranks(X), y, min_leaf, np.arange(len(X)), w, np.array([len(X)]),
+        np.arange(X.shape[1])[None, :], hist[None, :],
     )
+    return None if col[0] < 0 else (int(col[0]), float(thr[0]), float(cost[0]))
 
 
 def majority_vote(votes: np.ndarray, n_classes: int | None = None) -> int:
@@ -167,7 +301,7 @@ def test_best_split_prefers_earliest_feature():
     # both columns separate the classes perfectly; the tie must go to column 0
     X = np.array([[0.0, 0.0], [0.2, 0.2], [0.8, 0.8], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
-    col, thr, cost = forest._best_split(X, y, 2, 1, np.bincount(y, minlength=2))
+    col, thr, cost = best_split(X, y, 2, 1)
     assert col == 0
     assert thr == pytest.approx(0.5)
     assert cost == pytest.approx(0.0)
@@ -176,7 +310,7 @@ def test_best_split_prefers_earliest_feature():
 def test_best_split_threshold_is_midpoint():
     X = np.array([[1.0], [3.0]])
     y = np.array([0, 1])
-    col, thr, _ = forest._best_split(X, y, 2, 1, np.bincount(y, minlength=2))
+    col, thr, _ = best_split(X, y, 2, 1)
     assert thr == pytest.approx(2.0)
 
 
@@ -184,7 +318,7 @@ def test_best_split_respects_min_leaf():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 1, 1])
     # min_leaf=2 forbids the perfect 1-vs-3 cut; best legal cut is 2-vs-2
-    out = forest._best_split(X, y, 2, 2, np.bincount(y, minlength=2))
+    out = best_split(X, y, 2, 2)
     assert out is not None
     _, thr, _ = out
     assert thr == pytest.approx(1.5)
@@ -222,8 +356,7 @@ def split_nodes(draw):
 def test_best_split_equals_one_hot_reference(node):
     Xn, yn, n_classes, min_leaf = node
     expected = reference_best_split(Xn, yn, n_classes, min_leaf)
-    hist = np.bincount(yn, minlength=n_classes)
-    assert forest._best_split(Xn, yn, n_classes, min_leaf, hist) == expected
+    assert best_split(Xn, yn, n_classes, min_leaf) == expected
 
 
 @pytest.mark.parametrize("hp", [
@@ -234,10 +367,10 @@ def test_best_split_equals_one_hot_reference(node):
 def test_forest_equals_one_hot_reference_forest(monkeypatch, tiny_landmarks, hp):
     X, y = tiny_landmarks
     model = forest.train_forest(X, y, hp, seed=4)
-    monkeypatch.setattr(forest, "_best_split",
+    monkeypatch.setitem(globals(), "_best_split",
                         lambda Xn, yn, n_classes, min_leaf, hist: reference_best_split(
                             Xn, yn, n_classes, min_leaf))
-    expected = forest.train_forest(X, y, hp, seed=4)
+    expected = reference_train_forest(X, y, hp, seed=4)
     for k in ("trees",) + NODE_ARRAYS:
         assert np.array_equal(getattr(model, k), getattr(expected, k))
 
@@ -264,17 +397,81 @@ def test_forest_equals_serial_reference(monkeypatch, tmp_path, tiny_landmarks, c
     assert multiprocessing.active_children() == []
 
 
+@st.composite
+def growth_cases(draw):
+    """(X, y, n_classes, hp, seed, start, stop) for one range of a small forest.
+
+    Columns draw from a few levels, so values repeat, and some are constant.
+    """
+    n_classes = draw(st.integers(2, 6))
+    n = draw(st.integers(5, 60))
+    d = draw(st.integers(1, 8))
+    levels = draw(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=6))
+    X = np.array(draw(st.lists(st.lists(st.sampled_from(levels), min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    X[:, draw(st.lists(st.integers(0, d - 1), max_size=2))] = draw(st.sampled_from(levels))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    hp = forest.ForestHyperparams(
+        n_estimators=1,
+        max_depth=draw(st.sampled_from([None, 1, 2, 5])),
+        min_samples_split=draw(st.integers(2, 6)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+        bootstrap=draw(st.booleans()),
+    )
+    start = draw(st.integers(0, 3))
+    return X, y, n_classes, hp, draw(st.integers(0, 2**16)), start, start + draw(st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(growth_cases())
+def test_lockstep_growth_equals_serial_oracle(case):
+    # A cap of 7 rows splits most steps into several searches, and leaves
+    # nodes larger than the cap to be searched alone.
+    with mock.patch.object(forest, "_SEARCH_ROWS", 7):
+        roots, arrays = forest._grow_trees(*case)
+    want_roots, want = reference_grow_trees(*case)
+    assert roots.dtype == want_roots.dtype and np.array_equal(roots, want_roots)
+    for k in NODE_ARRAYS:
+        assert arrays[k].dtype == want[k].dtype
+        assert np.array_equal(arrays[k], want[k]), k
+
+
+def test_lockstep_growth_memory_is_bounded():
+    # The bench corpus's training split: 20 rows per class, 448 of 560 rows.
+    X, y = datagen.frames_to_arrays(datagen.synth_landmarks(
+        datagen.LandmarkDatasetSpec(per_class=20, seed=31)))
+    train = substream(31, "rfc-split").permutation(len(X))[:448]
+    hp = forest.ForestHyperparams(n_estimators=100)
+    tracemalloc.start()
+    try:
+        forest._grow_trees(X[train], y[train], int(y.max()) + 1, hp, 31, 0, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def hook_grow_trees(monkeypatch, hook):
+    """Replace forest._grow_trees with hook, in this process and in forked workers.
+
+    The pool pickles the function it runs by module and name; the hook takes
+    the name it replaces, so a worker unpickles it from its copy of the
+    patched module.
+    """
+    hook.__module__, hook.__qualname__ = forest.__name__, "_grow_trees"
+    monkeypatch.setattr(forest, "_grow_trees", hook)
+
+
 def _failing_tree(monkeypatch, seed, bad_tree, fail):
-    """Make _grow_tree call fail() on tree bad_tree of a forest grown with seed."""
-    grow = forest._grow_tree
-    bad_state = substream(seed, "tree", bad_tree).bit_generator.state
+    """Make _grow_trees call fail() on the range that holds tree bad_tree of a forest grown with seed."""
+    grow = forest._grow_trees
 
-    def grow_or_fail(X, y, n_classes, hp, rng, table):
-        if rng.bit_generator.state == bad_state:
+    def grow_or_fail(X, y, n_classes, hp, range_seed, start, stop):
+        if range_seed == seed and start <= bad_tree < stop:
             fail()
-        return grow(X, y, n_classes, hp, rng, table)
+        return grow(X, y, n_classes, hp, range_seed, start, stop)
 
-    monkeypatch.setattr(forest, "_grow_tree", grow_or_fail)
+    hook_grow_trees(monkeypatch, grow_or_fail)
 
 
 def _raise():

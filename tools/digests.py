@@ -1,11 +1,11 @@
 """Print a sha256 digest of every output of a fixed, seeded CLI run.
 
-Runs datagen, train-rfc, train-cnn, eval, tune, correct, synthesize (at the
-default atlas size and at 36 px, whose flow has partial 8x8 blocks) and
-translate for seeds 3 and 8 against one checkout's `src/`, with one BLAS
-thread, and prints one `sha256 path` line per output file, per frame
-directory (its .pgm names and bytes in order) and per command's stdout
-(temporary paths stripped). A change that claims the same bytes prints the
+Runs datagen, train-rfc (bootstrapped, and unbootstrapped without a depth
+cap), train-cnn, eval, tune, correct, synthesize (at the default atlas size
+and at 36 px, whose flow has partial 8x8 blocks) and translate for seeds 3
+and 8 against one checkout's `src/`, with one BLAS thread, and prints one
+`sha256 path` line per output file, per frame directory (its .pgm names and
+bytes in order) and per command's stdout (temporary paths stripped). A change that claims the same bytes prints the
 same lines as its parent:
 
     python tools/digests.py --repo PARENT_CHECKOUT > parent.txt
@@ -39,6 +39,11 @@ def _commands(seed: int):
                            "--set", "datagen.silhouette_per_class=1"]
     yield "train-rfc", ["train-rfc", "--data", "data/landmarks.csv",
                         "--model", "rfc.blk", "--report", "rfc.json", *s]
+    # Every node of an unbootstrapped forest holds each of its rows once.
+    yield "train-rfc-nobootstrap", ["train-rfc", "--data", "data/landmarks.csv",
+                                    "--model", "rfc_nobootstrap.blk",
+                                    "--report", "rfc_nobootstrap.json", *s,
+                                    "--set", "rfc.bootstrap=false", "--set", "rfc.max_depth=none"]
     yield "train-cnn", ["train-cnn", "--data", "data/silhouettes", "--model", "cnn.blk",
                         "--report", "cnn.json", *s,
                         "--set", "cnn.batch_size=8", "--set", "cnn.max_epochs=3"]
