@@ -522,6 +522,8 @@ def _synthesize(text: str, atlas: videosynth.GestureAtlas, args, out_dir: Path) 
 
 def _cmd_synthesize(args) -> int:
     out = _out_dir(args)
+    if not args.text.strip():
+        raise ValueError("cannot synthesize empty text")
     cfg = _config(args)
     info = _synthesize(args.text.upper(), _atlas(args, cfg), args, out)
     write_json_report(

@@ -1,12 +1,23 @@
 """Micro-CNN built on numpy: forward, backprop, Adam, early stopping.
 
-The fixed architecture (build_model) is three conv/pool stages into two
-dense layers with dropout; layer shapes and parameter counts are pinned by
-unit tests. Everything runs in float64; convolutions use im2col matmuls and
-the data gradient is computed as a convolution with the flipped, channel-
-transposed kernel, so no scatter-add appears on the hot path. That
-convolution pads the output gradient by kernel - 1 less the forward pad on
-each side, so it yields the input-sized gradient directly, with no crop.
+The fixed architecture (build_model) is three conv -> max-pool -> ReLU
+stages into two dense layers with dropout; layer shapes and parameter
+counts are pinned by unit tests. Pooling before the ReLU is the same
+function as the usual conv -> ReLU -> pool order, because ReLU is monotone
+and returns one of its inputs: max(relu(a), relu(b)) == relu(max(a, b))
+bit for bit. It runs the ReLU on maps 4, 9 and 16 times smaller. The
+gradients differ only in the sign and place of exact zeros, which leave
+every weight update unchanged.
+
+Everything runs in float64; convolutions use im2col matmuls and the data
+gradient is computed as a convolution with the flipped, channel-transposed
+kernel, so no scatter-add appears on the hot path. That convolution pads
+the output gradient by kernel - 1 less the forward pad on each side, so it
+yields the input-sized gradient directly, with no crop. A pool reads its
+input once, as s*s strided views (one per window offset), keeping a
+running maximum and, in training, the first offset that holds it; its
+backward is one scatter to those offsets.
+
 Each backward pass assigns its layer's weight and bias gradients (dW, db),
 so a training step's single pass leaves exactly that batch's gradients.
 Only a train-mode forward keeps what backward reads, and the model's
@@ -22,6 +33,14 @@ import numpy as np
 
 from .io import read_blocks, write_blocks
 from .rng import substream
+
+
+def _zero_pad(x: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
+    """(N, H, W, C) with (before, after) zero rows and columns added."""
+    n, h, w, c = x.shape
+    out = np.zeros((n, h + rows[0] + rows[1], w + cols[0] + cols[1], c), dtype=x.dtype)
+    out[:, rows[0] : rows[0] + h, cols[0] : cols[0] + w] = x
+    return out
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -63,7 +82,13 @@ class _Weighted(Layer):
 
 
 class Conv2D(_Weighted):
-    """2-D convolution, stride 1, padding 'valid' or 'same'."""
+    """2-D convolution, stride 1, padding 'valid' or 'same'.
+
+    backward returns the gradient with respect to the input unless
+    input_grad is False, which the model sets on its first layer.
+    """
+
+    input_grad = True
 
     def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int, padding: str, rng):
         if padding not in ("valid", "same"):
@@ -75,7 +100,7 @@ class Conv2D(_Weighted):
         super().__init__((kh, kw, in_ch, out_ch), rng)
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        xp = np.pad(x, ((0, 0), *self.pads, (0, 0))) if self.padding == "same" else x
+        xp = _zero_pad(x, *self.pads) if self.padding == "same" else x
         patches = _im2col(xp, self.kh, self.kw)
         if train:
             self._patches = patches
@@ -83,12 +108,12 @@ class Conv2D(_Weighted):
         out = patches.reshape(-1, k) @ self.W.reshape(k, self.out_ch) + self.b
         return out.reshape(n, oh, ow, self.out_ch)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
         self.weight_backward(dy)
-        return self.data_backward(dy)
+        return self.data_backward(dy) if self.input_grad else None
 
     def weight_backward(self, dy: np.ndarray) -> None:
-        """Assign dW and db; the first layer of a model stops here."""
+        """Assign dW and db."""
         k = self.kh * self.kw * self.in_ch
         dy2 = dy.reshape(-1, self.out_ch)
         self.dW = (self._patches.reshape(-1, k).T @ dy2).reshape(self.W.shape)
@@ -100,9 +125,9 @@ class Conv2D(_Weighted):
         # transposed kernel. Padding dy by k - 1 less the forward pad on each
         # side makes the result exactly the input's size.
         (pt, pb), (pl, pr) = self.pads
-        back = ((0, 0), (self.kh - 1 - pt, self.kh - 1 - pb), (self.kw - 1 - pl, self.kw - 1 - pr), (0, 0))
+        rows, cols = (self.kh - 1 - pt, self.kh - 1 - pb), (self.kw - 1 - pl, self.kw - 1 - pr)
         wb = self.W[::-1, ::-1].transpose(0, 1, 3, 2).reshape(self.kh * self.kw * self.out_ch, self.in_ch)
-        pat = _im2col(np.pad(dy, back), self.kh, self.kw)
+        pat = _im2col(_zero_pad(dy, rows, cols), self.kh, self.kw)
         return (pat.reshape(-1, pat.shape[3]) @ wb).reshape(pat.shape[:3] + (self.in_ch,))
 
 
@@ -110,44 +135,61 @@ class MaxPool2D(Layer):
     """Max pooling with stride == window; floor or ceil edge handling.
 
     Floor mode drops trailing rows/columns that do not fill a window; ceil
-    mode pads them with -inf so every input pixel belongs to some window.
+    mode keeps them as smaller edge windows, so every input pixel belongs to
+    some window. Training keeps each window's first-maximum offset
+    k = i*size + j in one byte, so size is at most 16.
     """
 
     def __init__(self, size: int, ceil_mode: bool = False):
+        if not 1 <= size <= 16:
+            raise ValueError(f"pool size must be in [1, 16], got {size}")
         self.size = size
         self.ceil_mode = ceil_mode
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n, h, w, c = x.shape
         s = self.size
-        if self.ceil_mode:
-            hp = -(-h // s) * s
-            wp = -(-w // s) * s
-            xp = np.full((n, hp, wp, c), -np.inf)
-            xp[:, :h, :w, :] = x
-        else:
-            hp, wp = (h // s) * s, (w // s) * s
-            xp = x[:, :hp, :wp, :]
-        oh, ow = hp // s, wp // s
-        blocks = xp.reshape(n, oh, s, ow, s, c)
+        oh, ow = (-(-h // s), -(-w // s)) if self.ceil_mode else (h // s, w // s)
+        # x[:, i::s, j::s] on the window grid holds offset (i, j) of every
+        # window. The first is (oh, ow); a later one is shorter where
+        # ceil-mode edge windows lack that offset.
+        out = x[:, 0 : oh * s : s, 0 : ow * s : s].copy()
         if train:
-            windows = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, s * s, c)
-            self._argmax = windows.argmax(axis=3)
+            argmax = np.zeros(out.shape, dtype=np.uint8)
+            greater = np.empty(out.shape, dtype=bool)
+        for i in range(min(s, h)):
+            for j in range(min(s, w)):
+                if i == j == 0:
+                    continue
+                v = x[:, i : oh * s : s, j : ow * s : s]
+                vh, vw = v.shape[1:3]
+                o = out[:, :vh, :vw]
+                if train:
+                    # A later offset takes over only where strictly greater,
+                    # as argmax keeps the first. Offsets grow, so taking it
+                    # over is a maximum with the new offset.
+                    hit = np.greater(v, o, out=greater[:, :vh, :vw]).view(np.uint8)
+                    a = argmax[:, :vh, :vw]
+                    np.maximum(a, np.multiply(hit, i * s + j, out=hit), out=a)
+                np.maximum(o, v, out=o)
+        if train:
+            self._argmax = argmax
             self._x_shape = x.shape
-        return blocks.max(axis=(2, 4))
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        # Each window's gradient goes to its first maximum. The window grid
-        # covers the input (ceil) or lies inside it (floor); keep the overlap.
+        # Each window's gradient goes to its first maximum: one scatter at
+        # the flat input positions of window corner plus offset.
         n, h, w, c = self._x_shape
         s = self.size
         oh, ow = dy.shape[1:3]
-        g = np.zeros((n, oh, ow, s * s, c))
-        np.put_along_axis(g, self._argmax[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-        grid = g.reshape(n, oh, ow, s, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh * s, ow * s, c)
-        hh, ww = min(h, oh * s), min(w, ow * s)
-        dx = np.zeros((n, h, w, c))
-        dx[:, :hh, :ww, :] = grid[:, :hh, :ww, :]
+        offsets = np.array([(i * w + j) * c for i in range(s) for j in range(s)])
+        at = offsets[self._argmax]
+        at += np.arange(n)[:, None, None, None] * (h * w * c)
+        at += np.arange(oh)[:, None, None] * (s * w * c)
+        at += np.arange(ow)[:, None] * (s * c) + np.arange(c)
+        dx = np.zeros(self._x_shape)
+        dx.reshape(-1)[at] = dy
         return dx
 
 
@@ -226,11 +268,12 @@ class CnnModel:
         return softmax(x)
 
     def backward(self, dlogits: np.ndarray) -> None:
-        """Backpropagate a train-mode forward's loss gradient; the first layer
-        (a convolution) computes its weight gradients only."""
-        for layer in reversed(self.layers[1:]):
+        """Backpropagate a train-mode forward's loss gradient. Nothing reads
+        the gradient with respect to the image, so the first layer (a
+        convolution) computes its weight gradients only."""
+        self.layers[0].input_grad = False
+        for layer in reversed(self.layers):
             dlogits = layer.backward(dlogits)
-        self.layers[0].weight_backward(dlogits)
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
@@ -253,14 +296,14 @@ def build_model(num_classes: int, seed: int) -> CnnModel:
     rng = substream(seed, "init")
     layers = [
         Conv2D(1, 16, 2, 2, "valid", rng),
-        ReLU(),
         MaxPool2D(2),
+        ReLU(),
         Conv2D(16, 32, 3, 3, "valid", rng),
-        ReLU(),
         MaxPool2D(3),
-        Conv2D(32, 64, 5, 5, "same", rng),
         ReLU(),
+        Conv2D(32, 64, 5, 5, "same", rng),
         MaxPool2D(5, ceil_mode=True),
+        ReLU(),
         Flatten(),
         Dense(64, 128, rng),
         ReLU(),
@@ -328,23 +371,40 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
+    """Adam, updated in place. Each step evaluates, operation by operation,
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g**2
+        p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+
+    with two scratch arrays per parameter instead of temporaries."""
+
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
         self.m: list[np.ndarray] = []
         self.v: list[np.ndarray] = []
+        self._scratch: list[tuple[np.ndarray, np.ndarray]] = []
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         if not self.m:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
+            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t += 1
-        for p, g, m, v in zip(params, grads, self.m, self.v, strict=True):
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
-            mhat = m / (1.0 - ADAM_BETA1**self.t)
-            vhat = v / (1.0 - ADAM_BETA2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        mscale, vscale = 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch, strict=True):
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
+            v += np.multiply(np.square(g, out=a), 1.0 - ADAM_BETA2, out=a)
+            np.divide(m, mscale, out=a)
+            a *= self.lr
+            np.divide(v, vscale, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            p -= a
 
 
 def _loss_gradient(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

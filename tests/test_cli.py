@@ -791,6 +791,17 @@ def test_synthesize_rejects_bad_text(tmp_path, capsys):
     assert "!" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "   "], ids=["empty", "spaces"])
+@pytest.mark.parametrize("command", ["correct", "synthesize"])
+def test_empty_text_exits_2(tmp_path, capsys, command, text):
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "synthesize" else ["--report", str(out)]
+    assert cli.main([command, "--text", text, *extra]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: cannot {command} empty text\n")
+    assert not out.exists()
+
+
 def translate_args(workspace, out):
     return [
         "translate",

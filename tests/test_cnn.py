@@ -298,6 +298,12 @@ def test_build_model_validation():
         cnn.build_model(1, seed=0)
 
 
+@pytest.mark.parametrize("size", [0, 17])
+def test_pool_size_validation(size):
+    with pytest.raises(ValueError, match="pool size"):
+        cnn.MaxPool2D(size)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         cnn.TrainConfig(learning_rate=0.0)
@@ -405,3 +411,141 @@ def test_pool_equals_reference_with_ties(rng, kind, s, ceil_mode, h, w):
     assert out.tobytes() == want_out.tobytes()
     assert dx.shape == x.shape and dx.tobytes() == want_dx.tobytes()
 
+
+@pytest.mark.parametrize("kind", ["relu", "levels", "constant"])
+@pytest.mark.parametrize("s, ceil_mode, h, w", [
+    (2, False, 7, 9),
+    (3, True, 13, 11),
+    (5, True, 4, 4),
+    (4, True, 3, 6),  # window larger than the input's height
+])
+def test_pool_train_and_inference_outputs_are_bit_equal(rng, kind, s, ceil_mode, h, w):
+    x = _tied(rng, kind, (2, h, w, 3)) - 0.25  # negative maxima too
+    layer = cnn.MaxPool2D(s, ceil_mode=ceil_mode)
+    assert layer.forward(x, train=True).tobytes() == layer.forward(x, train=False).tobytes()
+
+
+# Oracles for the training step: the architecture's earlier conv -> ReLU ->
+# pool order and Adam's earlier expression, evaluated with temporaries.
+
+
+def relu_before_pool(model):
+    """The same layer objects (so the same weights) in conv -> ReLU -> pool order."""
+    layers = list(model.layers)
+    for i, layer in enumerate(layers[:-1]):
+        if isinstance(layer, cnn.MaxPool2D) and isinstance(layers[i + 1], cnn.ReLU):
+            layers[i], layers[i + 1] = layers[i + 1], layer
+    assert layers != model.layers
+    return cnn.CnnModel(layers, model.num_classes, model.input_shape)
+
+
+class ReferenceAdam:
+    def __init__(self, lr):
+        self.lr = lr
+        self.t = 0
+        self.m, self.v = [], []
+
+    def step(self, params, grads):
+        if not self.m:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        for p, g, m, v in zip(params, grads, self.m, self.v, strict=True):
+            m[...] = cnn.ADAM_BETA1 * m + (1.0 - cnn.ADAM_BETA1) * g
+            v[...] = cnn.ADAM_BETA2 * v + (1.0 - cnn.ADAM_BETA2) * g**2
+            mhat = m / (1.0 - cnn.ADAM_BETA1**self.t)
+            vhat = v / (1.0 - cnn.ADAM_BETA2**self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + cnn.ADAM_EPS)
+
+
+def glyph_batches(count, size, seed):
+    """Silhouette batches: constant black and white regions tie in every pool."""
+    images, labels = datagen.synth_silhouettes(datagen.SilhouetteDatasetSpec(per_class=2, seed=seed))
+    order = substream(seed, "batches").permutation(len(images))[: count * size]
+    X = cnn.images_to_input(images[order])
+    y = np.array([CNN_CLASSES.index(labels[i]) for i in order])
+    return [(X[lo : lo + size], y[lo : lo + size]) for lo in range(0, len(X), size)]
+
+
+def test_pool_before_relu_gives_the_same_probabilities(rng):
+    x = np.round(rng.uniform(0, 1, (cnn.PREDICT_BATCH, 32, 32, 1)))
+    probs = []
+    for reorder in (False, True):
+        model = cnn.build_model(27, seed=11)
+        if reorder:
+            model = relu_before_pool(model)
+        model.layers[-2].rng = substream(0, "dropout")
+        probs.append((model.forward(x, train=False).tobytes(), model.forward(x, train=True).tobytes()))
+    assert probs[0] == probs[1]
+
+
+def test_pool_before_relu_trains_to_the_same_weights():
+    batches = glyph_batches(5, 8, seed=4)
+    weights = []
+    for reorder in (False, True):
+        model = cnn.build_model(len(CNN_CLASSES), seed=12)
+        for layer in model.layers:
+            if isinstance(layer, cnn.Conv2D):
+                layer.b[...] = 0.05  # black regions pool to positive ties as well
+        if reorder:
+            model = relu_before_pool(model)
+        else:
+            # pool 1 sees windows whose positive maximum occurs more than once
+            windows = model.layers[0].forward(batches[0][0], train=False)[:, :30, :30]
+            windows = windows.reshape(8, 15, 2, 15, 2, 16)
+            top = windows.max(axis=(2, 4), keepdims=True)
+            assert np.any(((windows == top).sum(axis=(2, 4)) > 1) & (top[:, :, 0, :, 0] > 0))
+        model.layers[-2].rng = substream(0, "dropout")
+        optimizer = (ReferenceAdam if reorder else cnn.Adam)(1e-3)
+        for xb, yb in batches:
+            model.backward(cnn._loss_gradient(model.forward(xb, train=True), yb))
+            optimizer.step(model.params(), model.grads())
+        weights.append([w.tobytes() for w in model.get_weights()])
+    assert weights[0] == weights[1]
+
+
+def test_adam_equals_reference_expression(rng):
+    shapes = [(3, 3, 2, 4), (4,), (7, 5)]
+    params = [rng.normal(0, 1, s) for s in shapes]
+    ref_params = [p.copy() for p in params]
+    adam, ref = cnn.Adam(1e-3), ReferenceAdam(1e-3)
+    for step in range(10):
+        grads = [rng.normal(0, 1, s) for s in shapes]
+        grads[1][step % 4] = 0.0  # exact zeros, as a dead ReLU gives
+        adam.step(params, grads)
+        ref.step(ref_params, grads)
+        for got, want in zip(params + adam.m + adam.v, ref_params + ref.m + ref.v, strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_train_with_a_short_last_batch_equals_the_reference_step(monkeypatch):
+    images, labels = first_classes(3, per_class=5, seed=6)  # 15 = 4 + 4 + 4 + 3
+    X = cnn.images_to_input(images)
+    y = np.array([("A", "B", "C").index(l) for l in labels])
+    cfg = cnn.TrainConfig(max_epochs=3, batch_size=4, patience=3, seed=5)
+    runs = []
+    for reference in (False, True):
+        model = cnn.build_model(3, seed=5)
+        if reference:
+            model = relu_before_pool(model)
+            monkeypatch.setattr(cnn, "Adam", ReferenceAdam)
+        history = cnn.train(model, X, y, X[:6], y[:6], cfg)
+        runs.append((history, [w.tobytes() for w in model.get_weights()]))
+    assert runs[0] == runs[1]
+
+
+def test_model_backward_runs_each_layer_backward_once(rng):
+    # Every layer's own backward runs, so a per-instance wrapper times conv 1
+    # too; conv 1 stops at its weight gradients.
+    model = small_model()
+    model.layers[-2].rng = substream(0, "dropout")
+    calls = []
+    for i, layer in enumerate(model.layers):
+        def counted(dy, i=i, backward=layer.backward):
+            calls.append(i)
+            return backward(dy)
+        layer.backward = counted
+    x = rng.uniform(0, 1, (3, 8, 8, 1))
+    model.backward(cnn._loss_gradient(model.forward(x, train=True), np.array([0, 1, 2])))
+    assert calls == list(reversed(range(len(model.layers))))
+    assert model.layers[0].backward(np.zeros((3, 7, 7, 3))) is None

@@ -1,9 +1,10 @@
 """Print a sha256 digest of every output of a fixed, seeded CLI run.
 
 Runs datagen, train-rfc (bootstrapped, and unbootstrapped without a depth
-cap), train-cnn, eval, tune, correct, synthesize (at the default atlas size
-and at 36 px, whose flow has partial 8x8 blocks) and translate for seeds 3
-and 8 against one checkout's `src/`, with one BLAS thread, and prints one
+cap), train-cnn (at batch 8, and at batch 5, whose last batch is short),
+eval, tune, correct, synthesize (at the default atlas size and at 36 px,
+whose flow has partial 8x8 blocks) and translate for seeds 3 and 8
+against one checkout's `src/`, with one BLAS thread, and prints one
 `sha256 path` line per output file, per frame directory (its .pgm names and
 bytes in order) and per command's stdout (temporary paths stripped). A change that claims the same bytes prints the
 same lines as its parent:
@@ -47,6 +48,10 @@ def _commands(seed: int):
     yield "train-cnn", ["train-cnn", "--data", "data/silhouettes", "--model", "cnn.blk",
                         "--report", "cnn.json", *s,
                         "--set", "cnn.batch_size=8", "--set", "cnn.max_epochs=3"]
+    # 432 training glyphs at batch 5: every epoch ends on a batch of 2.
+    yield "train-cnn-short-batch", ["train-cnn", "--data", "data/silhouettes",
+                                    "--model", "cnn_b5.blk", "--report", "cnn_b5.json", *s,
+                                    "--set", "cnn.batch_size=5", "--set", "cnn.max_epochs=2"]
     yield "eval", ["eval", *heads, "--landmarks", "data/landmarks.csv",
                    "--silhouettes", "data/silhouettes", "--report", "eval.json", *s]
     yield "tune", ["tune", "--data", "tune_data/landmarks.csv", "--report", "tune.json", *s,
