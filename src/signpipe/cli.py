@@ -9,6 +9,7 @@ timestamps or timings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
@@ -30,6 +31,7 @@ from .io import (
     read_landmark_csv,
     read_pgm,
     read_text,
+    unlink_numbered,
     write_json_report,
     write_landmark_csv,
     write_pgm,
@@ -101,6 +103,8 @@ def _cmd_datagen(args) -> int:
         class_dir = out / "silhouettes" / label
         class_dir.mkdir(parents=True, exist_ok=True)
         write_pgm(class_dir / f"img_{i % sil_spec.per_class:05d}.pgm", img)
+    for label in set(labels):
+        unlink_numbered(out / "silhouettes" / label, "img_{:05d}.pgm", sil_spec.per_class)
 
     atlas_dir = out / "atlas"
     atlas_dir.mkdir(parents=True, exist_ok=True)
@@ -119,15 +123,21 @@ def _cmd_datagen(args) -> int:
         "phrases": len(datagen.PHRASES),
     }
 
+    frames_dir = out / "stream_frames"
     if stream_spec:
         lm, sils = datagen.synth_stream(stream_spec)
         write_landmark_csv(out / "stream_landmarks.csv", [LandmarkFrame(row, "NA") for row in lm])
-        frames_dir = out / "stream_frames"
         frames_dir.mkdir(parents=True, exist_ok=True)
         for i, img in enumerate(sils):
             write_pgm(frames_dir / f"frame_{i:06d}.pgm", img)
+        unlink_numbered(frames_dir, "frame_{:06d}.pgm", len(sils))
         report["stream_text"] = stream_spec.text
         report["stream_frames"] = len(sils)
+    else:  # nor an earlier run's stream
+        (out / "stream_landmarks.csv").unlink(missing_ok=True)
+        unlink_numbered(frames_dir, "frame_{:06d}.pgm", 0)
+        with contextlib.suppress(OSError):  # kept if something else is in it
+            frames_dir.rmdir()
 
     write_json_report(out / "datagen_report.json", report)
     print(f"wrote {report['landmark_samples']} landmark rows, "
@@ -276,7 +286,8 @@ def _cmd_tune(args) -> int:
     X, y = _load_landmark_dataset(args.data)
     if len(X) < folds:
         raise ValueError(f"{args.data}: {len(X)} landmark row(s) cannot fill {folds} folds")
-    smallest = len(X) - (len(X) + folds - 1) // folds  # training rows beside the largest fold
+    held_out = forest.cv_folds(len(X), folds, seed)
+    smallest = len(X) - max(map(len, held_out))  # training rows beside the largest fold
     need = max(forest.SEARCH_SPACE["min_samples_split"])
     if smallest < need:
         raise ValueError(
@@ -284,7 +295,7 @@ def _cmd_tune(args) -> int:
             f"smallest of {folds} folds, and the search needs at least {need}"
         )
     _check_two_classes(args.data, y)
-    for i, fold in enumerate(forest.cv_folds(len(X), folds, seed), 1):
+    for i, fold in enumerate(held_out, 1):
         _check_two_classes(
             args.data, np.delete(y, fold), f"every training row of fold {i} of {folds}"
         )

@@ -19,14 +19,15 @@ node arrays as they are, with children as table indices, plus `offsets`:
 the root of each tree followed by the node count.
 
 Training splits the trees into contiguous index ranges, one per CPU the
-process may use. Each range grows into a node table of its own, the parent
-growing the first while forked workers grow the rest, and the tables are
-joined in tree order with their children shifted by the nodes before them.
-Within a range the trees grow in lockstep: each step takes the next node
-of every tree and scores all of them in batched split searches of at most
-_SEARCH_ROWS rows each. Since tree i depends only on its substream, and
-draws and numbers its nodes in its own order, the joined table is the one
-a single loop over the trees, one node at a time, builds.
+process may use; the parent grows the first range while forked workers grow
+the rest. A range returns one record per node, numbered within its tree,
+and the table is written once from every range's records: tree i's nodes
+start after the nodes of trees 0..i-1. Within a range the trees grow in
+lockstep: each step takes the next node of every tree and scores all of
+them in batched split searches of at most _SEARCH_ROWS rows each. Since
+tree i depends only on its substream, and draws and numbers its nodes in
+its own order, the table is the one a single loop over the trees, one node
+at a time, builds.
 """
 from __future__ import annotations
 
@@ -270,8 +271,12 @@ def _capped_groups(sizes: np.ndarray):
 def _grow_trees(
     X: np.ndarray, y: np.ndarray, n_classes: int, hp: ForestHyperparams, seed: int,
     start: int, stop: int,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Grow trees start..stop-1 into a node table of their own: (roots, arrays).
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Grow trees start..stop-1: (node count per tree, node records).
+
+    The records are the arrays (tree, node, feature, threshold, left,
+    leaf_class), one entry per node. tree is the global tree index; node
+    and left (-1 on a leaf) number the nodes within their tree, root 0.
 
     The trees grow in lockstep. Each keeps its own preorder DFS stack and
     substream, and every step pops the next node of every unfinished tree,
@@ -323,7 +328,7 @@ def _grow_trees(
         left = np.full(len(live), -1)
         left[split] = n_made[live[split]]
         n_made[live[split]] += 2
-        steps.append((live, np.array(node), feature, threshold, left,
+        steps.append((live + start, np.array(node), feature, threshold, left,
                       np.where(feature < 0, np.argmax(hist, axis=1), -1)))
         # Children, left on top of the stack. A leaf's feature -1 reads the
         # last column, and nothing reads what it gives.
@@ -336,16 +341,7 @@ def _grow_trees(
             stack.append((child + 1, below, block[:, ~lhs]))
             stack.append((child, below, block[:, lhs]))
         live = live[[bool(stacks[t]) for t in live.tolist()]]
-    tree, node, feature, threshold, left, leaf_class = (np.concatenate(a) for a in zip(*steps))
-    roots = np.cumsum(n_made) - n_made
-    index = roots[tree] + node
-    left = np.where(left >= 0, roots[tree] + left, -1)
-    right = np.where(left >= 0, left + 1, -1)
-    arrays = {}
-    for k, values in zip(_NODE_ARRAYS, (feature, threshold, left, right, leaf_class)):
-        arrays[k] = np.empty(len(index), dtype=_NODE_DTYPES[k])
-        arrays[k][index] = values
-    return roots, arrays
+    return n_made, [np.concatenate(a) for a in zip(*steps)]
 
 
 def _usable_cpus() -> int:
@@ -360,8 +356,9 @@ def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams, seed: int)
 
     The trees are split into contiguous index ranges, one per usable CPU (at
     most one per tree). The parent grows the first range while forked
-    workers grow the others; the ranges' tables are joined in tree order,
-    so the forest is the same table whatever the number of CPUs.
+    workers grow the others. Each node is then placed once: at its tree's
+    root, the count of nodes in the trees before it, plus its number within
+    the tree. So the forest is the same table whatever the number of CPUs.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -382,21 +379,18 @@ def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams, seed: int)
         with ProcessPoolExecutor(n_ranges - 1, multiprocessing.get_context("fork")) as pool:
             pending = [pool.submit(_grow_trees, *job) for job in jobs[1:]]
             chunks = [_grow_trees(*jobs[0])] + [f.result() for f in pending]
-    roots, table = [], {k: [] for k in _NODE_ARRAYS}
-    base = 0
-    for chunk_roots, arrays in chunks:
-        roots.append(chunk_roots + base)
-        for k in _NODE_ARRAYS:
-            a = arrays[k]
-            table[k].append(np.where(a >= 0, a + base, a) if k in ("left", "right") else a)
-        base += len(arrays["feature"])
-    return Forest(
-        hyperparams=hp,
-        n_classes=n_classes,
-        n_features=X.shape[1],
-        trees=np.concatenate(roots),
-        **{k: np.concatenate(v) for k, v in table.items()},
-    )
+    n_made, records = zip(*chunks)
+    n_made = np.concatenate(n_made)
+    tree, node, feature, threshold, left, leaf_class = map(np.concatenate, zip(*records))
+    roots = np.cumsum(n_made) - n_made
+    left = np.where(left >= 0, roots[tree] + left, -1)
+    right = np.where(left >= 0, left + 1, -1)
+    index = roots[tree] + node
+    table = {}
+    for k, values in zip(_NODE_ARRAYS, (feature, threshold, left, right, leaf_class)):
+        table[k] = np.empty(len(index), dtype=_NODE_DTYPES[k])
+        table[k][index] = values
+    return Forest(hyperparams=hp, n_classes=n_classes, n_features=X.shape[1], trees=roots, **table)
 
 
 # Levels walked between drops of the pairs already on a leaf. A finished pair

@@ -7,6 +7,7 @@ files. That is why models use a custom block container instead of np.savez
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -33,6 +34,17 @@ def write_pgm(path: str | Path, img: np.ndarray) -> bytes:
     data = f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
     Path(path).write_bytes(data)
     return data
+
+
+def unlink_numbered(directory: Path, name: str, start: int) -> None:
+    """Unlink name.format(start), name.format(start + 1), ... in directory up
+    to the first that is missing: what a longer earlier run left after a
+    writer's files 0..start-1. On a fresh directory it costs one lookup."""
+    for i in itertools.count(start):
+        try:
+            (directory / name.format(i)).unlink()
+        except FileNotFoundError:
+            return
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -200,7 +212,3 @@ def write_json_report(path: str | Path, payload: dict) -> None:
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def sha256_file(path: str | Path) -> str:
-    return sha256_bytes(Path(path).read_bytes())

@@ -9,7 +9,6 @@ heuristic.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .imageops import round_half_up_u8
-from .io import read_pgm, sha256_bytes, sha256_file, write_json_report, write_pgm
+from .io import sha256_bytes, unlink_numbered, write_json_report, write_pgm
 from .labels import LETTERS, SIGNABLE, SPACE
 
 BLOCK_SIZE = 8
@@ -264,7 +263,9 @@ def write_sequence(seq: FrameSequence, directory: str | Path) -> Path:
 
     Every frame is its own file. A frame equal to the one before it (most of
     a clip: the copies between letter changes) reuses that frame's encoded
-    bytes and checksum instead of encoding and hashing them again.
+    bytes and checksum instead of encoding and hashing them again. Frames
+    past the last, left by a longer clip written there before, are unlinked,
+    so the directory holds exactly the frames the manifest lists.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -280,6 +281,7 @@ def write_sequence(seq: FrameSequence, directory: str | Path) -> Path:
             digest = sha256_bytes(data)
             previous = pixels
         entries.append({"file": name, "sha256": digest})
+    unlink_numbered(directory, "frame_{:06d}.pgm", len(seq.frames))
     manifest = {
         "schema": "frames/1",
         "fps": seq.fps,
@@ -292,25 +294,3 @@ def write_sequence(seq: FrameSequence, directory: str | Path) -> Path:
     path = directory / "manifest.json"
     write_json_report(path, manifest)
     return path
-
-
-def read_sequence(directory: str | Path) -> FrameSequence:
-    """Read a written sequence back, verifying every frame checksum."""
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
-    if manifest.get("schema") != "frames/1":
-        raise ValueError(f"{directory}: unknown manifest schema {manifest.get('schema')!r}")
-    frames = []
-    for entry in manifest["frames"]:
-        path = directory / entry["file"]
-        actual = sha256_file(path)
-        if actual != entry["sha256"]:
-            raise ValueError(f"{path}: checksum mismatch (file tampered or corrupt)")
-        frames.append(read_pgm(path))
-    if len(frames) != manifest["frame_count"]:
-        raise ValueError(
-            f"{directory}: manifest lists {manifest['frame_count']} frames, found {len(frames)}"
-        )
-    return FrameSequence(
-        frames=np.stack(frames), fps=manifest["fps"], n_sources=manifest["n_sources"]
-    )

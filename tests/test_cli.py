@@ -129,6 +129,21 @@ def test_datagen_deterministic(tmp_path):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
+def test_datagen_rerun_leaves_only_its_own_files(tmp_path):
+    # a rerun over an earlier, larger one ends as the same run in a fresh directory
+    def tree(root):
+        return {p.relative_to(root): p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+    larger = ["--stream-text", "HELLO THERE", "--set", "datagen.silhouette_per_class=6"]
+    second = ["--set", "seed=4", "--set", "datagen.silhouette_per_class=2"]
+    for rerun in (["--stream-text", "HI", *second], second):  # a stream, then none
+        assert cli.main(["datagen", "--out", str(tmp_path / "d"), *SMALL, *larger]) == 0
+        assert cli.main(["datagen", "--out", str(tmp_path / "d"), *SMALL, *rerun]) == 0
+        fresh = tmp_path / f"fresh{len(rerun)}"
+        assert cli.main(["datagen", "--out", str(fresh), *SMALL, *rerun]) == 0
+        assert tree(tmp_path / "d") == tree(fresh)
+
+
 def test_config_file_and_set_precedence(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("seed = 1\ndatagen.landmark_per_class = 12\n"

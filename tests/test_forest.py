@@ -203,27 +203,21 @@ def _grow_tree(
     return root
 
 
-def reference_grow_trees(X: np.ndarray, y: np.ndarray, n_classes: int,
-                         hp: forest.ForestHyperparams, seed: int, start: int, stop: int):
-    """The serial oracle of forest._grow_trees: one tree at a time, one split search per node."""
+def reference_train_forest(X: np.ndarray, y: np.ndarray, hp: forest.ForestHyperparams,
+                           seed: int) -> forest.Forest:
+    """The serial oracle of forest.train_forest: one tree at a time, one split
+    search per node, every tree appended to one node table in the calling process."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_classes = int(y.max()) + 1
     table = {k: [] for k in NODE_ARRAYS}
     roots = [
         _grow_tree(X, y, n_classes, hp, substream(seed, "tree", i), table)
-        for i in range(start, stop)
+        for i in range(hp.n_estimators)
     ]
-    return np.array(roots, dtype=np.int64), {
-        k: np.array(v, dtype=forest._NODE_DTYPES[k]) for k, v in table.items()
-    }
-
-
-def reference_train_forest(X: np.ndarray, y: np.ndarray, hp: forest.ForestHyperparams,
-                           seed: int) -> forest.Forest:
-    """The serial loop: every tree appended to one node table in the calling process."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    roots, arrays = reference_grow_trees(X, y, int(y.max()) + 1, hp, seed, 0, hp.n_estimators)
-    return forest.Forest(hyperparams=hp, n_classes=int(y.max()) + 1, n_features=X.shape[1],
-                         trees=roots, **arrays)
+    return forest.Forest(hyperparams=hp, n_classes=n_classes, n_features=X.shape[1],
+                         trees=np.array(roots, dtype=np.int64),
+                         **{k: np.array(v, dtype=forest._NODE_DTYPES[k]) for k, v in table.items()})
 
 
 def best_split(Xn: np.ndarray, yn: np.ndarray, n_classes: int, min_leaf: int):
@@ -399,9 +393,10 @@ def test_forest_equals_serial_reference(monkeypatch, tmp_path, tiny_landmarks, c
 
 @st.composite
 def growth_cases(draw):
-    """(X, y, n_classes, hp, seed, start, stop) for one range of a small forest.
+    """(X, y, hp, seed, cpus) for a small forest grown over up to cpus ranges.
 
     Columns draw from a few levels, so values repeat, and some are constant.
+    The first two labels are 0 and the top class, so the forest sees them all.
     """
     n_classes = draw(st.integers(2, 6))
     n = draw(st.integers(5, 60))
@@ -411,29 +406,32 @@ def growth_cases(draw):
                                min_size=n, max_size=n)))
     X[:, draw(st.lists(st.integers(0, d - 1), max_size=2))] = draw(st.sampled_from(levels))
     y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    y[:2] = 0, n_classes - 1
     hp = forest.ForestHyperparams(
-        n_estimators=1,
+        n_estimators=draw(st.integers(1, 12)),
         max_depth=draw(st.sampled_from([None, 1, 2, 5])),
-        min_samples_split=draw(st.integers(2, 6)),
+        min_samples_split=draw(st.integers(2, min(6, n))),
         min_samples_leaf=draw(st.integers(1, 4)),
         bootstrap=draw(st.booleans()),
     )
-    start = draw(st.integers(0, 3))
-    return X, y, n_classes, hp, draw(st.integers(0, 2**16)), start, start + draw(st.integers(1, 9))
+    return X, y, hp, draw(st.integers(0, 2**16)), draw(st.integers(1, 3))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(growth_cases())
 def test_lockstep_growth_equals_serial_oracle(case):
     # A cap of 7 rows splits most steps into several searches, and leaves
-    # nodes larger than the cap to be searched alone.
-    with mock.patch.object(forest, "_SEARCH_ROWS", 7):
-        roots, arrays = forest._grow_trees(*case)
-    want_roots, want = reference_grow_trees(*case)
-    assert roots.dtype == want_roots.dtype and np.array_equal(roots, want_roots)
-    for k in NODE_ARRAYS:
-        assert arrays[k].dtype == want[k].dtype
-        assert np.array_equal(arrays[k], want[k]), k
+    # nodes larger than the cap to be searched alone. With more than one
+    # range, forked workers grow trees whose nodes the join places.
+    X, y, hp, seed, cpus = case
+    with mock.patch.object(forest, "_SEARCH_ROWS", 7), \
+            mock.patch.object(forest, "_usable_cpus", lambda: cpus):
+        model = forest.train_forest(X, y, hp, seed)
+    want = reference_train_forest(X, y, hp, seed)
+    for k in ("trees",) + NODE_ARRAYS:
+        assert getattr(model, k).dtype == getattr(want, k).dtype
+        assert np.array_equal(getattr(model, k), getattr(want, k)), k
+    assert multiprocessing.active_children() == []
 
 
 def test_lockstep_growth_memory_is_bounded():
