@@ -528,6 +528,12 @@ def _synthesize(text: str, atlas: videosynth.GestureAtlas, args, out_dir: Path) 
         videosynth.write_sequence(keyframes, out_dir / "frames1")
         videosynth.write_sequence(seq24, out_dir / "frames24")
         info["stage_directories"] = ["frames1", "frames24", "frames60"]
+    else:  # nor an earlier run's stage clips
+        for stage in (out_dir / "frames1", out_dir / "frames24"):
+            unlink_numbered(stage, "frame_{:06d}.pgm", 0)
+            (stage / "manifest.json").unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # kept if something else is in it
+                stage.rmdir()
     return info
 
 

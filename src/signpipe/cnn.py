@@ -13,10 +13,17 @@ Everything runs in float64; convolutions use im2col matmuls and the data
 gradient is computed as a convolution with the flipped, channel-transposed
 kernel, so no scatter-add appears on the hot path. That convolution pads
 the output gradient by kernel - 1 less the forward pad on each side, so it
-yields the input-sized gradient directly, with no crop. A pool reads its
-input once, as s*s strided views (one per window offset), keeping a
-running maximum and, in training, the first offset that holds it; its
-backward is one scatter to those offsets.
+yields the input-sized gradient directly, with no crop. A one-channel
+patch matrix is kh*kw slice copies; more channels take one copy of a
+strided view. Convolutions and dense layers add the bias in place on the
+matmul output.
+
+At inference a pool takes each window's maximum over its rows, then over
+its columns: 2(s-1) maxima on strided views. Training reads its input once,
+as s*s strided views (one per window offset), keeping a running maximum and
+the first offset that holds it; its backward is one scatter to those
+offsets. Both give the exact maximum; a zero maximum may differ in sign,
+which the ReLU after every pool erases.
 
 Each backward pass assigns its layer's weight and bias gradients (dW, db),
 so a training step's single pass leaves exactly that batch's gradients.
@@ -44,15 +51,23 @@ def _zero_pad(x: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(N, H, W, C) -> (N, OH, OW, kh*kw*C) patch matrix for a valid window."""
-    x = np.ascontiguousarray(x)
+    """(N, H, W, C) -> (N, OH, OW, kh*kw*C) patch matrix for a valid window.
+
+    One channel is gathered as kh*kw slice copies, one per kernel position;
+    more channels as one copy of a strided (kh, kw, C) view, whose inner runs
+    are then long enough to beat kh*kw slices."""
     n, h, w, c = x.shape
     oh, ow = h - kh + 1, w - kw + 1
+    if c == 1:
+        patches = np.empty((n, oh, ow, kh * kw), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                patches[..., i * kw + j] = x[:, i : i + oh, j : j + ow, 0]
+        return patches
+    x = np.ascontiguousarray(x)
     s = x.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x, (n, oh, ow, kh, kw, c), (s[0], s[1], s[2], s[1], s[2], s[3])
-    )
-    return patches.reshape(n, oh, ow, kh * kw * c)
+    view = np.ndarray((n, oh, ow, kh, kw, c), x.dtype, x, 0, (s[0], s[1], s[2], s[1], s[2], s[3]))
+    return view.reshape(n, oh, ow, kh * kw * c)
 
 
 class Layer:
@@ -105,7 +120,8 @@ class Conv2D(_Weighted):
         if train:
             self._patches = patches
         n, oh, ow, k = patches.shape
-        out = patches.reshape(-1, k) @ self.W.reshape(k, self.out_ch) + self.b
+        out = patches.reshape(-1, k) @ self.W.reshape(k, self.out_ch)
+        out += self.b
         return out.reshape(n, oh, ow, self.out_ch)
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
@@ -131,6 +147,20 @@ class Conv2D(_Weighted):
         return (pat.reshape(-1, pat.shape[3]) @ wb).reshape(pat.shape[:3] + (self.in_ch,))
 
 
+def _max_of_views(views: list[np.ndarray], axis: int) -> np.ndarray:
+    """Elementwise maximum of strided pooling views, one per window offset
+    along axis, each as long as views[0] there or shorter where ceil-mode
+    edge windows lack its offset."""
+    if len(views) > 1 and views[1].shape == views[0].shape:
+        out, rest = np.maximum(views[0], views[1]), views[2:]
+    else:
+        out, rest = views[0].copy(), views[1:]
+    for v in rest:
+        o = out[(slice(None),) * axis + (slice(v.shape[axis]),)]
+        np.maximum(o, v, out=o)
+    return out
+
+
 class MaxPool2D(Layer):
     """Max pooling with stride == window; floor or ceil edge handling.
 
@@ -150,13 +180,15 @@ class MaxPool2D(Layer):
         n, h, w, c = x.shape
         s = self.size
         oh, ow = (-(-h // s), -(-w // s)) if self.ceil_mode else (h // s, w // s)
+        if not train:  # each window's maximum over its rows, then its columns
+            rows = _max_of_views([x[:, i : oh * s : s, : ow * s] for i in range(min(s, h))], 1)
+            return _max_of_views([rows[:, :, j : ow * s : s] for j in range(min(s, w))], 2)
         # x[:, i::s, j::s] on the window grid holds offset (i, j) of every
         # window. The first is (oh, ow); a later one is shorter where
         # ceil-mode edge windows lack that offset.
         out = x[:, 0 : oh * s : s, 0 : ow * s : s].copy()
-        if train:
-            argmax = np.zeros(out.shape, dtype=np.uint8)
-            greater = np.empty(out.shape, dtype=bool)
+        argmax = np.zeros(out.shape, dtype=np.uint8)
+        greater = np.empty(out.shape, dtype=bool)
         for i in range(min(s, h)):
             for j in range(min(s, w)):
                 if i == j == 0:
@@ -164,17 +196,15 @@ class MaxPool2D(Layer):
                 v = x[:, i : oh * s : s, j : ow * s : s]
                 vh, vw = v.shape[1:3]
                 o = out[:, :vh, :vw]
-                if train:
-                    # A later offset takes over only where strictly greater,
-                    # as argmax keeps the first. Offsets grow, so taking it
-                    # over is a maximum with the new offset.
-                    hit = np.greater(v, o, out=greater[:, :vh, :vw]).view(np.uint8)
-                    a = argmax[:, :vh, :vw]
-                    np.maximum(a, np.multiply(hit, i * s + j, out=hit), out=a)
+                # A later offset takes over only where strictly greater, as
+                # argmax keeps the first. Offsets grow, so taking it over is a
+                # maximum with the new offset.
+                hit = np.greater(v, o, out=greater[:, :vh, :vw]).view(np.uint8)
+                a = argmax[:, :vh, :vw]
+                np.maximum(a, np.multiply(hit, i * s + j, out=hit), out=a)
                 np.maximum(o, v, out=o)
-        if train:
-            self._argmax = argmax
-            self._x_shape = x.shape
+        self._argmax = argmax
+        self._x_shape = x.shape
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -209,7 +239,9 @@ class Dense(_Weighted):
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if train:
             self._x = x
-        return x @ self.W + self.b
+        out = x @ self.W
+        out += self.b
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self.dW = self._x.T @ dy
@@ -489,6 +521,8 @@ PREDICT_BATCH = 32
 
 
 def _batched_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
+    if len(X) <= PREDICT_BATCH:
+        return model.forward(X, train=False)
     starts = range(0, len(X), PREDICT_BATCH)
     return np.concatenate([model.forward(X[lo : lo + PREDICT_BATCH], train=False) for lo in starts])
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import BLANK, CNN_CLASSES, DELETE, LETTERS, RFC_CLASSES, SHARED_CLASSES, SPACE
+from .labels import (
+    BLANK, CNN_CLASSES, DELETE, LETTERS, RFC_CLASSES, SHARED_CLASSES, SHARED_INDEX, SPACE,
+)
 
 N_SHARED = len(SHARED_CLASSES)
 
@@ -116,7 +118,7 @@ def decode_stream(frames: list[str], cfg: StreamDecodeConfig = StreamDecodeConfi
     run_len = 0
     suppress: str | None = None
     for c in frames:
-        if c not in SHARED_CLASSES:
+        if c not in SHARED_INDEX:
             raise ValueError(f"unknown class {c!r} in stream")
         if c == run_class:
             run_len += 1

@@ -16,7 +16,9 @@ The whole forest is one flat node table, used alike by training, by
 prediction (every row walks every tree together, one vectorized step per
 depth level) and by the model file. The file (schema forest/2) stores the
 node arrays as they are, with children as table indices, plus `offsets`:
-the root of each tree followed by the node count.
+the root of each tree followed by the node count. Prediction walks arrays
+derived from the table and indexed by twice the node number, so a step
+needs no index arithmetic beyond adding the comparison.
 
 Training splits the trees into contiguous index ranges, one per CPU the
 process may use; the parent grows the first range while forked workers grow
@@ -92,9 +94,11 @@ class Forest:
     parent. A leaf holds the majority class of its training samples
     (histogram argmax, lowest class index on ties).
 
-    child, derived here for prediction and never saved, holds each node's
-    (right, left) pair, so a step from node i goes to
-    child[2 * i + (x <= threshold)]; a leaf's pair points back to it.
+    The walk arrays, derived here for prediction and never saved, index
+    node i at 2 * i. child2 holds each node's (right, left) pair as doubled
+    indices, and feature2 and threshold2 repeat each node's entry twice, so
+    a step from doubled index k goes to child2[k + (x <= threshold2[k])]; a
+    leaf's pair points back to it.
     """
 
     hyperparams: ForestHyperparams
@@ -106,14 +110,18 @@ class Forest:
     left: np.ndarray
     right: np.ndarray
     leaf_class: np.ndarray
-    child: np.ndarray = field(init=False, repr=False, compare=False)
+    child2: np.ndarray = field(init=False, repr=False, compare=False)
+    feature2: np.ndarray = field(init=False, repr=False, compare=False)
+    threshold2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         node = np.arange(len(self.feature))
         leaf = self.feature < 0
-        self.child = np.stack(
+        self.child2 = 2 * np.stack(
             [np.where(leaf, node, self.right), np.where(leaf, node, self.left)], axis=1
         ).ravel()
+        self.feature2 = np.repeat(self.feature, 2)
+        self.threshold2 = np.repeat(self.threshold, 2)
 
 
 # Most rows one batched split search takes in. A step's splittable nodes are
@@ -403,15 +411,17 @@ def _leaf_classes(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(N, n_trees) class that each tree votes for each row.
 
     Every (row, tree) pair starts at that tree's root, and each step moves
-    it one level down the child table (ties go left, NaN right); a pair on
-    a leaf stays there. Pairs on a leaf are dropped every WALK_STEPS steps.
+    it one level down the walk arrays (ties go left, NaN right); a pair on
+    a leaf stays there. Pairs hold doubled node indices, so a step is seven
+    array operations. Pairs on a leaf are dropped every WALK_STEPS steps.
     Children come after their parents, so the walk ends.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != forest.n_features:
         raise ValueError(f"expected {forest.n_features} features, got {X.shape[1]}")
     n_trees = len(forest.trees)
-    node = np.tile(forest.trees, len(X))  # row-major (row, tree) pairs
+    child2, feature2, threshold2 = forest.child2, forest.feature2, forest.threshold2
+    node = np.tile(2 * forest.trees, len(X))  # row-major (row, tree) pairs
     # Each pair reads X.ravel()[row start + feature]; a leaf's feature -1
     # reads some other value, which cannot move it.
     row_start = np.repeat(np.arange(0, X.size, X.shape[1]), n_trees)
@@ -420,10 +430,10 @@ def _leaf_classes(forest: Forest, X: np.ndarray) -> np.ndarray:
     while len(live):
         cur, at = node[live], row_start[live]
         for _ in range(WALK_STEPS):
-            cur = forest.child[2 * cur + (flat[at + forest.feature[cur]] <= forest.threshold[cur])]
+            cur = child2[cur + (flat[at + feature2[cur]] <= threshold2[cur])]
         node[live] = cur
-        live = live[forest.feature[cur] >= 0]
-    return forest.leaf_class[node].reshape(len(X), n_trees)
+        live = live[feature2[cur] >= 0]
+    return forest.leaf_class[node >> 1].reshape(len(X), n_trees)
 
 
 def _class_counts(leaf: np.ndarray, n_classes: int) -> np.ndarray:

@@ -800,6 +800,25 @@ def test_synthesize(tmp_path):
     assert manifest["frame_count"] == 120
 
 
+def test_synthesize_rerun_without_stages_leaves_no_stage_clips(tmp_path):
+    # a rerun without --stages over a --stages run ends as the same run in a
+    # fresh directory; a stage directory holding something else is kept
+    def tree(root):
+        return {p.relative_to(root): p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+    atlas = ["--set", "datagen.atlas_size=32"]
+    d, fresh = tmp_path / "d", tmp_path / "fresh"
+    assert cli.main(["synthesize", "--text", "HELLO", "--out", str(d), "--stages", *atlas]) == 0
+    assert cli.main(["synthesize", "--text", "HI", "--out", str(d), *atlas]) == 0
+    assert cli.main(["synthesize", "--text", "HI", "--out", str(fresh), *atlas]) == 0
+    assert tree(d) == tree(fresh)
+    assert cli.main(["synthesize", "--text", "HELLO", "--out", str(d), "--stages", *atlas]) == 0
+    (d / "frames1" / "notes.txt").write_text("mine\n")
+    assert cli.main(["synthesize", "--text", "HI", "--out", str(d), *atlas]) == 0
+    assert sorted(p.name for p in (d / "frames1").iterdir()) == ["notes.txt"]
+    assert not (d / "frames24").exists()
+
+
 def test_synthesize_rejects_bad_text(tmp_path, capsys):
     code = cli.main(["synthesize", "--text", "HI!", "--out", str(tmp_path / "v")])
     assert code == 2

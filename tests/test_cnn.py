@@ -384,6 +384,36 @@ def test_conv_equals_cropping_reference(rng, kh, kw, padding, h, w):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("c", [1, 3], ids=["slice-copies", "strided-copy"])
+@pytest.mark.parametrize("padding", ["valid", "same"])
+@pytest.mark.parametrize("kh, kw", [(1, 1), (2, 2), (3, 2)])
+def test_im2col_equals_sliding_window_oracle(rng, kh, kw, padding, c):
+    layer = cnn.Conv2D(c, 2, kh, kw, padding, rng)
+    x = rng.normal(0, 1, (2, 6, 5, c))
+    xp = cnn._zero_pad(x, *layer.pads)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    n, oh, ow = windows.shape[:3]
+    want = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh, ow, kh * kw * c)
+    got = cnn._im2col(xp, kh, kw)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_conv_and_dense_forward_give_the_bytes_of_matmul_plus_bias(rng, train):
+    for c in (1, 3):
+        conv = cnn.Conv2D(c, 4, 2, 3, "same", rng)
+        conv.b[...] = rng.normal(0, 1, 4)
+        x = rng.normal(0, 1, (2, 5, 6, c))
+        patches = cnn._im2col(cnn._zero_pad(x, *conv.pads), 2, 3)
+        want = (patches.reshape(-1, 6 * c) @ conv.W.reshape(6 * c, 4) + conv.b).reshape(2, 5, 6, 4)
+        assert conv.forward(x, train).tobytes() == want.tobytes()
+    dense = cnn.Dense(7, 5, rng)
+    dense.b[...] = rng.normal(0, 1, 5)
+    x = rng.normal(0, 1, (3, 7))
+    assert dense.forward(x, train).tobytes() == (x @ dense.W + dense.b).tobytes()
+
+
 def _tied(rng, kind, shape):
     if kind == "relu":  # about half the entries are exact zeros
         return np.maximum(rng.normal(0, 1, shape), 0.0)
@@ -412,17 +442,39 @@ def test_pool_equals_reference_with_ties(rng, kind, s, ceil_mode, h, w):
     assert dx.shape == x.shape and dx.tobytes() == want_dx.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["relu", "levels", "constant"])
-@pytest.mark.parametrize("s, ceil_mode, h, w", [
+# Training walks window offsets; inference takes rows, then columns.
+TRAIN_VS_INFERENCE_POOLS = [
     (2, False, 7, 9),
     (3, True, 13, 11),
     (5, True, 4, 4),
     (4, True, 3, 6),  # window larger than the input's height
-])
+    (1, False, 5, 4),  # every window one pixel
+    (6, True, 4, 5),  # window larger than both sides: one partial window
+    (4, False, 3, 6),  # floor mode with no full window: no output rows
+    (4, False, 6, 3),  # and no output columns
+]
+
+
+@pytest.mark.parametrize("kind", ["relu", "levels", "constant"])
+@pytest.mark.parametrize("s, ceil_mode, h, w", TRAIN_VS_INFERENCE_POOLS)
 def test_pool_train_and_inference_outputs_are_bit_equal(rng, kind, s, ceil_mode, h, w):
     x = _tied(rng, kind, (2, h, w, 3)) - 0.25  # negative maxima too
     layer = cnn.MaxPool2D(s, ceil_mode=ceil_mode)
-    assert layer.forward(x, train=True).tobytes() == layer.forward(x, train=False).tobytes()
+    out = layer.forward(x, train=False)
+    assert out.shape == (2, *(-(-n // s) if ceil_mode else n // s for n in (h, w)), 3)
+    assert layer.forward(x, train=True).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("s, ceil_mode, h, w", TRAIN_VS_INFERENCE_POOLS)
+def test_pool_orders_differ_at_most_in_the_sign_of_a_zero(rng, s, ceil_mode, h, w):
+    # Both orders take an exact maximum; where it is zero its sign may
+    # differ, and the ReLU after every pool makes either +0.0.
+    x = rng.choice([-0.0, 0.0, -1.0], size=(4, h, w, 3))
+    layer = cnn.MaxPool2D(s, ceil_mode=ceil_mode)
+    train, infer = layer.forward(x, train=True), layer.forward(x, train=False)
+    assert np.array_equal(train, infer)
+    relu = cnn.ReLU()
+    assert relu.forward(train, train=False).tobytes() == relu.forward(infer, train=False).tobytes()
 
 
 # Oracles for the training step: the architecture's earlier conv -> ReLU ->

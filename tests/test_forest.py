@@ -630,15 +630,23 @@ def test_leaf_classes_equal_compressing_walk(case):
         assert np.array_equal(forest._leaf_classes(model, X[0]), want[:1])
 
 
-def test_leaf_classes_on_thresholds_equal_compressing_walk(deep_forest):
-    # one row per split of a trained forest, holding that split's threshold
+def test_leaf_classes_on_thresholds_equal_compressing_walk(tmp_path, deep_forest):
+    # one row per split of a trained forest, holding that split's threshold;
+    # also NaN rows, and each row alone as live recognition walks it, on the
+    # built and on the loaded forest
     model, X, _ = deep_forest
     split = np.flatnonzero(model.feature >= 0)
     on = np.repeat(X[:1], len(split), axis=0)
     on[np.arange(len(split)), model.feature[split]] = model.threshold[split]
-    for rows in (on, X, X[:0]):
-        assert np.array_equal(forest._leaf_classes(model, rows),
-                              reference_leaf_classes(model, rows))
+    nan = X[::7].copy()
+    nan[:, ::3] = np.nan
+    forest.save_forest(tmp_path / "f.blk", model)
+    for m in (model, forest.load_forest(tmp_path / "f.blk")):
+        for rows in (on, X, nan, X[:0]):
+            want = reference_leaf_classes(model, rows)
+            assert np.array_equal(forest._leaf_classes(m, rows), want)
+            for i, row in enumerate(rows):
+                assert np.array_equal(forest._leaf_classes(m, row), want[i : i + 1])
 
 
 def test_training_determinism(tiny_landmarks):
