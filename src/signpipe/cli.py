@@ -38,6 +38,7 @@ from .io import (
 )
 from .labels import (
     BLANK, CNN_CLASSES, CNN_INDEX, LETTERS, RFC_CLASSES, RFC_INDEX, SHARED_CLASSES, SIGNABLE,
+    upper_ascii,
 )
 from .landmarks import N_FEATURES, LandmarkFrame
 from .metrics import confusion_and_metrics
@@ -91,7 +92,7 @@ def _cmd_datagen(args) -> int:
     )
     atlas_size = get_int(cfg, "datagen.atlas_size", minimum=1)
     stream_spec = datagen.StreamSpec(
-        text=args.stream_text.upper(), dataset_seed=seed, stream_seed=seed + 1, spread=spread
+        text=upper_ascii(args.stream_text), dataset_seed=seed, stream_seed=seed + 1, spread=spread
     ) if args.stream_text else None
 
     out.mkdir(parents=True, exist_ok=True)
@@ -417,7 +418,7 @@ def _cmd_eval(args) -> int:
 
 def _signable(text: str, where: str) -> str:
     """The normalized text; a character outside A-Z and space is an error at `where`."""
-    norm = textcorrect.normalize(text)
+    norm = " ".join(upper_ascii(text).split())  # not normalize: str.upper turns ß into SS
     bad = sorted(set(norm) - SIGNABLE)
     if bad:
         raise ValueError(f"{where}: cannot sign characters {bad}: only A-Z and space are signable")
@@ -502,7 +503,9 @@ def _atlas(args, cfg) -> videosynth.GestureAtlas:
             if not path.exists():
                 raise ValueError(f"{root}: atlas frame {name}.pgm is missing")
             frames[name] = read_pgm(path)
-        size = frames["A"].shape[0]
+        size, width = frames["A"].shape
+        if width != size:
+            raise ValueError(f"{root / 'A'}.pgm: atlas frame is {width}x{size}; frames must be square")
         for name, img in frames.items():
             if img.shape != (size, size):
                 h, w = img.shape
@@ -519,9 +522,9 @@ def _synthesize(text: str, atlas: videosynth.GestureAtlas, args, out_dir: Path) 
     manifest = videosynth.write_sequence(seq60, out_dir / "frames60")
     info = {
         "method": "flow",
-        "keyframes": len(keyframes.frames),
-        "frames_24fps": len(seq24.frames),
-        "frames_60fps": len(seq60.frames),
+        "keyframes": len(keyframes.index),
+        "frames_24fps": len(seq24.index),
+        "frames_60fps": len(seq60.index),
         "manifest": str(manifest.relative_to(out_dir)),
     }
     if args.stages:
@@ -542,10 +545,11 @@ def _cmd_synthesize(args) -> int:
     if not args.text.strip():
         raise ValueError("cannot synthesize empty text")
     cfg = _config(args)
-    info = _synthesize(args.text.upper(), _atlas(args, cfg), args, out)
+    text = upper_ascii(args.text)
+    info = _synthesize(text, _atlas(args, cfg), args, out)
     write_json_report(
         out / "synthesize_report.json",
-        {"schema_version": SCHEMA_VERSION, "text": args.text.upper(), "video": info},
+        {"schema_version": SCHEMA_VERSION, "text": text, "video": info},
     )
     print(f"{info['keyframes']} keyframes -> {info['frames_60fps']} frames at 60 FPS -> {out}")
     return 0

@@ -7,6 +7,8 @@ vectors from either model can be projected without renumbering letters.
 """
 from __future__ import annotations
 
+import string
+
 LETTERS: tuple[str, ...] = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 SPACE = "SPACE"
 DELETE = "DELETE"
@@ -16,7 +18,14 @@ RFC_CLASSES: tuple[str, ...] = LETTERS + (SPACE, DELETE)
 CNN_CLASSES: tuple[str, ...] = LETTERS + (BLANK,)
 SHARED_CLASSES: tuple[str, ...] = LETTERS + (SPACE, DELETE, BLANK)
 SIGNABLE = frozenset(LETTERS + (" ",))  # the characters synthesis can render
+_ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
 
 RFC_INDEX: dict[str, int] = {name: i for i, name in enumerate(RFC_CLASSES)}
 CNN_INDEX: dict[str, int] = {name: i for i, name in enumerate(CNN_CLASSES)}
 SHARED_INDEX: dict[str, int] = {name: i for i, name in enumerate(SHARED_CLASSES)}
+
+
+def upper_ascii(text: str) -> str:
+    """text with a-z uppercased and every other character kept, so that no
+    non-ASCII one becomes signable letters, as str.upper turns ß into SS."""
+    return text.translate(_ASCII_UPPER)

@@ -22,7 +22,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from .labels import SIGNABLE
+from .labels import SIGNABLE, upper_ascii
 
 # Ranking/scoring constants, fixed for determinism.
 MAX_WORD_DISTANCE = 2
@@ -308,7 +308,7 @@ def _parse_remote(payload: str) -> CorrectionResult:
         raise ProtocolError(f"corrector response is not JSON: {exc}") from exc
     if not isinstance(data, list) or len(data) != 3 or not all(isinstance(c, str) for c in data):
         raise ProtocolError(f"expected a JSON array of exactly 3 strings, got {data!r}")
-    cands = tuple(normalize(c) for c in data)
+    cands = tuple(" ".join(upper_ascii(c).split()) for c in data)  # not normalize: ß -> SS
     if any(not c for c in cands):
         raise ProtocolError(f"empty candidate in corrector response: {data!r}")
     bad = sorted(set("".join(cands)) - SIGNABLE)

@@ -5,10 +5,12 @@ Text renders as 1 FPS keyframes from a letter atlas, duplicates to 24 FPS
 copy of the source frame at or before its time, except those strictly
 between two differing neighbouring source frames: those are synthesized
 between that pair by block-matching flow with a context-based occlusion
-heuristic.
+heuristic. A clip holds its images (one per character and one per
+synthesized frame) and a per-frame index into them, so a copy is an index.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,22 +53,31 @@ class GestureAtlas:
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """Frames at 1, 24, or 60 FPS; n_sources is the keyframe count."""
+    """A clip at 1, 24, or 60 FPS: frame i is images[index[i]], a repeat only an index.
 
-    frames: np.ndarray  # (T, H, W) uint8
+    n_sources, the keyframe count, is the clip's length in seconds. frames
+    gathers every frame's pixels, for readers outside the pipeline.
+    """
+
+    images: np.ndarray  # (K, H, W) uint8
+    index: np.ndarray  # (T,) into images
     fps: int
-    n_sources: int
 
     def __post_init__(self):
         if self.fps not in (1, 24, 60):
             raise ValueError(f"fps must be 1, 24, or 60, got {self.fps}")
-        if self.frames.ndim != 3 or self.frames.dtype != np.uint8:
-            raise ValueError("frames must be a (T, H, W) uint8 array")
-        if len(self.frames) != self.fps * self.n_sources:
-            raise ValueError(
-                f"{len(self.frames)} frames inconsistent with "
-                f"{self.fps} FPS x {self.n_sources} keyframes"
-            )
+        if self.images.ndim != 3 or self.images.dtype != np.uint8:
+            raise ValueError("images must be a (K, H, W) uint8 array")
+        if not len(self.index) or len(self.index) % self.fps:
+            raise ValueError(f"{len(self.index)} frames are not a positive multiple of {self.fps}")
+
+    @property
+    def n_sources(self) -> int:
+        return len(self.index) // self.fps
+
+    @functools.cached_property
+    def frames(self) -> np.ndarray:
+        return self.images[self.index]
 
 
 def text_to_keyframes(text: str, atlas: GestureAtlas) -> FrameSequence:
@@ -76,17 +87,15 @@ def text_to_keyframes(text: str, atlas: GestureAtlas) -> FrameSequence:
         raise ValueError(f"cannot render characters {bad}: only A-Z and space are signable")
     if not text:
         raise ValueError("cannot render empty text")
-    frames = np.stack([atlas.frames[SPACE if c == " " else c] for c in text])
-    return FrameSequence(frames=frames, fps=1, n_sources=len(text))
+    images = np.stack([atlas.frames[SPACE if c == " " else c] for c in text])
+    return FrameSequence(images=images, index=np.arange(len(text)), fps=1)
 
 
 def duplicate_frames(seq: FrameSequence) -> FrameSequence:
     """1 -> 24 FPS by repetition: frame i copies source floor(i/24)."""
     if seq.fps != 1:
         raise ValueError(f"expected a 1 FPS sequence, got {seq.fps}")
-    return FrameSequence(
-        frames=np.repeat(seq.frames, 24, axis=0), fps=24, n_sources=seq.n_sources
-    )
+    return FrameSequence(images=seq.images, index=np.repeat(seq.index, 24), fps=24)
 
 
 def _block_flow(i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
@@ -241,54 +250,57 @@ def interpolate_sequence(seq: FrameSequence) -> FrameSequence:
     zero, the context maps agree and the fusion reproduces the frame for
     every t. Only the outputs strictly between two differing neighbours i
     and i+1 are synthesized, with one flow and one pair of context maps per
-    such pair.
+    such pair. Copies are gathered as indices; pixels are compared only
+    where the index changes, since two indices may hold equal images (a
+    doubled letter), and the output's images are the input's followed by
+    the synthesized frames.
     """
     if seq.fps != 24:
         raise ValueError(f"expected a 24 FPS sequence, got {seq.fps}")
-    frames = seq.frames
-    out = frames[24 * np.arange(60 * seq.n_sources) // 60]
-    for i in range(len(frames) - 1):
-        i0, i1 = frames[i], frames[i + 1]
+    images, index = seq.images, seq.index
+    out = index[24 * np.arange(60 * seq.n_sources) // 60]
+    made = []
+    for i in np.flatnonzero(index[:-1] != index[1:]).tolist():
+        i0, i1 = images[index[i]], images[index[i + 1]]
         if np.array_equal(i0, i1):
             continue
         flow, contexts = _block_flow(i0, i1), context_features(i0, i1)
         for j in range(5 * i // 2 + 1, -(-5 * (i + 1) // 2)):  # i < 24j/60 < i + 1
             t = 24 * j / 60.0 - i  # not 0.4 * j - i: that differs in the last bit
-            out[j] = synthesize_frame(i0, i1, _scale_flow(flow, t), contexts, t)
-    return FrameSequence(frames=out, fps=60, n_sources=seq.n_sources)
+            out[j] = len(images) + len(made)
+            made.append(synthesize_frame(i0, i1, _scale_flow(flow, t), contexts, t))
+    return FrameSequence(images=np.stack([*images, *made]), index=out, fps=60)
 
 
 def write_sequence(seq: FrameSequence, directory: str | Path) -> Path:
     """Write numbered PGM frames plus a manifest with per-frame checksums.
 
-    Every frame is its own file. A frame equal to the one before it (most of
-    a clip: the copies between letter changes) reuses that frame's encoded
-    bytes and checksum instead of encoding and hashing them again. Frames
-    past the last, left by a longer clip written there before, are unlinked,
-    so the directory holds exactly the frames the manifest lists.
+    Every frame is its own file. Each image is encoded and hashed once, by
+    write_pgm at its first frame; its repeats (most of a clip: the copies
+    between letter changes) are written from those bytes. Frames past the
+    last, left by a longer clip written there before, are unlinked, so the
+    directory holds exactly the frames the manifest lists.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
-    previous = None
-    for i, frame in enumerate(seq.frames):
+    encoded = {}  # image -> (its PGM bytes, their checksum)
+    for i, k in enumerate(seq.index.tolist()):
         name = f"frame_{i:06d}.pgm"
-        pixels = frame.tobytes()
-        if pixels == previous:
-            (directory / name).write_bytes(data)
+        if k in encoded:
+            (directory / name).write_bytes(encoded[k][0])
         else:
-            data = write_pgm(directory / name, frame)
-            digest = sha256_bytes(data)
-            previous = pixels
-        entries.append({"file": name, "sha256": digest})
-    unlink_numbered(directory, "frame_{:06d}.pgm", len(seq.frames))
+            data = write_pgm(directory / name, seq.images[k])
+            encoded[k] = data, sha256_bytes(data)
+        entries.append({"file": name, "sha256": encoded[k][1]})
+    unlink_numbered(directory, "frame_{:06d}.pgm", len(seq.index))
     manifest = {
         "schema": "frames/1",
         "fps": seq.fps,
         "n_sources": seq.n_sources,
-        "frame_count": len(seq.frames),
-        "height": int(seq.frames.shape[1]),
-        "width": int(seq.frames.shape[2]),
+        "frame_count": len(seq.index),
+        "height": int(seq.images.shape[1]),
+        "width": int(seq.images.shape[2]),
         "frames": entries,
     }
     path = directory / "manifest.json"

@@ -721,20 +721,25 @@ def test_ensemble_pairs_match_reference_drawn(data):
                       seed=data.draw(st.integers(0, 2**31)))
 
 
-UNSIGNABLE_TEXT = ("error: --text: cannot sign characters ['!', '2']: "
-                   "only A-Z and space are signable\n")
+UNSIGNABLE_TEXT = "error: --text: cannot sign characters {bad}: only A-Z and space are signable\n"
+# Non-ASCII text that str.upper turns into letters: ß -> SS, ﬁ -> FI, ı -> I, ſ -> S.
+NON_ASCII_TEXTS = {"sharp-s": ("straße", "['ß']"), "fi-ligature": ("ﬁsh", "['ﬁ']"),
+                   "dotless-i": ("ıt", "['ı']"), "long-s": ("ſee you ſoon", "['ſ']")}
+REMOTE_FALLBACK = ["--fallback", "--set", "corrector=remote",
+                   "--set", "remote.endpoint=http://127.0.0.1:9/c",
+                   "--set", "remote.timeout_ms=100", "--set", "remote.max_retries=0"]
 
 
-@pytest.mark.parametrize("extra", [
-    [],
-    ["--fallback", "--set", "corrector=remote", "--set", "remote.endpoint=http://127.0.0.1:9/c",
-     "--set", "remote.timeout_ms=100", "--set", "remote.max_retries=0"],
-], ids=["offline", "remote-fallback"])
-def test_correct_rejects_unsignable_text(tmp_path, capsys, extra):
+@pytest.mark.parametrize("extra, text, bad", [
+    pytest.param(extra, *case, id=f"{mode}-{name}" if name else mode)
+    for name, case in [(None, ("HELO 2 YOU!", "['!', '2']")), *NON_ASCII_TEXTS.items()]
+    for mode, extra in [("offline", []), ("remote-fallback", REMOTE_FALLBACK)]
+])
+def test_correct_rejects_unsignable_text(tmp_path, capsys, extra, text, bad):
     report = tmp_path / "c.json"
-    assert cli.main(["correct", "--text", "HELO 2 YOU!", "--report", str(report), *extra]) == 2
+    assert cli.main(["correct", "--text", text, "--report", str(report), *extra]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", UNSIGNABLE_TEXT)
+    assert (captured.out, captured.err) == ("", UNSIGNABLE_TEXT.format(bad=bad))
     assert not report.exists()
 
 
@@ -823,6 +828,35 @@ def test_synthesize_rejects_bad_text(tmp_path, capsys):
     code = cli.main(["synthesize", "--text", "HI!", "--out", str(tmp_path / "v")])
     assert code == 2
     assert "!" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, bad", NON_ASCII_TEXTS.values(), ids=NON_ASCII_TEXTS.keys())
+@pytest.mark.parametrize("command", ["synthesize", "datagen"])
+def test_non_ascii_text_is_not_signed_as_letters(tmp_path, capsys, command, text, bad):
+    out = tmp_path / "out"
+    argv, message = {
+        "synthesize": (["synthesize", "--text", text],
+                       f"cannot render characters {bad}: only A-Z and space are signable"),
+        "datagen": (["datagen", "--stream-text", text, *SMALL],
+                    f"stream text must be uppercase letters and spaces, got {bad}"),
+    }[command]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape_a, shape_b, message", [
+    ((16, 32), (16, 32), "A.pgm: atlas frame is 32x16; frames must be square"),
+    ((16, 16), (16, 32), "B.pgm: atlas frame is 32x16, A.pgm is 16x16"),
+], ids=["oblong", "unequal"])
+def test_atlas_of_bad_shapes_exits_2(tmp_path, capsys, shape_a, shape_b, message):
+    atlas, out = tmp_path / "atlas", tmp_path / "out"
+    atlas.mkdir()
+    for name in LETTERS + ("SPACE",):
+        io.write_pgm(atlas / f"{name}.pgm", np.zeros(shape_a if name == "A" else shape_b, np.uint8))
+    assert cli.main(["synthesize", "--text", "AB", "--atlas", str(atlas), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {atlas}/{message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["", "   "], ids=["empty", "spaces"])

@@ -472,8 +472,12 @@ def test_remote_two_candidates_is_protocol_error(server):
         textcorrect.correct_remote("HI", cfg)
 
 
-@pytest.mark.parametrize("cands", [("HELLO 2 YOU!", "HI", "HEY"), ("HI", "HEY", "CAF\u00c9")],
-                         ids=["digit-and-bang", "non-ascii"])
+@pytest.mark.parametrize("cands", [
+    ("HELLO 2 YOU!", "HI", "HEY"), ("HI", "HEY", "CAF\u00c9"),
+    # non-ASCII that str.upper turns into letters: ß -> SS, ﬁ -> FI, ı -> I, ſ -> S
+    ("HI", "STRA\u00dfE", "HEY"), ("\ufb01SH", "HI", "HEY"), ("HI", "HEY", "\u0131T"),
+    ("HI", "\u017fEE", "HEY"),
+], ids=["digit-and-bang", "non-ascii", "sharp-s", "fi-ligature", "dotless-i", "long-s"])
 def test_remote_unsignable_candidate_is_protocol_error(server, cands):
     url, handler = server
     handler.script.append({"status": 200, "body": ok_body(cands)})

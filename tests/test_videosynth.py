@@ -66,9 +66,9 @@ def test_duplicate_requires_1fps(atlas):
 
 def test_frame_sequence_validation():
     with pytest.raises(ValueError):
-        videosynth.FrameSequence(np.zeros((5, 4, 4), dtype=np.uint8), fps=24, n_sources=1)
+        videosynth.FrameSequence(np.zeros((1, 4, 4), dtype=np.uint8), np.zeros(5, int), fps=24)
     with pytest.raises(ValueError):
-        videosynth.FrameSequence(np.zeros((24, 4, 4), dtype=np.uint8), fps=30, n_sources=1)
+        videosynth.FrameSequence(np.zeros((1, 4, 4), dtype=np.uint8), np.zeros(30, int), fps=30)
 
 
 def test_interpolate_counts_and_alignment(atlas):
@@ -359,7 +359,7 @@ def _random_24fps(n_sources, size, seed):
     """A 24 FPS sequence whose neighbouring frames all differ."""
     frames = random_images(24 * n_sources, size, seed)
     assert all(not np.array_equal(a, b) for a, b in zip(frames[:-1], frames[1:]))
-    return videosynth.FrameSequence(frames=frames, fps=24, n_sources=n_sources)
+    return videosynth.FrameSequence(images=frames, index=np.arange(len(frames)), fps=24)
 
 
 @pytest.mark.parametrize("text", ["BOOK", "HELLO", " HI  YOU ", "A", None])
@@ -375,14 +375,16 @@ def test_interpolate_matches_per_frame_reference(atlas, text):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
 def test_interpolate_with_irregular_repeats_matches_reference(data):
-    # neighbours drawn from a pool of 2-3 frames, so equal and differing
-    # pairs alternate irregularly, including at the sequence's end
+    # neighbours drawn from a pool of 2-3 frames plus a copy of one of them,
+    # so equal and differing pairs alternate irregularly, including at the
+    # sequence's end, and two different indices can hold the same pixels
     n_sources = data.draw(st.integers(1, 3))
     size = data.draw(st.integers(9, 20))
     pool = random_images(data.draw(st.integers(2, 3)), size, data.draw(st.integers(0, 2**16)))
+    pool = np.concatenate([pool, pool[[data.draw(st.integers(0, len(pool) - 1))]]])
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
                                min_size=24 * n_sources, max_size=24 * n_sources))
-    seq24 = videosynth.FrameSequence(frames=pool[picks], fps=24, n_sources=n_sources)
+    seq24 = videosynth.FrameSequence(images=pool, index=np.array(picks), fps=24)
     out = videosynth.interpolate_sequence(seq24).frames
     assert out.tobytes() == _reference_interpolate(seq24).tobytes()
 
@@ -397,22 +399,27 @@ def test_interpolate_work_counts(atlas, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(videosynth, name, counted)
-    seq24 = videosynth.duplicate_frames(
-        videosynth.text_to_keyframes("HELLO DEAR FRIEND", atlas)
-    )
-    videosynth.interpolate_sequence(seq24)
-    frames = seq24.frames
-    distinct_pairs = sum(
-        not np.array_equal(a, b) for a, b in zip(frames[:-1], frames[1:])
-    )
-    differing_brackets = sum(
-        not np.array_equal(frames[24 * j // 60], frames[min(24 * j // 60 + 1, len(frames) - 1)])
-        for j in range(60 * seq24.n_sources)
-        if (24 * j) % 60
-    )
-    # 16 letter changes, one of them the doubled L; two outputs fall inside each change
-    assert distinct_pairs == 15 and differing_brackets == 30
-    assert calls == {"_block_flow": distinct_pairs, "synthesize_frame": differing_brackets}
+    # in the twins' atlas A has E's image: the E-A of DEAR is two keyframes with equal pixels
+    twins = videosynth.GestureAtlas(frames={**atlas.frames, "A": atlas.frames["E"]}, size=32)
+    for letters, changes in [(atlas, 15), (twins, 14)]:
+        calls.update(dict.fromkeys(calls, 0))
+        seq24 = videosynth.duplicate_frames(
+            videosynth.text_to_keyframes("HELLO DEAR FRIEND", letters)
+        )
+        videosynth.interpolate_sequence(seq24)
+        frames = seq24.frames
+        distinct_pairs = sum(
+            not np.array_equal(a, b) for a, b in zip(frames[:-1], frames[1:])
+        )
+        differing_brackets = sum(
+            not np.array_equal(frames[24 * j // 60], frames[min(24 * j // 60 + 1, len(frames) - 1)])
+            for j in range(60 * seq24.n_sources)
+            if (24 * j) % 60
+        )
+        # 16 letter changes, one of them the doubled L (and for the twins, the
+        # E-A); two outputs fall inside each change
+        assert distinct_pairs == changes and differing_brackets == 2 * changes
+        assert calls == {"_block_flow": distinct_pairs, "synthesize_frame": differing_brackets}
 
 
 def test_interpolate_memory_is_output_plus_constant():
@@ -426,8 +433,10 @@ def test_interpolate_memory_is_output_plus_constant():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.frames.nbytes == 27 * 60 * 128 * 128  # 26.5 MB
-    assert peak - out.frames.nbytes <= 16 * 2**20
+    # the 27 keyframes plus the two outputs synthesized inside each of the 26 letter changes
+    assert len(out.images) == 27 + 2 * 26
+    assert len(out.index) == 27 * 60
+    assert peak - out.images.nbytes <= 8 * 2**20
 
 
 def read_clip(directory):
@@ -541,6 +550,17 @@ def test_stage_directories_read_back(tmp_path, atlas):
         manifest, frames = read_clip(out / name)
         assert manifest["fps"] == expected.fps
         assert frames.tobytes() == expected.frames.tobytes()
+
+
+def test_synthesize_never_gathers_a_clip_into_frames(tmp_path, monkeypatch):
+    # every stage passes repeats on as indices; translate shares this path
+    def gathered(seq):
+        raise AssertionError(f"a {seq.fps} FPS clip was gathered into frames")
+
+    monkeypatch.setattr(videosynth.FrameSequence, "frames", property(gathered))
+    assert cli.main(["synthesize", "--text", " AA  BOOK ", "--out", str(tmp_path / "v"),
+                     "--stages", "--set", "datagen.atlas_size=36"]) == 0
+    assert len(list((tmp_path / "v" / "frames60").glob("*.pgm"))) == 600
 
 
 def test_letters_constant():

@@ -2,8 +2,9 @@
 
 Runs datagen, train-rfc (bootstrapped, and unbootstrapped without a depth
 cap), train-cnn (at batch 8, and at batch 5, whose last batch is short),
-eval, tune, correct, synthesize (at the default atlas size and at 36 px,
-whose flow has partial 8x8 blocks) and translate for seeds 3 and 8
+eval, tune, correct, synthesize (at the default atlas size, at 36 px,
+whose flow has partial 8x8 blocks, and a 36 px text with spaces at both
+ends and doubled letters) and translate for seeds 3 and 8
 against one checkout's `src/`, with one BLAS thread, and prints one
 `sha256 path` line per output file, per frame directory (its .pgm names and
 bytes in order) and per command's stdout (temporary paths stripped). A change that claims the same bytes prints the
@@ -62,6 +63,10 @@ def _commands(seed: int):
     # 36 px is not a multiple of the 8 px flow block: partial edge blocks
     yield "synthesize-36", ["synthesize", "--text", STREAM_TEXT, "--out", "synth36", *s,
                             "--set", "datagen.atlas_size=36"]
+    # Spaces at both ends, doubled letters and a double space: the repeats
+    # change at the first and last frames and between equal letters.
+    yield "synthesize-repeats", ["synthesize", "--text", " AA  BOOK ", "--out", "synth_repeats",
+                                 "--stages", *s, "--set", "datagen.atlas_size=36"]
     yield "translate", ["translate", *heads, "--landmarks", "data/stream_landmarks.csv",
                         "--frames", "data/stream_frames", "--out", "translate", "--stages", *s]
 
