@@ -38,7 +38,7 @@ from .io import (
 )
 from .labels import (
     BLANK, CNN_CLASSES, CNN_INDEX, LETTERS, RFC_CLASSES, RFC_INDEX, SHARED_CLASSES, SIGNABLE,
-    upper_ascii,
+    ascii_words, upper_ascii,
 )
 from .landmarks import N_FEATURES, LandmarkFrame
 from .metrics import confusion_and_metrics
@@ -254,15 +254,17 @@ def _cmd_train_cnn(args) -> int:
     )
     model = cnn_mod.build_model(len(CNN_CLASSES), seed=seed)
     images, y = _load_silhouette_dataset(args.data, model.input_shape[:2])
-    X = cnn_mod.images_to_input(images)
-    tr, te = _split(len(X), seed, "cnn-split")
+    tr, te = _split(len(images), seed, "cnn-split")
     if len(tr) == 0:
         raise ValueError(
-            f"{args.data}: {len(X)} silhouette image(s) leave 0 for training after the 80/20 split"
+            f"{args.data}: {len(images)} silhouette image(s) leave 0 for training after the "
+            "80/20 split"
         )
-    history = cnn_mod.train(model, X[tr], y[tr], X[te], y[te], train_cfg)
+    # Split the uint8 images, then scale: one float copy of each part.
+    X_tr, X_te = cnn_mod.images_to_input(images[tr]), cnn_mod.images_to_input(images[te])
+    history = cnn_mod.train(model, X_tr, y[tr], X_te, y[te], train_cfg)
     cnn_mod.save_cnn(args.model, model)
-    metrics = confusion_and_metrics(cnn_mod.predict(model, X[te]), y[te], CNN_CLASSES)
+    metrics = confusion_and_metrics(cnn_mod.predict(model, X_te), y[te], CNN_CLASSES)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model_file": Path(args.model).name,
@@ -418,7 +420,7 @@ def _cmd_eval(args) -> int:
 
 def _signable(text: str, where: str) -> str:
     """The normalized text; a character outside A-Z and space is an error at `where`."""
-    norm = " ".join(upper_ascii(text).split())  # not normalize: str.upper turns ß into SS
+    norm = " ".join(ascii_words(upper_ascii(text)))  # not normalize: str.upper turns ß into SS
     bad = sorted(set(norm) - SIGNABLE)
     if bad:
         raise ValueError(f"{where}: cannot sign characters {bad}: only A-Z and space are signable")

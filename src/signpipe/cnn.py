@@ -27,9 +27,9 @@ which the ReLU after every pool erases.
 
 Each backward pass assigns its layer's weight and bias gradients (dW, db),
 so a training step's single pass leaves exactly that batch's gradients.
-Only a train-mode forward keeps what backward reads, and the model's
-backward stops at the first layer's weight gradients: nothing reads the
-gradient with respect to the image.
+Only a train-mode forward keeps what backward reads, and backward releases
+it once read. The model's backward stops at the first layer's weight
+gradients: nothing reads the gradient with respect to the image.
 """
 from __future__ import annotations
 
@@ -133,6 +133,7 @@ class Conv2D(_Weighted):
         k = self.kh * self.kw * self.in_ch
         dy2 = dy.reshape(-1, self.out_ch)
         self.dW = (self._patches.reshape(-1, k).T @ dy2).reshape(self.W.shape)
+        self._patches = None
         self.db = dy2.sum(axis=0)
 
     def data_backward(self, dy: np.ndarray) -> np.ndarray:
@@ -215,6 +216,7 @@ class MaxPool2D(Layer):
         oh, ow = dy.shape[1:3]
         offsets = np.array([(i * w + j) * c for i in range(s) for j in range(s)])
         at = offsets[self._argmax]
+        self._argmax = None
         at += np.arange(n)[:, None, None, None] * (h * w * c)
         at += np.arange(oh)[:, None, None] * (s * w * c)
         at += np.arange(ow)[:, None] * (s * c) + np.arange(c)
@@ -245,6 +247,7 @@ class Dense(_Weighted):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self.dW = self._x.T @ dy
+        self._x = None
         self.db = dy.sum(axis=0)
         return dy @ self.W.T
 
@@ -257,7 +260,8 @@ class ReLU(Layer):
         return np.where(mask, x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._mask
+        mask, self._mask = self._mask, None
+        return dy * mask
 
 
 class Dropout(Layer):
@@ -280,7 +284,8 @@ class Dropout(Layer):
         return x * self._mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy if self._mask is None else dy * self._mask
+        mask, self._mask = self._mask, None
+        return dy if mask is None else dy * mask
 
 
 class CnnModel:
@@ -514,10 +519,10 @@ def train(
     return history
 
 
-# Frames per inference forward pass. A batch's activations are about 418 KiB
-# per frame, so 32 keeps the peak small; on OpenBLAS the probabilities are
-# bit-equal to a 256-frame batch (a test pins that).
-PREDICT_BATCH = 32
+# Frames per inference forward pass. Activations are about 418 KiB per frame:
+# 8 frames hold about 3.4 MB and run as fast per frame as 32. On OpenBLAS the
+# probabilities are bit-equal to a 256-frame batch (a test pins that).
+PREDICT_BATCH = 8
 
 
 def _batched_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
@@ -536,11 +541,13 @@ def predict_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
 
 
 def images_to_input(images: np.ndarray) -> np.ndarray:
-    """uint8 (N, H, W) images -> float64 (N, H, W, 1) scaled to [0, 1]."""
+    """uint8 (N, H, W) images -> a new float64 (N, H, W, 1) array scaled to [0, 1]."""
     arr = np.asarray(images)
     if arr.ndim == 2:
         arr = arr[None]
-    return arr.astype(np.float64)[..., None] / 255.0
+    x = arr.astype(np.float64)[..., None]
+    x /= 255.0
+    return x
 
 
 def gradient_check(model: CnnModel, x: np.ndarray, y: np.ndarray) -> float:

@@ -19,6 +19,7 @@ CNN_CLASSES: tuple[str, ...] = LETTERS + (BLANK,)
 SHARED_CLASSES: tuple[str, ...] = LETTERS + (SPACE, DELETE, BLANK)
 SIGNABLE = frozenset(LETTERS + (" ",))  # the characters synthesis can render
 _ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
+_ASCII_SPACE = str.maketrans(string.whitespace, " " * len(string.whitespace))
 
 RFC_INDEX: dict[str, int] = {name: i for i, name in enumerate(RFC_CLASSES)}
 CNN_INDEX: dict[str, int] = {name: i for i, name in enumerate(CNN_CLASSES)}
@@ -29,3 +30,9 @@ def upper_ascii(text: str) -> str:
     """text with a-z uppercased and every other character kept, so that no
     non-ASCII one becomes signable letters, as str.upper turns ß into SS."""
     return text.translate(_ASCII_UPPER)
+
+
+def ascii_words(text: str) -> list[str]:
+    """text's runs between ASCII whitespace. str.split() would also break at
+    non-ASCII spaces such as U+00A0, which a check for A-Z must see."""
+    return [w for w in text.translate(_ASCII_SPACE).split(" ") if w]

@@ -18,11 +18,9 @@ import json
 import math
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
-from .labels import SIGNABLE, upper_ascii
+from .labels import SIGNABLE, ascii_words, upper_ascii
 
 # Ranking/scoring constants, fixed for determinism.
 MAX_WORD_DISTANCE = 2
@@ -194,8 +192,9 @@ def _string_score(words: list[str], lexicon: Lexicon) -> float:
 
 
 def normalize(text: str) -> str:
-    """The text's words, uppercased and joined by single spaces."""
-    return " ".join(text.upper().split())
+    """The text's words, uppercased and joined by single spaces; only ASCII
+    whitespace separates words."""
+    return " ".join(ascii_words(text.upper()))
 
 
 def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
@@ -258,6 +257,9 @@ def correct_remote(text: str, cfg: RemoteCorrectorConfig) -> CorrectionResult:
     budget pays for both attempts and backoff sleeps. Anything else from the
     server is a ProtocolError.
     """
+    import urllib.error  # here, so that ssl and http.client load only for a remote corrector
+    import urllib.request
+
     norm = normalize(text)
     if not norm:
         raise ValueError("cannot correct empty text")
@@ -308,7 +310,7 @@ def _parse_remote(payload: str) -> CorrectionResult:
         raise ProtocolError(f"corrector response is not JSON: {exc}") from exc
     if not isinstance(data, list) or len(data) != 3 or not all(isinstance(c, str) for c in data):
         raise ProtocolError(f"expected a JSON array of exactly 3 strings, got {data!r}")
-    cands = tuple(" ".join(upper_ascii(c).split()) for c in data)  # not normalize: ß -> SS
+    cands = tuple(" ".join(ascii_words(upper_ascii(c))) for c in data)  # not normalize: ß -> SS
     if any(not c for c in cands):
         raise ProtocolError(f"empty candidate in corrector response: {data!r}")
     bad = sorted(set("".join(cands)) - SIGNABLE)

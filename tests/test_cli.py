@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import shutil
 import signal
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -171,6 +172,24 @@ def test_train_cnn_report(workspace):
     assert report["epochs_run"] == 2
     assert len(report["history"]["val_loss"]) == 2
     assert len(report["metrics"]["confusion"]) == 27
+
+
+def test_train_cnn_epoch_peak_holds_one_float_copy_of_the_split(tmp_path):
+    # 540 glyphs at batch 8: the traced peak is the float train and validation
+    # parts, one step's caches and an 8-frame validation pass.
+    data = tmp_path / "data"
+    assert cli.main(["datagen", "--out", str(data), "--set", "datagen.landmark_per_class=1",
+                     "--set", "datagen.silhouette_per_class=20",
+                     "--set", "datagen.atlas_size=32"]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(["train-cnn", "--data", str(data / "silhouettes"),
+                         "--model", str(tmp_path / "m.blk"), "--report", str(tmp_path / "r.json"),
+                         "--set", "cnn.batch_size=8", "--set", "cnn.max_epochs=1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * 2**20
 
 
 def test_train_rfc_bad_csv_exits_2(tmp_path, capsys):
@@ -722,9 +741,12 @@ def test_ensemble_pairs_match_reference_drawn(data):
 
 
 UNSIGNABLE_TEXT = "error: --text: cannot sign characters {bad}: only A-Z and space are signable\n"
-# Non-ASCII text that str.upper turns into letters: ß -> SS, ﬁ -> FI, ı -> I, ſ -> S.
+# Non-ASCII text that str.upper turns into letters: ß -> SS, ﬁ -> FI, ı -> I, ſ -> S;
+# and non-ASCII spaces, which str.split takes as word breaks.
 NON_ASCII_TEXTS = {"sharp-s": ("straße", "['ß']"), "fi-ligature": ("ﬁsh", "['ﬁ']"),
-                   "dotless-i": ("ıt", "['ı']"), "long-s": ("ſee you ſoon", "['ſ']")}
+                   "dotless-i": ("ıt", "['ı']"), "long-s": ("ſee you ſoon", "['ſ']"),
+                   "no-break-space": ("HELLO\u00a0WORLD", r"['\xa0']"),
+                   "ideographic-space": ("HELLO\u3000WORLD", r"['\u3000']")}
 REMOTE_FALLBACK = ["--fallback", "--set", "corrector=remote",
                    "--set", "remote.endpoint=http://127.0.0.1:9/c",
                    "--set", "remote.timeout_ms=100", "--set", "remote.max_retries=0"]

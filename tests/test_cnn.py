@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,13 +117,18 @@ def test_gradient_check_small_model(rng):
 
 def test_backward_assigns_gradients(rng):
     # A second pass over the same batch leaves that batch's gradients, not twice them.
+    # Backward releases what its forward kept, so each pass has its own
+    # forward, under the same dropout draws.
     model = small_model()
-    model.layers[-2].rng = substream(0, "dropout")
     x = rng.uniform(0, 1, (3, 8, 8, 1))
-    dlogits = cnn._loss_gradient(model.forward(x, train=True), np.array([0, 1, 2]))
-    model.backward(dlogits)
+
+    def dlogits():
+        model.layers[-2].rng = substream(0, "dropout")
+        return cnn._loss_gradient(model.forward(x, train=True), np.array([0, 1, 2]))
+
+    model.backward(dlogits())
     first = [g.copy() for g in model.grads()]
-    model.backward(dlogits)
+    model.backward(dlogits())
     for want, got in zip(first, model.grads(), strict=True):
         assert np.any(want != 0.0) and got.tobytes() == want.tobytes()
 
@@ -238,6 +245,30 @@ def test_inference_forward_keeps_no_backward_state(rng):
         for layer in model.layers:
             for name in ("_patches", "_mask", "_argmax", "_x"):
                 assert getattr(layer, name, None) is None, (type(layer).__name__, name)
+
+
+def test_backward_releases_what_its_forward_kept(rng):
+    for model, side in ((small_model(), 8), (cnn.build_model(27, seed=0), 32)):
+        model.layers[-2].rng = substream(0, "dropout")
+        x = rng.uniform(0, 1, (3, side, side, 1))
+        model.backward(cnn._loss_gradient(model.forward(x, train=True), np.array([0, 1, 2])))
+        for layer in model.layers:
+            for name in ("_patches", "_mask", "_argmax", "_x"):
+                assert getattr(layer, name, None) is None, (type(layer).__name__, name)
+
+
+def test_predict_proba_peak_is_a_few_frames_of_activations(rng):
+    # 156 frames, a translate stream's worth: the traced peak is one
+    # PREDICT_BATCH pass plus the output, not the whole stream's activations.
+    model = cnn.build_model(27, seed=0)
+    x = rng.uniform(0, 1, (156, 32, 32, 1))
+    tracemalloc.start()
+    try:
+        cnn.predict_proba(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_backward_skips_only_the_image_gradient(rng, monkeypatch):
@@ -600,4 +631,6 @@ def test_model_backward_runs_each_layer_backward_once(rng):
     x = rng.uniform(0, 1, (3, 8, 8, 1))
     model.backward(cnn._loss_gradient(model.forward(x, train=True), np.array([0, 1, 2])))
     assert calls == list(reversed(range(len(model.layers))))
+    model.layers[-2].rng = substream(0, "dropout")
+    model.forward(x, train=True)  # conv 1's backward reads its own forward's patches
     assert model.layers[0].backward(np.zeros((3, 7, 7, 3))) is None

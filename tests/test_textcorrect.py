@@ -273,6 +273,16 @@ def run_correct(*args):
 LONG_WORD = "".join(substream(6, "long-word").choice(list(string.ascii_uppercase), 20_000))
 
 
+def test_importing_the_cli_loads_no_http_or_ssl():
+    # urllib.request pulls in ssl, http.client and email; only a remote
+    # corrector needs them.
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, signpipe.cli; print([m for m in ('ssl', 'urllib.request') if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 def test_correct_cli_with_an_over_long_word_exits_0():
     assert run_correct("--text", LONG_WORD) == (0, [f"{i}. {LONG_WORD}" for i in (1, 2, 3)], "")
 
@@ -388,6 +398,7 @@ def test_correct_offline_matches_reference_ranking(lexicon):
 
 @pytest.mark.parametrize("text, norm", [
     ("  helo \t wrld\n", "HELO WRLD"), ("HI", "HI"), (" \n ", ""), ("caf\u00e9", "CAF\u00c9"),
+    ("hi\u00a0you", "HI\u00a0YOU"),  # only ASCII whitespace separates words
 ])
 def test_normalize(text, norm):
     assert textcorrect.normalize(text) == norm
@@ -477,7 +488,10 @@ def test_remote_two_candidates_is_protocol_error(server):
     # non-ASCII that str.upper turns into letters: ß -> SS, ﬁ -> FI, ı -> I, ſ -> S
     ("HI", "STRA\u00dfE", "HEY"), ("\ufb01SH", "HI", "HEY"), ("HI", "HEY", "\u0131T"),
     ("HI", "\u017fEE", "HEY"),
-], ids=["digit-and-bang", "non-ascii", "sharp-s", "fi-ligature", "dotless-i", "long-s"])
+    # non-ASCII spaces, which str.split takes as word breaks
+    ("HI", "HELLO\u00a0WORLD", "HEY"), ("HELLO\u3000WORLD", "HI", "HEY"),
+], ids=["digit-and-bang", "non-ascii", "sharp-s", "fi-ligature", "dotless-i", "long-s",
+        "no-break-space", "ideographic-space"])
 def test_remote_unsignable_candidate_is_protocol_error(server, cands):
     url, handler = server
     handler.script.append({"status": 200, "body": ok_body(cands)})

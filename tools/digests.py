@@ -90,13 +90,18 @@ def _tree_digests(root: Path) -> list[tuple[str, str]]:
     return out
 
 
+def _env(repo: str) -> dict[str, str]:
+    """The environment of a command run against repo's `src/`, with one BLAS thread."""
+    return dict(os.environ, PYTHONPATH=str(Path(repo).resolve() / "src"),
+                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ is run (default: this one)")
     args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=str(Path(args.repo).resolve() / "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = _env(args.repo)
     for seed in SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             run = Path(tmp)
