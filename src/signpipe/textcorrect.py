@@ -4,10 +4,12 @@ The offline path retrieves per-word lexicon candidates within Damerau-
 Levenshtein distance 2 from a symmetric-delete index (every string within two
 deletions of a lexicon word of at most 20 letters), which is exact for that
 distance; longer lexicon words are measured directly, and a query word too
-long for the index is compared with those alone. A word with no candidate in
-range stands for itself. The path beams over whole-string combinations scored
-by word frequency and bigram counts, and proposes adjacent-word swaps that
-raise the bigram score. The remote path POSTs to a hosted corrector and
+long for the index is compared with those alone. Each distance is a
+bit-vector computation when the shorter word has at most 64 letters, a banded
+DP beyond. A word with no candidate in range stands for itself. The path beams
+over whole-string combinations scored by word frequency and bigram counts,
+whose running sums each beam entry carries, and proposes adjacent-word swaps
+that raise the bigram score. The remote path POSTs to a hosted corrector and
 enforces the three-candidate response contract; both return exactly three
 candidates.
 """
@@ -31,6 +33,10 @@ BIGRAM_WEIGHT = 2.0
 # Longest word the deletion index holds: a word of length L adds about L*L/2
 # keys of about L characters, so longer words are measured directly instead.
 MAX_INDEXED_LENGTH = 20
+# Longest shorter string the bit-vector distance takes. Its integers grow with
+# the pattern, so its time grows with the square of the length; the banded DP
+# used beyond stays linear for a fixed cap.
+BIT_VECTOR_LENGTH = 64
 # What the remote corrector is asked; {text} is the normalized input.
 PROMPT_TEMPLATE = (
     "Correct this recognized sign text, reply with a JSON array of exactly 3 candidate strings: {text}"
@@ -103,13 +109,21 @@ def _deletes(word: str) -> set[str]:
 def damerau_levenshtein(a: str, b: str, cap: int | None = None) -> int:
     """Optimal-string-alignment distance (substitute/insert/delete/transpose).
 
-    With a cap, returns cap+1 for any distance above it, as soon as that is
-    certain. Only the cells within cap of the diagonal are filled, since every
-    other cell exceeds the cap; each row keeps 2*cap+3 values, its two ends
-    cap+1. Without a cap the band is the longer length, which no distance
-    exceeds, so it spans the whole table.
+    With a cap (at least 0), returns cap+1 for any distance above it. A
+    shorter string of 1 to BIT_VECTOR_LENGTH characters is the pattern of
+    Hyyrö's bit-vector recurrence (Myers' algorithm with a transposition
+    term): one integer per DP column holds its vertical +1 and -1 steps, so a
+    character of the other string costs a dozen integer operations, and the
+    last row's value is kept as a running score. Other pairs fill only the
+    cells within cap of the diagonal, since every other cell exceeds the cap,
+    and stop once a whole row does; each row keeps 2*cap+3 values, its two
+    ends cap+1, so the time is linear in length for a fixed cap. Without a
+    cap the band is the longer length, which no distance exceeds, so it spans
+    the whole table.
     """
-    if len(a) > len(b):  # the distance is symmetric; fewer rows of the same width
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    if len(a) > len(b):  # the distance is symmetric; the shorter string is the pattern
         a, b = b, a
     la, lb = len(a), len(b)
     if cap is None:
@@ -117,6 +131,27 @@ def damerau_levenshtein(a: str, b: str, cap: int | None = None) -> int:
     elif lb - la > cap:
         return cap + 1
     over = cap + 1
+    if 0 < la <= BIT_VECTOR_LENGTH:
+        peq: dict[str, int] = {}
+        for i, ch in enumerate(a):
+            peq[ch] = peq.get(ch, 0) | 1 << i
+        mask, top = (1 << la) - 1, 1 << (la - 1)
+        vp, vn, d0, pm_prev, score = mask, 0, 0, 0, la
+        for ch in b:
+            pm = peq.get(ch, 0)
+            d0 = (((pm & vp) + vp) ^ vp | pm | vn | ((~d0 & pm) << 1 & pm_prev)) & mask
+            hp = (vn | ~(d0 | vp)) & mask
+            hn = d0 & vp
+            if hp & top:
+                score += 1
+            elif hn & top:
+                score -= 1
+            hp = (hp << 1 | 1) & mask
+            hn = hn << 1 & mask
+            vp = (hn | ~(d0 | hp)) & mask
+            vn = d0 & hp
+            pm_prev = pm
+        return min(score, over)
     prev2: list[int] | None = None
     prev = [over] * (2 * cap + 3)
     prev[cap + 1 : cap + 2 + min(lb, cap)] = range(min(lb, cap) + 1)
@@ -181,14 +216,31 @@ def word_candidates(word: str, lexicon: Lexicon) -> list[tuple[str, int]]:
     return [(cand, d) for d, _, cand in found[:CANDIDATES_PER_WORD]]
 
 
+def _running_sums(words: list[str], lexicon: Lexicon, freq: float = 0.0, bigram: float = 0.0,
+                  prev: str | None = None) -> tuple[float, float]:
+    """The log1p word-frequency and bigram-count sums of `words`, added left to
+    right onto `freq` and `bigram`, the sums of a string ending in `prev`.
+
+    The one definition of the score's sums: the beam carries them and adds
+    one word's terms per step, which gives the same bits as summing a whole
+    string from the start.
+    """
+    for w in words:
+        freq += math.log1p(lexicon.words.get(w, 0))
+        if prev is not None:
+            bigram += math.log1p(lexicon.bigrams.get((prev, w), 0))
+        prev = w
+    return freq, bigram
+
+
 def _bigram_score(words: list[str], lexicon: Lexicon) -> float:
-    return sum(math.log1p(lexicon.bigrams.get(pair, 0)) for pair in zip(words, words[1:]))
+    return _running_sums(words, lexicon)[1]
 
 
 def _string_score(words: list[str], lexicon: Lexicon) -> float:
     """Higher is better: log1p word frequencies plus weighted bigram counts."""
-    score = sum(math.log1p(lexicon.words.get(w, 0)) for w in words)
-    return score + BIGRAM_WEIGHT * _bigram_score(words, lexicon)
+    freq, bigram = _running_sums(words, lexicon)
+    return freq + BIGRAM_WEIGHT * bigram
 
 
 def normalize(text: str) -> str:
@@ -208,16 +260,20 @@ def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
         raise ValueError("cannot correct empty text")
     per_word = [word_candidates(w, lexicon) for w in norm.split()]
 
-    # Beam over the per-word candidate lists, keyed by (distance sum, -score).
-    beam: list[tuple[int, list[str]]] = [(0, [])]
+    # Beam over the per-word candidate lists, keyed by (distance sum, -score);
+    # each entry carries its string's running sums, so a grown string adds
+    # one word's terms.
+    beam: list[tuple[int, list[str], float, float]] = [(0, [], 0.0, 0.0)]
     for choices in per_word:
-        grown = [(dist + d, words + [cand]) for dist, words in beam for cand, d in choices]
-        grown.sort(key=lambda s: (s[0], -_string_score(s[1], lexicon), " ".join(s[1])))
+        grown = [(dist + d, words + [cand],
+                  *_running_sums([cand], lexicon, freq, bigram, words[-1] if words else None))
+                 for dist, words, freq, bigram in beam for cand, d in choices]
+        grown.sort(key=lambda s: (s[0], -(s[2] + BIGRAM_WEIGHT * s[3]), " ".join(s[1])))
         beam = grown[:BEAM_WIDTH]
 
     # Reorder pass: adjacent swaps that strictly raise the bigram score.
     least: dict[str, int] = {}
-    for dist, words in beam:
+    for dist, words, _, _ in beam:
         variants = [words]
         base = _bigram_score(words, lexicon)
         for i in range(len(words) - 1):

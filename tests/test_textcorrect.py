@@ -74,6 +74,29 @@ def test_distance_matches_reference(rng):
         a = "".join(alphabet[i] for i in rng.integers(0, 3, rng.integers(0, 7)))
         b = "".join(alphabet[i] for i in rng.integers(0, 3, rng.integers(0, 7)))
         assert textcorrect.damerau_levenshtein(a, b) == reference_osa(a, b)
+    # shorter strings of 60-70 characters sit on both sides of the switch from
+    # the bit-vector kernel to the band; a base word with 0-3 random edits
+    # keeps the distance near the caps
+    letters = list("ABCDE")
+    for _ in range(200):
+        a = "".join(rng.choice(letters, rng.integers(60, 71)))
+        b = list(a)
+        for _ in range(rng.integers(0, 4)):
+            op, i = rng.integers(0, 4), int(rng.integers(0, len(b)))
+            if op == 0:
+                b.insert(i, str(rng.choice(letters)))
+            elif op == 1:
+                del b[i]
+            elif op == 2:
+                b[i] = str(rng.choice(letters))
+            elif i + 1 < len(b):
+                b[i], b[i + 1] = b[i + 1], b[i]
+        b = "".join(b)
+        want = reference_osa(a, b)
+        for cap in (None, 0, 2, 3):
+            expected = want if cap is None else min(want, cap + 1)
+            assert textcorrect.damerau_levenshtein(a, b, cap=cap) == expected, (a, b, cap)
+            assert textcorrect.damerau_levenshtein(b, a, cap=cap) == expected, (b, a, cap)
 
 
 def test_distance_symmetry(rng):
@@ -88,6 +111,10 @@ def test_distance_cap():
     assert dl("AAAA", "BBBB", cap=2) == 3  # true distance 4, reported as cap+1
     assert dl("BOK", "BOOK", cap=2) == 1  # within cap: exact
     assert dl("A", "ABCDEF", cap=2) == 3  # length gap alone exceeds the cap
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        dl("AB", "CD", cap=-1)
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        dl("", "", cap=-3)
 
 
 def one_letter_changed(word: str, at: int) -> str:
@@ -98,6 +125,10 @@ def test_capped_distance_of_long_words_fills_only_the_band():
     word = "".join(substream(5, "long-word").choice(list(string.ascii_uppercase), 20_000))
     start = time.perf_counter()
     assert textcorrect.damerau_levenshtein(word, one_letter_changed(word, 10_000), cap=2) == 1
+    assert time.perf_counter() - start < 1.0
+    # a word against its reverse: the band's first rows already exceed the cap
+    start = time.perf_counter()
+    assert textcorrect.damerau_levenshtein(word, word[::-1], cap=2) == 3
     assert time.perf_counter() - start < 1.0
 
 
@@ -386,7 +417,14 @@ def test_correct_offline_matches_reference_ranking(lexicon):
     rng = substream(11, "ranking-oracle")
     texts = [datagen.corrupt_text(c, datagen.ErrorMix(), rng)[0]
              for c in datagen.sample_phrases(150, rng)]
-    texts += ["HELLO WORLD", "ZEBRA CROSSING", "you thank", "  toy   bok ", "THANK YOU"]
+    # two errors: the first corruption's output corrupted again, so two
+    # misspelled words or a misspelling plus a word swap
+    texts += [datagen.corrupt_text(datagen.corrupt_text(c, datagen.ErrorMix(), rng)[0],
+                                   datagen.ErrorMix(), rng)[0]
+              for c in datagen.sample_phrases(100, rng)]
+    texts += ["HELLO WORLD", "ZEBRA CROSSING", "you thank", "  toy   bok ", "THANK YOU",
+              "CONGRATULATONS DEAR SITSER", "HELO FREIND", "YOU THNAK", "ZEBRA BOK",
+              "BOK", "HELO", "ZEBRA"]
     for text in texts:
         assert textcorrect.correct_offline(text, lexicon).candidates == \
             reference_correct_offline(text, lexicon), text

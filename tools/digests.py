@@ -25,7 +25,8 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (3, 8)
-CORRECT_TEXTS = ("TOY BOK", "you thank", "HELLO WORLD", "ZEBRA CROSSING")
+CORRECT_TEXTS = ("TOY BOK", "you thank", "HELLO WORLD", "ZEBRA CROSSING",
+                 "CONGRATULATONS DEAR SITSER", "HELO FREIND")
 STREAM_TEXT = "HELLO DEAR FRIEND"
 
 
