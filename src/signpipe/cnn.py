@@ -600,8 +600,8 @@ def load_cnn(path) -> CnnModel:
     if meta.get("schema") != "cnn/1":
         raise ValueError(f"{path}: not a cnn model file (schema {meta.get('schema')!r})")
     num_classes = meta.get("num_classes")
-    if not isinstance(num_classes, int):
-        raise ValueError(f"{path}: meta num_classes must be an integer")
+    if type(num_classes) is not int or num_classes < 2:  # JSON true is a bool, not a class count
+        raise ValueError(f"{path}: meta num_classes must be an integer >= 2, got {num_classes!r}")
     # Shapes of a 2-class model with its output layer widened to num_classes:
     # the stored arrays are checked before a model of that size is built.
     shapes = [p.shape for p in build_model(2, seed=0).params()]

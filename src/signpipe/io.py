@@ -198,7 +198,7 @@ def read_blocks(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         try:
             arr = np.frombuffer(raw, dtype=np.dtype(header["dtype"]))
             arrays[name] = arr.reshape(header["shape"]).copy()
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, SyntaxError) as exc:  # numpy evals "<04"'s repeat count
             raise ValueError(f"{path}: array {name!r} cannot be decoded ({exc})") from None
     return meta, arrays
 

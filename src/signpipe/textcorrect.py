@@ -4,13 +4,13 @@ The offline path retrieves per-word lexicon candidates within Damerau-
 Levenshtein distance 2 from a symmetric-delete index (every string within two
 deletions of a lexicon word of at most 20 letters), which is exact for that
 distance; longer lexicon words are measured directly, and a query word too
-long for the index is compared with those alone. Each distance is a
-bit-vector computation when the shorter word has at most 64 letters, a banded
-DP beyond. A word with no candidate in range stands for itself. The path beams
-over whole-string combinations scored by word frequency and bigram counts,
-whose running sums each beam entry carries, and proposes adjacent-word swaps
-that raise the bigram score. The remote path POSTs to a hosted corrector and
-enforces the three-candidate response contract; both return exactly three
+long for the index is compared with those alone. Every distance is one
+bit-vector recurrence, at any word length, that stops once its lower bound
+exceeds 2. A word with no candidate in range stands for itself. The path
+beams over whole-string combinations scored by word frequency and bigram
+counts, whose running sums each beam entry carries, and proposes adjacent-word
+swaps that raise the bigram score. The remote path POSTs to a hosted corrector
+and enforces the three-candidate response contract; both return exactly three
 candidates.
 """
 from __future__ import annotations
@@ -33,10 +33,6 @@ BIGRAM_WEIGHT = 2.0
 # Longest word the deletion index holds: a word of length L adds about L*L/2
 # keys of about L characters, so longer words are measured directly instead.
 MAX_INDEXED_LENGTH = 20
-# Longest shorter string the bit-vector distance takes. Its integers grow with
-# the pattern, so its time grows with the square of the length; the banded DP
-# used beyond stays linear for a fixed cap.
-BIT_VECTOR_LENGTH = 64
 # What the remote corrector is asked; {text} is the normalized input.
 PROMPT_TEMPLATE = (
     "Correct this recognized sign text, reply with a JSON array of exactly 3 candidate strings: {text}"
@@ -70,7 +66,7 @@ class Lexicon:
         words: dict[str, int] = {}
         bigrams: dict[tuple[str, str], int] = {}
         for phrase in phrases:
-            ws = phrase.upper().split()
+            ws = ascii_words(phrase.upper())
             for w in ws:
                 words[w] = words.get(w, 0) + 1
             for pair in zip(ws, ws[1:]):
@@ -109,17 +105,18 @@ def _deletes(word: str) -> set[str]:
 def damerau_levenshtein(a: str, b: str, cap: int | None = None) -> int:
     """Optimal-string-alignment distance (substitute/insert/delete/transpose).
 
-    With a cap (at least 0), returns cap+1 for any distance above it. A
-    shorter string of 1 to BIT_VECTOR_LENGTH characters is the pattern of
-    Hyyrö's bit-vector recurrence (Myers' algorithm with a transposition
-    term): one integer per DP column holds its vertical +1 and -1 steps, so a
-    character of the other string costs a dozen integer operations, and the
-    last row's value is kept as a running score. Other pairs fill only the
-    cells within cap of the diagonal, since every other cell exceeds the cap,
-    and stop once a whole row does; each row keeps 2*cap+3 values, its two
-    ends cap+1, so the time is linear in length for a fixed cap. Without a
-    cap the band is the longer length, which no distance exceeds, so it spans
-    the whole table.
+    With a cap (at least 0), returns cap+1 for any distance above it. The
+    shorter string is the pattern of Hyyrö's bit-vector recurrence (Myers'
+    algorithm with a transposition term): one integer per DP column holds its
+    vertical +1 and -1 steps, so a character of the other string costs a
+    dozen integer operations on integers as wide as the pattern. Each
+    character moves the last row's value by at most one, so that value less
+    the characters still to come is a lower bound on the distance: it starts
+    at the length difference, rises by 2, 1 or 0 as the last row rises, holds
+    or falls, ends equal to the distance, and stops the loop once it exceeds
+    the cap. Unrelated strings stop within a few characters; near-identical
+    long strings run through, in time that grows with the square of their
+    length.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -130,52 +127,30 @@ def damerau_levenshtein(a: str, b: str, cap: int | None = None) -> int:
         cap = lb
     elif lb - la > cap:
         return cap + 1
-    over = cap + 1
-    if 0 < la <= BIT_VECTOR_LENGTH:
-        peq: dict[str, int] = {}
-        for i, ch in enumerate(a):
-            peq[ch] = peq.get(ch, 0) | 1 << i
-        mask, top = (1 << la) - 1, 1 << (la - 1)
-        vp, vn, d0, pm_prev, score = mask, 0, 0, 0, la
-        for ch in b:
-            pm = peq.get(ch, 0)
-            d0 = (((pm & vp) + vp) ^ vp | pm | vn | ((~d0 & pm) << 1 & pm_prev)) & mask
-            hp = (vn | ~(d0 | vp)) & mask
-            hn = d0 & vp
-            if hp & top:
-                score += 1
-            elif hn & top:
-                score -= 1
-            hp = (hp << 1 | 1) & mask
-            hn = hn << 1 & mask
-            vp = (hn | ~(d0 | hp)) & mask
-            vn = d0 & hp
-            pm_prev = pm
-        return min(score, over)
-    prev2: list[int] | None = None
-    prev = [over] * (2 * cap + 3)
-    prev[cap + 1 : cap + 2 + min(lb, cap)] = range(min(lb, cap) + 1)
-    for i in range(1, la + 1):
-        # cell (i, j) sits at k = j - i + cap + 1, and so do (i-1, j-1) and (i-2, j-2)
-        ai, before = a[i - 1], (a[i - 2] if i > 1 else None)
-        offset = cap + 1 - i
-        cur = [over] * (2 * cap + 3)
-        if i <= cap:
-            cur[offset] = i
-        for j in range(max(1, i - cap), min(lb, i + cap) + 1):
-            k = j + offset
-            best = prev[k] + (ai != b[j - 1])  # substitute or match
-            if prev[k + 1] < best:  # delete
-                best = prev[k + 1] + 1
-            if cur[k - 1] < best:  # insert
-                best = cur[k - 1] + 1
-            if before == b[j - 1] and j > 1 and ai == b[j - 2] and prev2[k] < best:  # transpose
-                best = prev2[k] + 1
-            cur[k] = best
-        if min(cur) > cap:
-            return over
-        prev2, prev = prev, cur
-    return min(prev[lb - la + cap + 1], over)
+    if not a:
+        return lb
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    mask, top = (1 << la) - 1, 1 << (la - 1)
+    vp, vn, d0, pm_prev, bound = mask, 0, 0, 0, la - lb
+    for ch in b:
+        pm = peq.get(ch, 0)
+        d0 = (((pm & vp) + vp) ^ vp | pm | vn | ((~d0 & pm) << 1 & pm_prev)) & mask
+        hp = (vn | ~(d0 | vp)) & mask
+        hn = d0 & vp
+        if hp & top:
+            bound += 2
+        elif not hn & top:
+            bound += 1
+        if bound > cap:
+            return cap + 1
+        hp = (hp << 1 | 1) & mask
+        hn = hn << 1 & mask
+        vp = (hn | ~(d0 | hp)) & mask
+        vn = d0 & hp
+        pm_prev = pm
+    return bound
 
 
 @dataclass(frozen=True)
@@ -258,7 +233,7 @@ def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
     norm = normalize(text)
     if not norm:
         raise ValueError("cannot correct empty text")
-    per_word = [word_candidates(w, lexicon) for w in norm.split()]
+    per_word = [word_candidates(w, lexicon) for w in norm.split(" ")]
 
     # Beam over the per-word candidate lists, keyed by (distance sum, -score);
     # each entry carries its string's running sums, so a grown string adds
@@ -284,7 +259,7 @@ def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
             s = " ".join(v)
             least[s] = min(dist, least.get(s, dist))
 
-    ranked = sorted(least, key=lambda s: (least[s], -_string_score(s.split(), lexicon), s))
+    ranked = sorted(least, key=lambda s: (least[s], -_string_score(s.split(" "), lexicon), s))
     return CorrectionResult(candidates=tuple((ranked + ranked[:1] * 2)[:3]), source="offline")
 
 

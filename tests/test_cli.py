@@ -1002,24 +1002,36 @@ def _main_within(argv, seconds=30):
 
 def _corrupt_model(src, dst, mutate):
     meta, arrays = io.read_blocks(src)
-    mutate(arrays)
+    mutate(meta, arrays)
     io.write_blocks(dst, meta, arrays)
 
 
 def _set(name, index, value):
-    return lambda arrays: arrays[name].__setitem__(index, value)
+    return lambda meta, arrays: arrays[name].__setitem__(index, value)
+
+
+def _one_class_cnn(num_classes):
+    """A cnn whose output layer has one class, with num_classes in its meta:
+    its arrays pass the shape check, so only the count itself can be refused."""
+    def mutate(meta, arrays):
+        meta["num_classes"] = num_classes
+        arrays["param_008"], arrays["param_009"] = arrays["param_008"][:, :1], arrays["param_009"][:1]
+    return mutate
 
 
 @pytest.mark.parametrize("which, mutate, message", [
     ("rfc", _set("right", 0, 0), "right child of node 0"),  # unchecked, predict cycles
     ("rfc", _set("feature", 0, 999), "feature index"),  # unchecked, an IndexError
     # unchecked, set_weights broadcasts the truncated array
-    ("cnn", lambda a: a.__setitem__("param_000", a["param_000"][:1]), "param_000"),
+    ("cnn", lambda m, a: a.__setitem__("param_000", a["param_000"][:1]), "param_000"),
     # unchecked, both translate to wrong text and exit 0
     ("rfc", _set("threshold", 0, float("nan")), "non-finite"),
     ("cnn", _set("param_000", 0, float("nan")), "finite"),
+    # refused only when the model is built, without the file's name
+    ("cnn", _one_class_cnn(1), "num_classes must be an integer >= 2, got 1"),
+    ("cnn", _one_class_cnn(True), "num_classes must be an integer >= 2, got True"),
 ], ids=["forest-child-cycle", "forest-feature-range", "cnn-truncated-weight",
-        "forest-nan-threshold", "cnn-nan-weight"])
+        "forest-nan-threshold", "cnn-nan-weight", "cnn-one-class", "cnn-true-classes"])
 def test_translate_corrupt_model_exits_2(workspace, tmp_path, capsys, which, mutate, message):
     bad = tmp_path / f"{which}.blk"
     _corrupt_model(workspace / f"{which}.blk", bad, mutate)
@@ -1028,14 +1040,16 @@ def test_translate_corrupt_model_exits_2(workspace, tmp_path, capsys, which, mut
     assert _main_within(argv) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert str(bad) in err
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("old, new", [
     (b'"dtype":"<f8"', b'"dtype":"<q8"'),  # a dtype numpy does not know
     (b'"dtype":"<f8"', b'"dtype":"<i0"'),
+    (b'"dtype":"<f8"', b'"dtype":"<04"'),  # numpy evaluates the repeat count: a SyntaxError
     (b'"name":"param_000"', b'"nome":"param_000"'),  # a header without a name
-], ids=["unknown-dtype", "zero-size-dtype", "header-without-name"])
+], ids=["unknown-dtype", "zero-size-dtype", "leading-zero-count", "header-without-name"])
 def test_translate_byte_corrupted_cnn_exits_2(workspace, tmp_path, capsys, old, new):
     bad = tmp_path / "cnn.blk"
     data = (workspace / "cnn.blk").read_bytes()

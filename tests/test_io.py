@@ -280,13 +280,16 @@ def _replace_block(data: bytes, index: int, new: bytes) -> bytes:
     (lambda d: d.replace(b'"dtype":"<i8"', b'"dtype":"<q8"', 1), "cannot be decoded"),
     (lambda d: d.replace(b'"dtype":"<f8"', b'"dtype":"<i0"', 1), "cannot be decoded"),
     (lambda d: d.replace(b'"dtype":"<i8"', b'"dtype":"|O1"', 1), "cannot be decoded"),
+    (lambda d: d.replace(b'"dtype":"<i8"', b'"dtype":"<04"', 1), "cannot be decoded"),
+    (lambda d: _replace_block(d, 1, b'{"dtype":"04","name":"x","shape":[1]}'), "cannot be decoded"),
     (lambda d: _replace_block(d, 1, b'{"dtype":"<f8","name":"x","shape":[1.5]}'), "cannot be decoded"),
     (lambda d: _replace_block(d, 0, b"[1]"), "meta block"),
     (lambda d: _replace_block(d, 1, b"[1]"), "array header"),
     (lambda d: _replace_block(d, 1, b'{"dtype":"<f8","shape":[0]}'), "array header"),
     (lambda d: _replace_block(d, 1, b'{"name":3,"dtype":"<f8","shape":[0]}'), "array header"),
     (lambda d: _replace_block(d, 0, b'{"a":\xff}'), "not UTF-8 JSON"),
-], ids=["unknown-dtype", "zero-size-dtype", "object-dtype", "float-shape", "meta-list",
+], ids=["unknown-dtype", "zero-size-dtype", "object-dtype", "leading-zero-count",
+        "bare-leading-zero-count", "float-shape", "meta-list",
         "header-list", "header-without-name", "header-int-name", "meta-not-utf8"])
 def test_blocks_malformed_json_raise_value_error_naming_the_file(
     tmp_path, forest_file_bytes, mutate, message

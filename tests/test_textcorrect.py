@@ -74,12 +74,12 @@ def test_distance_matches_reference(rng):
         a = "".join(alphabet[i] for i in rng.integers(0, 3, rng.integers(0, 7)))
         b = "".join(alphabet[i] for i in rng.integers(0, 3, rng.integers(0, 7)))
         assert textcorrect.damerau_levenshtein(a, b) == reference_osa(a, b)
-    # shorter strings of 60-70 characters sit on both sides of the switch from
-    # the bit-vector kernel to the band; a base word with 0-3 random edits
-    # keeps the distance near the caps
+    # patterns of 1-150 characters span several integer digits of the bit
+    # vector; a base word with 0-3 random edits keeps the distance near the
+    # caps, where the lower bound stops the loop or just fails to
     letters = list("ABCDE")
     for _ in range(200):
-        a = "".join(rng.choice(letters, rng.integers(60, 71)))
+        a = "".join(rng.choice(letters, rng.integers(1, 151)))
         b = list(a)
         for _ in range(rng.integers(0, 4)):
             op, i = rng.integers(0, 4), int(rng.integers(0, len(b)))
@@ -111,6 +111,13 @@ def test_distance_cap():
     assert dl("AAAA", "BBBB", cap=2) == 3  # true distance 4, reported as cap+1
     assert dl("BOK", "BOOK", cap=2) == 1  # within cap: exact
     assert dl("A", "ABCDEF", cap=2) == 3  # length gap alone exceeds the cap
+    # long pairs of equal length: the lower bound exceeds the cap within a few letters
+    letters = list(string.ascii_uppercase)
+    a, b = ("".join(substream(seed, "thirty").choice(letters, 30)) for seed in (1, 2))
+    word = "".join(substream(3, "sixty-four").choice(letters, 64))
+    for x, y in ((a, b), (word, word[::-1])):
+        assert reference_osa(x, y) > 2
+        assert dl(x, y, cap=2) == dl(y, x, cap=2) == 3
     with pytest.raises(ValueError, match="cap must be >= 0"):
         dl("AB", "CD", cap=-1)
     with pytest.raises(ValueError, match="cap must be >= 0"):
@@ -123,10 +130,11 @@ def one_letter_changed(word: str, at: int) -> str:
 
 def test_capped_distance_of_long_words_fills_only_the_band():
     word = "".join(substream(5, "long-word").choice(list(string.ascii_uppercase), 20_000))
+    # a near pair runs through: 20,000 steps on 20,000-bit integers
     start = time.perf_counter()
     assert textcorrect.damerau_levenshtein(word, one_letter_changed(word, 10_000), cap=2) == 1
     assert time.perf_counter() - start < 1.0
-    # a word against its reverse: the band's first rows already exceed the cap
+    # a word against its reverse: the lower bound exceeds the cap within a few letters
     start = time.perf_counter()
     assert textcorrect.damerau_levenshtein(word, word[::-1], cap=2) == 3
     assert time.perf_counter() - start < 1.0
@@ -154,6 +162,14 @@ def test_lexicon_from_phrases(lexicon):
     assert ("THANK", "YOU") in lexicon.bigrams
     assert all(w.isupper() for w in lexicon.words)
     assert all(f >= 1 for f in lexicon.words.values())
+
+
+def test_lexicon_splits_phrases_as_normalize_splits_text():
+    # only ASCII whitespace separates words, in the lexicon as in a query
+    lex = textcorrect.Lexicon.from_phrases(["HI\u00a0THERE\tYOU"])
+    assert lex.words == {"HI\u00a0THERE": 1, "YOU": 1}
+    assert lex.bigrams == {("HI\u00a0THERE", "YOU"): 1}
+    assert textcorrect.correct_offline("hi\u00a0there you", lex).candidates[0] == "HI\u00a0THERE YOU"
 
 
 def test_lexicon_validation():

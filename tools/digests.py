@@ -2,7 +2,8 @@
 
 Runs datagen, train-rfc (bootstrapped, and unbootstrapped without a depth
 cap), train-cnn (at batch 8, and at batch 5, whose last batch is short),
-eval, tune, correct, synthesize (at the default atlas size, at 36 px,
+eval, tune, correct (with the built-in lexicon, and with a phrase file of
+30- and 70-letter words), synthesize (at the default atlas size, at 36 px,
 whose flow has partial 8x8 blocks, and a 36 px text with spaces at both
 ends and doubled letters) and translate for seeds 3 and 8
 against one checkout's `src/`, with one BLAS thread, and prints one
@@ -28,10 +29,28 @@ SEEDS = (3, 8)
 CORRECT_TEXTS = ("TOY BOK", "you thank", "HELLO WORLD", "ZEBRA CROSSING",
                  "CONGRATULATONS DEAR SITSER", "HELO FREIND")
 STREAM_TEXT = "HELLO DEAR FRIEND"
+# Lexicon words too long for the corrector's deletion index, so every query
+# word is measured against them: 30 letters, and 70, wider than 64 bits.
+LONG_30 = "AJVXHAELDEOITIJUCLTWONQFUQFPSY"
+LONG_70 = "ZIDRVQCUYHSBEYAHJFSYDCBDLKLDMRYRABSXXPNHYGQELCFCEZCSVTCLXNIBJSQBVQZFTA"
+PHRASES_FILE = "long_phrases.txt"
+LONG_TEXTS = (
+    f"HELO {LONG_30[:10]}Q{LONG_30[11:]}",  # one substitution
+    f"{LONG_70[:20]}{LONG_70[21]}{LONG_70[20]}{LONG_70[22:50]}{LONG_70[51:]} WORLD",  # swap, deletion
+    # unrelated words of 40 and 31 letters; against the 30-letter word, the
+    # distance's lower bound passes the cap within a few letters
+    "ELWZZUUWJEUPCFUMQYCHWXHQATRXITDACGFDSINN VGCGXHOYGFWQIGIXRTQZDUDSREOHAOH",
+)
+
+
+def _write_inputs(run: Path) -> None:
+    """Write the phrase file of the correct-long commands into the run directory."""
+    (run / PHRASES_FILE).write_text(f"HELLO WORLD\n{LONG_30}\n{LONG_70}\n", encoding="ascii")
 
 
 def _commands(seed: int):
-    """(name, argv) per command; paths are relative to the run directory."""
+    """(name, argv) per command; paths are relative to the run directory,
+    which _write_inputs has filled."""
     s = ["--set", f"seed={seed}"]
     heads = ["--rfc", "rfc.blk", "--cnn", "cnn.blk"]
     yield "datagen", ["datagen", "--out", "data", "--stream-text", STREAM_TEXT, *s,
@@ -60,6 +79,9 @@ def _commands(seed: int):
                    "--set", "rfc.cv_folds=2"]
     for i, text in enumerate(CORRECT_TEXTS):
         yield f"correct-{i}", ["correct", "--text", text, "--report", f"correct_{i}.json", *s]
+    for i, text in enumerate(LONG_TEXTS):
+        yield f"correct-long-{i}", ["correct", "--phrases", PHRASES_FILE, "--text", text,
+                                    "--report", f"correct_long_{i}.json", *s]
     yield "synthesize", ["synthesize", "--text", STREAM_TEXT, "--out", "synth", "--stages", *s]
     # 36 px is not a multiple of the 8 px flow block: partial edge blocks
     yield "synthesize-36", ["synthesize", "--text", STREAM_TEXT, "--out", "synth36", *s,
@@ -106,6 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     for seed in SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             run = Path(tmp)
+            _write_inputs(run)
             for name, cmd in _commands(seed):
                 proc = subprocess.run([sys.executable, "-m", "signpipe.cli", *cmd], cwd=run,
                                       env=env, capture_output=True, text=True)

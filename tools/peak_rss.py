@@ -18,7 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from digests import SEEDS, _commands, _env
+from digests import SEEDS, _commands, _env, _write_inputs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -28,6 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     env = _env(args.repo)
     with tempfile.TemporaryDirectory() as tmp:
+        _write_inputs(Path(tmp))
         for name, cmd in _commands(SEEDS[0]):
             with subprocess.Popen([sys.executable, "-m", "signpipe.cli", *cmd], cwd=tmp, env=env,
                                   stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:

@@ -39,7 +39,7 @@ def main() -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
-    from digests import _commands
+    from digests import _commands, _write_inputs
     from signpipe import cli
 
     package = Path(cli.__file__).parent
@@ -51,6 +51,7 @@ def main() -> int:
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        _write_inputs(Path(tmp))
         try:
             for name, argv in _commands(SEED):
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
