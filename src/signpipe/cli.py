@@ -260,11 +260,11 @@ def _cmd_train_cnn(args) -> int:
             f"{args.data}: {len(images)} silhouette image(s) leave 0 for training after the "
             "80/20 split"
         )
-    # Split the uint8 images, then scale: one float copy of each part.
-    X_tr, X_te = cnn_mod.images_to_input(images[tr]), cnn_mod.images_to_input(images[te])
-    history = cnn_mod.train(model, X_tr, y[tr], X_te, y[te], train_cfg)
+    # uint8 frames: train and predict scale one batch at a time.
+    frames = images[..., None]
+    history = cnn_mod.train(model, frames[tr], y[tr], frames[te], y[te], train_cfg)
     cnn_mod.save_cnn(args.model, model)
-    metrics = confusion_and_metrics(cnn_mod.predict(model, X_te), y[te], CNN_CLASSES)
+    metrics = confusion_and_metrics(cnn_mod.predict(model, frames[te]), y[te], CNN_CLASSES)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model_file": Path(args.model).name,
@@ -355,7 +355,7 @@ def _ensemble_pairs(
             "so there is no ensemble to evaluate"
         )
     p_rfc = forest.predict_proba(rfc_model, np.concatenate(lm_rows))
-    p_cnn = cnn_mod.predict_proba(cnn_model, cnn_mod.images_to_input(np.concatenate(sil_imgs)))
+    p_cnn = cnn_mod.predict_proba(cnn_model, np.concatenate(sil_imgs)[..., None])
     return p_rfc, p_cnn, y_shared
 
 
@@ -387,7 +387,7 @@ def _cmd_eval(args) -> int:
         forest.predict_class(rfc_model, X_lm[te_lm]), y_lm[te_lm], RFC_CLASSES
     )
     cnn_report = confusion_and_metrics(
-        cnn_mod.predict(cnn_model, cnn_mod.images_to_input(images[te_sil])),
+        cnn_mod.predict(cnn_model, images[te_sil, ..., None]),
         y_sil[te_sil],
         CNN_CLASSES,
     )
@@ -580,7 +580,7 @@ def _cmd_translate(args) -> int:
         )
 
     p_rfc = forest.predict_proba(rfc_model, X_lm)
-    p_cnn = cnn_mod.predict_proba(cnn_model, cnn_mod.images_to_input(images))
+    p_cnn = cnn_mod.predict_proba(cnn_model, images[..., None])
     classes = [SHARED_CLASSES[i] for i in ensemble.recognize(p_rfc, p_cnn, weights)]
     raw = ensemble.decode_stream(classes, decode_cfg)
     if not raw.strip():

@@ -25,6 +25,11 @@ the first offset that holds it; its backward is one scatter to those
 offsets. Both give the exact maximum; a zero maximum may differ in sign,
 which the ReLU after every pool erases.
 
+The model reads float64 (N, 32, 32, 1) input. train, predict and
+predict_proba also take 8-bit frames as uint8 (N, 32, 32, 1) and scale each
+batch they slice with images_to_input, so they hold one batch of floats, not
+a float copy of the whole split or stream; the values are the same.
+
 Each backward pass assigns its layer's weight and bias gradients (dW, db),
 so a training step's single pass leaves exactly that batch's gradients.
 Only a train-mode forward keeps what backward reads, and backward releases
@@ -474,11 +479,11 @@ def train(
     """Mini-batch Adam with early stopping on validation loss.
 
     Stops after `patience` epochs without strict improvement and restores the
-    best-validation-loss weights. Returns the per-epoch history.
+    best-validation-loss weights. Returns the per-epoch history. X and X_val
+    are float input or uint8 frames, each batch scaled as it is sliced.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X, X_val = _frames(X), _frames(X_val)
     y = np.asarray(y, dtype=np.int64)
-    X_val = np.asarray(X_val, dtype=np.float64)
     y_val = np.asarray(y_val, dtype=np.int64)
     if len(X) == 0 or len(X_val) == 0:
         raise ValueError("training and validation sets must be non-empty")
@@ -496,7 +501,7 @@ def train(
         correct = 0
         for lo in range(0, len(X), config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            xb, yb = X[idx], y[idx]
+            xb, yb = _batch(X[idx]), y[idx]
             probs = model.forward(xb, train=True)
             batch_losses.append(cross_entropy(probs, yb) * len(yb))
             correct += int(np.sum(np.argmax(probs, axis=1) == yb))
@@ -525,11 +530,26 @@ def train(
 PREDICT_BATCH = 8
 
 
+def _frames(X) -> np.ndarray:
+    """X as an array: uint8 frames stay 8-bit until _batch scales them; any
+    other input is float64."""
+    X = np.asarray(X)
+    return X if X.dtype == np.uint8 else X.astype(np.float64, copy=False)
+
+
+def _batch(xb: np.ndarray) -> np.ndarray:
+    """A batch sliced from _frames as the model reads it: uint8 (N, H, W, 1)
+    frames scaled by images_to_input, float input as it is. Other uint8
+    shapes pass unscaled, and the model's shape check rejects them."""
+    return images_to_input(xb) if xb.dtype == np.uint8 and xb.ndim == 4 else xb
+
+
 def _batched_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
+    X = _frames(X)
     if len(X) <= PREDICT_BATCH:
-        return model.forward(X, train=False)
-    starts = range(0, len(X), PREDICT_BATCH)
-    return np.concatenate([model.forward(X[lo : lo + PREDICT_BATCH], train=False) for lo in starts])
+        return model.forward(_batch(X), train=False)
+    batches = (_batch(X[lo : lo + PREDICT_BATCH]) for lo in range(0, len(X), PREDICT_BATCH))
+    return np.concatenate([model.forward(xb, train=False) for xb in batches])
 
 
 def predict(model: CnnModel, X: np.ndarray) -> np.ndarray:
@@ -541,11 +561,15 @@ def predict_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
 
 
 def images_to_input(images: np.ndarray) -> np.ndarray:
-    """uint8 (N, H, W) images -> a new float64 (N, H, W, 1) array scaled to [0, 1]."""
+    """uint8 (N, H, W) or (N, H, W, 1) images, or one (H, W) image, -> a new
+    float64 (N, H, W, 1) array scaled to [0, 1]. train, predict and
+    predict_proba call it on each batch they slice from uint8 frames."""
     arr = np.asarray(images)
     if arr.ndim == 2:
         arr = arr[None]
-    x = arr.astype(np.float64)[..., None]
+    x = arr.astype(np.float64)
+    if x.ndim == 3:
+        x = x[..., None]
     x /= 255.0
     return x
 

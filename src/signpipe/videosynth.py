@@ -28,8 +28,9 @@ OCCLUSION_DAMPING = 0.25
 # Block search: candidate k is (dy, dx) = divmod(k, _SPAN) - SEARCH_RADIUS.
 _SPAN = 2 * SEARCH_RADIUS + 1
 _ZERO_SHIFT = SEARCH_RADIUS * _SPAN + SEARCH_RADIUS
-# Blocks scored per pass: 128 x 289 candidates x 64 pixels, 2.4 MB per uint8 temporary.
-_SEARCH_CHUNK = 128
+# Blocks scored per pass: 16 x 289 candidates x 64 pixels, 0.3 MB per uint8
+# temporary. On the 128 px atlas 16 blocks time as fast as 128 or faster.
+_SEARCH_CHUNK = 16
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,7 @@ def test_block_flow_on_atlas_pairs_equals_reference():
 def test_block_flow_memory_is_bounded():
     # every block of two random 512 px frames is searched: 4,096 blocks,
     # 76 MB per uint8 temporary if they were scored in a single pass
+    # (11.3 MB measured: the 4 MB flow returned, per-block arrays, one chunk)
     rng = np.random.default_rng(3)
     i0, i1 = (rng.integers(0, 256, (512, 512), dtype=np.uint8) for _ in range(2))
     tracemalloc.start()
@@ -230,7 +231,7 @@ def test_block_flow_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert flow.shape == (512, 512, 2)
-    assert peak <= 32 * 2**20
+    assert peak <= 13 * 2**20
 
 
 def test_flow_t_validation():
