@@ -100,12 +100,12 @@ def _cmd_datagen(args) -> int:
     write_landmark_csv(out / "landmarks.csv", frames)
 
     images, labels = datagen.synth_silhouettes(sil_spec)
-    for i, (img, label) in enumerate(zip(images, labels)):  # class by class
-        class_dir = out / "silhouettes" / label
+    for start in range(0, len(images), sil_spec.per_class):  # class-major
+        class_dir = out / "silhouettes" / labels[start]
         class_dir.mkdir(parents=True, exist_ok=True)
-        write_pgm(class_dir / f"img_{i % sil_spec.per_class:05d}.pgm", img)
-    for label in set(labels):
-        unlink_numbered(out / "silhouettes" / label, "img_{:05d}.pgm", sil_spec.per_class)
+        for i, img in enumerate(images[start : start + sil_spec.per_class]):
+            write_pgm(class_dir / f"img_{i:05d}.pgm", img)
+        unlink_numbered(class_dir, "img_{:05d}.pgm", sil_spec.per_class)
 
     atlas_dir = out / "atlas"
     atlas_dir.mkdir(parents=True, exist_ok=True)

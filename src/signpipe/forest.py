@@ -14,11 +14,9 @@ forest on that basis.
 
 The whole forest is one flat node table, used alike by training, by
 prediction (every row walks every tree together, one vectorized step per
-depth level) and by the model file. The file (schema forest/2) stores the
+depth level) and by the model file. The file (schema forest/3) stores the
 node arrays as they are, with children as table indices, plus `offsets`:
-the root of each tree followed by the node count. Prediction walks arrays
-derived from the table and indexed by twice the node number, so a step
-needs no index arithmetic beyond adding the comparison.
+the root of each tree followed by the node count.
 
 Training splits the trees into contiguous index ranges, one per CPU the
 process may use; the parent grows the first range while forked workers grow
@@ -37,7 +35,7 @@ import itertools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,8 +76,7 @@ SEARCH_SPACE: dict[str, tuple] = {
 _NODE_DTYPES = {
     "feature": np.int32,
     "threshold": np.float64,
-    "left": np.int32,
-    "right": np.int32,
+    "right": np.int64,  # the native index type: a gather by it needs no conversion
     "leaf_class": np.int32,
 }
 _NODE_ARRAYS = tuple(_NODE_DTYPES)
@@ -90,15 +87,11 @@ class Forest:
     """All trees in one flat node table; feature == -1 marks a leaf.
 
     Tree i occupies the nodes from trees[i] (its root) up to the next root.
-    left and right index the whole table, and every child comes after its
-    parent. A leaf holds the majority class of its training samples
-    (histogram argmax, lowest class index on ties).
-
-    The walk arrays, derived here for prediction and never saved, index
-    node i at 2 * i. child2 holds each node's (right, left) pair as doubled
-    indices, and feature2 and threshold2 repeat each node's entry twice, so
-    a step from doubled index k goes to child2[k + (x <= threshold2[k])]; a
-    leaf's pair points back to it.
+    right indexes the whole table and a split's left child is right - 1,
+    both after their parent. A leaf holds the majority class of its training
+    samples (histogram argmax, lowest class index on ties), right pointing
+    to itself and a NaN threshold, so a step from node k goes to
+    right[k] - (x <= threshold[k]): x <= NaN is False, and a leaf stays put.
     """
 
     hyperparams: ForestHyperparams
@@ -107,21 +100,8 @@ class Forest:
     trees: np.ndarray  # (n_trees,) root node indices
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     leaf_class: np.ndarray
-    child2: np.ndarray = field(init=False, repr=False, compare=False)
-    feature2: np.ndarray = field(init=False, repr=False, compare=False)
-    threshold2: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        node = np.arange(len(self.feature))
-        leaf = self.feature < 0
-        self.child2 = 2 * np.stack(
-            [np.where(leaf, node, self.right), np.where(leaf, node, self.left)], axis=1
-        ).ravel()
-        self.feature2 = np.repeat(self.feature, 2)
-        self.threshold2 = np.repeat(self.threshold, 2)
 
 
 # Most rows one batched split search takes in. A step's splittable nodes are
@@ -156,8 +136,8 @@ def _search_splits(
     X with multiplicities w, may cut on the columns feats[j], and has the
     weighted class histogram hist[j]; rank is _value_ranks(X). Returns, per
     node, the index into feats[j] of the best column (-1 where no cut
-    satisfies the leaf-size constraint), its threshold and its cost. Ties
-    resolve to the earliest column, then the lowest threshold.
+    satisfies the leaf-size constraint), its threshold (NaN where none) and
+    its cost. Ties resolve to the earliest column, then the lowest threshold.
 
     Each (column, node) pair is one segment of a transposed (m, rows)
     layout, and one sort by segment * n + rank puts every segment in value
@@ -256,7 +236,7 @@ def _search_splits(
     split = np.flatnonzero(found)
     pos = at_min[np.searchsorted(at_min, seg_start[best[split]])]
     col = feats[split, best_col[split]]
-    threshold = np.zeros(n_nodes)
+    threshold = np.full(n_nodes, np.nan)
     threshold[split] = (X[rows[u[pos]], col] + X[rows[u[pos + 1]], col]) / 2.0
     return np.where(found, best_col, -1), threshold, cost
 
@@ -282,9 +262,10 @@ def _grow_trees(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Grow trees start..stop-1: (node count per tree, node records).
 
-    The records are the arrays (tree, node, feature, threshold, left,
-    leaf_class), one entry per node. tree is the global tree index; node
-    and left (-1 on a leaf) number the nodes within their tree, root 0.
+    The records are the arrays (tree, node, feature, threshold, right,
+    leaf_class), one entry per node, as the node table holds them but with
+    tree the global tree index, and node and right numbering the nodes
+    within their tree, root 0.
 
     The trees grow in lockstep. Each keeps its own preorder DFS stack and
     substream, and every step pops the next node of every unfinished tree,
@@ -325,7 +306,7 @@ def _grow_trees(
         feats = np.array([rngs[t].choice(d, size=m, replace=False) for t in live[cand].tolist()],
                          dtype=np.int64).reshape(len(cand), m)
         feature = np.full(len(live), -1)
-        threshold = np.zeros(len(live))
+        threshold = np.full(len(live), np.nan)
         for lo, hi in _capped_groups(sizes[cand]):
             js = cand[lo:hi]
             group_rows, group_w = np.concatenate([data[j] for j in js], axis=1)
@@ -333,21 +314,22 @@ def _grow_trees(
                                                    group_w, sizes[js], feats[lo:hi], hist[js])
             feature[js] = np.where(col >= 0, feats[np.arange(lo, hi), col], -1)
         split = np.flatnonzero(feature >= 0)
-        left = np.full(len(live), -1)
-        left[split] = n_made[live[split]]
+        node = np.array(node)
+        right = node.copy()
+        right[split] = n_made[live[split]] + 1
         n_made[live[split]] += 2
-        steps.append((live + start, np.array(node), feature, threshold, left,
+        steps.append((live + start, node, feature, threshold, right,
                       np.where(feature < 0, np.argmax(hist, axis=1), -1)))
         # Children, left on top of the stack. A leaf's feature -1 reads the
         # last column, and nothing reads what it gives.
         go_left = X[rows, feature[at]] <= threshold[at]
         starts = (np.cumsum(sizes) - sizes).tolist()
         for j in split.tolist():
-            stack, child, below = stacks[live[j]], int(left[j]), int(depth[j]) + 1
+            stack, child, below = stacks[live[j]], int(right[j]), int(depth[j]) + 1
             block = data[j]
             lhs = go_left[starts[j]:starts[j] + block.shape[1]]
-            stack.append((child + 1, below, block[:, ~lhs]))
-            stack.append((child, below, block[:, lhs]))
+            stack.append((child, below, block[:, ~lhs]))
+            stack.append((child - 1, below, block[:, lhs]))
         live = live[[bool(stacks[t]) for t in live.tolist()]]
     return n_made, [np.concatenate(a) for a in zip(*steps)]
 
@@ -389,13 +371,11 @@ def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams, seed: int)
             chunks = [_grow_trees(*jobs[0])] + [f.result() for f in pending]
     n_made, records = zip(*chunks)
     n_made = np.concatenate(n_made)
-    tree, node, feature, threshold, left, leaf_class = map(np.concatenate, zip(*records))
+    tree, node, feature, threshold, right, leaf_class = map(np.concatenate, zip(*records))
     roots = np.cumsum(n_made) - n_made
-    left = np.where(left >= 0, roots[tree] + left, -1)
-    right = np.where(left >= 0, left + 1, -1)
     index = roots[tree] + node
     table = {}
-    for k, values in zip(_NODE_ARRAYS, (feature, threshold, left, right, leaf_class)):
+    for k, values in zip(_NODE_ARRAYS, (feature, threshold, roots[tree] + right, leaf_class)):
         table[k] = np.empty(len(index), dtype=_NODE_DTYPES[k])
         table[k][index] = values
     return Forest(hyperparams=hp, n_classes=n_classes, n_features=X.shape[1], trees=roots, **table)
@@ -411,29 +391,31 @@ def _leaf_classes(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(N, n_trees) class that each tree votes for each row.
 
     Every (row, tree) pair starts at that tree's root, and each step moves
-    it one level down the walk arrays (ties go left, NaN right); a pair on
-    a leaf stays there. Pairs hold doubled node indices, so a step is seven
-    array operations. Pairs on a leaf are dropped every WALK_STEPS steps.
-    Children come after their parents, so the walk ends.
+    it one level down the node table (ties go left, NaN right); a pair on
+    a leaf stays there. A step is seven array operations. Pairs on a leaf
+    are dropped every WALK_STEPS steps. Children come after their parents,
+    so the walk ends.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != forest.n_features:
         raise ValueError(f"expected {forest.n_features} features, got {X.shape[1]}")
     n_trees = len(forest.trees)
-    child2, feature2, threshold2 = forest.child2, forest.feature2, forest.threshold2
-    node = np.tile(2 * forest.trees, len(X))  # row-major (row, tree) pairs
+    feature, threshold, right = forest.feature, forest.threshold, forest.right
+    node = np.tile(forest.trees, len(X))  # row-major (row, tree) pairs
     # Each pair reads X.ravel()[row start + feature]; a leaf's feature -1
-    # reads some other value, which cannot move it.
+    # reads some other value, which its NaN threshold cannot let move it.
     row_start = np.repeat(np.arange(0, X.size, X.shape[1]), n_trees)
     flat = X.ravel()
     live = np.arange(len(node))
     while len(live):
         cur, at = node[live], row_start[live]
         for _ in range(WALK_STEPS):
-            cur = child2[cur + (flat[at + feature2[cur]] <= threshold2[cur])]
+            # right[cur] is gathered last, so it is not alive beside the other gathers.
+            go_left = flat[at + feature[cur]] <= threshold[cur]
+            cur = right[cur] - go_left
         node[live] = cur
-        live = live[feature2[cur] >= 0]
-    return forest.leaf_class[node >> 1].reshape(len(X), n_trees)
+        live = live[feature[cur] >= 0]
+    return forest.leaf_class[node].reshape(len(X), n_trees)
 
 
 def _class_counts(leaf: np.ndarray, n_classes: int) -> np.ndarray:
@@ -515,7 +497,7 @@ def grid_search(
 def save_forest(path, forest: Forest) -> None:
     """Versioned flat serialization; round-trips bit-exactly."""
     meta = {
-        "schema": "forest/2",
+        "schema": "forest/3",
         "n_classes": forest.n_classes,
         "n_features": forest.n_features,
         "n_trees": len(forest.trees),
@@ -529,9 +511,11 @@ def save_forest(path, forest: Forest) -> None:
 def _check_forest(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Reject node tables that predict could not route safely.
 
-    Every child index must point past its parent and before the next tree's
-    root, the order the writer emits; that is what makes traversal
-    terminate.
+    A split's children, right - 1 and right, must come after it and before
+    the next tree's root, the order the writer emits; that is what makes
+    traversal terminate. A leaf must point to itself with a NaN threshold:
+    a threshold some value passes would send the walk back to right - 1, an
+    earlier node.
     """
     for key in ("n_classes", "n_features", "n_trees"):
         if not isinstance(meta.get(key), int) or meta[key] < 1:
@@ -555,25 +539,29 @@ def _check_forest(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     feature = arrays["feature"]
     if np.any((feature < -1) | (feature >= meta["n_features"])):
         raise ValueError(f"{path}: feature index outside [-1, {meta['n_features']})")
-    if not np.all(np.isfinite(arrays["threshold"])):
-        raise ValueError(f"{path}: non-finite split threshold")
     leaf = feature == -1
+    threshold = arrays["threshold"]
+    if not np.all(np.isfinite(threshold[~leaf])):
+        raise ValueError(f"{path}: non-finite split threshold")
     leaf_class = arrays["leaf_class"][leaf]
     if np.any((leaf_class < 0) | (leaf_class >= meta["n_classes"])):
         raise ValueError(f"{path}: leaf class outside [0, {meta['n_classes']})")
     node = np.arange(n_nodes)
+    right = arrays["right"].astype(np.int64)  # an index past int64 wraps negative, and fails
+    bad = leaf & ((right != node) | ~np.isnan(threshold))
+    if bad.any():
+        raise ValueError(f"{path}: leaf {int(np.argmax(bad))} is not its own right child "
+                         "with a NaN threshold")
     tree_end = np.repeat(offsets[1:], np.diff(offsets))
-    for k in ("left", "right"):
-        bad = ~leaf & ((arrays[k] <= node) | (arrays[k] >= tree_end))
-        if bad.any():
-            raise ValueError(
-                f"{path}: {k} child of node {int(np.argmax(bad))} is not a later node of its tree"
-            )
+    bad = ~leaf & ((right <= node + 1) | (right >= tree_end))
+    if bad.any():
+        raise ValueError(f"{path}: right child of node {int(np.argmax(bad))} is not a later node "
+                         "of its tree with the left child before it")
 
 
 def load_forest(path) -> Forest:
     meta, arrays = read_blocks(path)
-    if meta.get("schema") != "forest/2":
+    if meta.get("schema") != "forest/3":
         raise ValueError(f"{path}: not a forest model file (schema {meta.get('schema')!r})")
     _check_forest(path, meta, arrays)
     try:

@@ -1011,6 +1011,14 @@ def _set(name, index, value):
     return lambda meta, arrays: arrays[name].__setitem__(index, value)
 
 
+def _set_first_leaf(name, value):
+    """Sets array name at the forest's first leaf to value(leaf index)."""
+    def mutate(meta, arrays):
+        leaf = int(np.flatnonzero(arrays["feature"] < 0)[0])
+        arrays[name][leaf] = value(leaf)
+    return mutate
+
+
 def _one_class_cnn(num_classes):
     """A cnn whose output layer has one class, with num_classes in its meta:
     its arrays pass the shape check, so only the count itself can be refused."""
@@ -1028,11 +1036,18 @@ def _one_class_cnn(num_classes):
     # unchecked, both translate to wrong text and exit 0
     ("rfc", _set("threshold", 0, float("nan")), "non-finite"),
     ("cnn", _set("param_000", 0, float("nan")), "finite"),
+    # unchecked, both exit 0: a leaf that passes its rows on to the next node,
+    ("rfc", _set_first_leaf("right", lambda leaf: leaf + 1), "not its own right child"),
+    # or sends those at or below 0 back to an earlier node
+    ("rfc", _set_first_leaf("threshold", lambda leaf: 0.0), "with a NaN threshold"),
+    # the earlier layout, with a left array and -1 children on leaves
+    ("rfc", lambda m, a: m.__setitem__("schema", "forest/2"), "schema 'forest/2'"),
     # refused only when the model is built, without the file's name
     ("cnn", _one_class_cnn(1), "num_classes must be an integer >= 2, got 1"),
     ("cnn", _one_class_cnn(True), "num_classes must be an integer >= 2, got True"),
 ], ids=["forest-child-cycle", "forest-feature-range", "cnn-truncated-weight",
-        "forest-nan-threshold", "cnn-nan-weight", "cnn-one-class", "cnn-true-classes"])
+        "forest-nan-threshold", "cnn-nan-weight", "forest-leaf-moves", "forest-leaf-threshold",
+        "forest-v2-schema", "cnn-one-class", "cnn-true-classes"])
 def test_translate_corrupt_model_exits_2(workspace, tmp_path, capsys, which, mutate, message):
     bad = tmp_path / f"{which}.blk"
     _corrupt_model(workspace / f"{which}.blk", bad, mutate)

@@ -1,6 +1,7 @@
 import itertools
 import multiprocessing
 import os
+import re
 import signal
 import tempfile
 import tracemalloc
@@ -18,7 +19,7 @@ from signpipe import datagen, forest, io
 from signpipe.forest import _NODE_ARRAYS, ForestHyperparams
 from signpipe.rng import substream
 
-NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_class")
+NODE_ARRAYS = ("feature", "threshold", "right", "leaf_class")
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,7 @@ def walk(model: forest.Forest, X: np.ndarray, rows: np.ndarray, node: int, depth
     yield node, rows, depth
     if model.feature[node] >= 0:
         go_left = X[rows, model.feature[node]] <= model.threshold[node]
-        yield from walk(model, X, rows[go_left], model.left[node], depth + 1)
+        yield from walk(model, X, rows[go_left], model.right[node] - 1, depth + 1)
         yield from walk(model, X, rows[~go_left], model.right[node], depth + 1)
 
 
@@ -47,7 +48,7 @@ def reference_votes(model: forest.Forest, X: np.ndarray) -> np.ndarray:
             node = root
             while model.feature[node] >= 0:
                 go_left = x[model.feature[node]] <= model.threshold[node]
-                node = model.left[node] if go_left else model.right[node]
+                node = model.right[node] - 1 if go_left else model.right[node]
             votes[i, t] = model.leaf_class[node]
     return votes
 
@@ -64,7 +65,7 @@ def reference_leaf_classes(model: forest.Forest, X: np.ndarray) -> np.ndarray:
         split = feat >= 0
         live, cur, feat = live[split], cur[split], feat[split]
         go_left = X[live // n_trees, feat] <= model.threshold[cur]
-        node[live] = np.where(go_left, model.left[cur], model.right[cur])
+        node[live] = np.where(go_left, model.right[cur] - 1, model.right[cur])
     return model.leaf_class[node].reshape(len(X), n_trees)
 
 
@@ -162,13 +163,13 @@ def _grow_tree(
     else:
         idx = np.arange(n)
 
-    feature, threshold, left, right, leaf_class = (table[k] for k in _NODE_ARRAYS)
+    feature, threshold, right, leaf_class = (table[k] for k in _NODE_ARRAYS)
 
     def new_node() -> int:
+        """A leaf: its own right child, with a NaN threshold."""
+        right.append(len(feature))
         feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
+        threshold.append(np.nan)
         leaf_class.append(-1)
         return len(feature) - 1
 
@@ -197,7 +198,7 @@ def _grow_tree(
         threshold[node] = thr
         go_left = X[rows, feature[node]] <= thr
         lnode, rnode = new_node(), new_node()
-        left[node], right[node] = lnode, rnode
+        right[node] = rnode
         stack.append((rnode, rows[~go_left], depth + 1))
         stack.append((lnode, rows[go_left], depth + 1))
     return root
@@ -258,13 +259,14 @@ def test_structural_invariants(tiny_landmarks):
             assert depth <= 4
             if model.feature[node] >= 0:
                 # internal nodes split legally; children are later nodes of this tree
-                assert node < model.left[node] < end and node < model.right[node] < end
+                assert node < model.right[node] - 1 and model.right[node] < end
                 go_left = X[rows, model.feature[node]] <= model.threshold[node]
                 assert go_left.sum() >= 2 and (~go_left).sum() >= 2
                 assert len(rows) >= 6
             else:
                 hist = np.bincount(y[rows], minlength=model.n_classes)
                 assert model.leaf_class[node] == int(np.argmax(hist))
+                assert model.right[node] == node and np.isnan(model.threshold[node])
         assert sorted(seen) == list(range(root, end))  # each tree is one contiguous block
 
 
@@ -366,7 +368,7 @@ def test_forest_equals_one_hot_reference_forest(monkeypatch, tiny_landmarks, hp)
                             Xn, yn, n_classes, min_leaf))
     expected = reference_train_forest(X, y, hp, seed=4)
     for k in ("trees",) + NODE_ARRAYS:
-        assert np.array_equal(getattr(model, k), getattr(expected, k))
+        assert np.array_equal(getattr(model, k), getattr(expected, k), equal_nan=True)
 
 
 @pytest.mark.parametrize("cpus", [None, 1, 3], ids=["usable-cpus", "1-cpu", "3-cpus"])
@@ -384,7 +386,7 @@ def test_forest_equals_serial_reference(monkeypatch, tmp_path, tiny_landmarks, c
     expected = reference_train_forest(X, y, hp, seed=6)
     for k in ("trees",) + NODE_ARRAYS:
         assert getattr(model, k).dtype == getattr(expected, k).dtype
-        assert np.array_equal(getattr(model, k), getattr(expected, k))
+        assert np.array_equal(getattr(model, k), getattr(expected, k), equal_nan=True)
     forest.save_forest(tmp_path / "a.blk", model)
     forest.save_forest(tmp_path / "b.blk", expected)
     assert (tmp_path / "a.blk").read_bytes() == (tmp_path / "b.blk").read_bytes()
@@ -430,7 +432,7 @@ def test_lockstep_growth_equals_serial_oracle(case):
     want = reference_train_forest(X, y, hp, seed)
     for k in ("trees",) + NODE_ARRAYS:
         assert getattr(model, k).dtype == getattr(want, k).dtype
-        assert np.array_equal(getattr(model, k), getattr(want, k)), k
+        assert np.array_equal(getattr(model, k), getattr(want, k), equal_nan=True), k
     assert multiprocessing.active_children() == []
 
 
@@ -550,9 +552,8 @@ def test_threshold_goes_left_and_ties_go_to_lowest_class():
         n_features=1,
         trees=np.array([0, 3]),
         feature=np.array([0, -1, -1, 0, -1, -1], dtype=np.int32),
-        threshold=np.array([0.5, 0, 0, 0.25, 0, 0]),
-        left=np.array([1, -1, -1, 4, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, -1, 5, -1, -1], dtype=np.int32),
+        threshold=np.array([0.5, np.nan, np.nan, 0.25, np.nan, np.nan]),
+        right=np.array([2, 1, 2, 5, 4, 5]),
         leaf_class=np.array([-1, 2, 1, -1, 1, 2], dtype=np.int32),
     )
     X = np.array([[0.0], [0.5], [1.0]])
@@ -570,38 +571,43 @@ def two_stumps() -> forest.Forest:
         hyperparams=forest.ForestHyperparams(n_estimators=2), n_classes=3, n_features=1,
         trees=np.array([0, 3]),
         feature=np.array([0, -1, -1, 0, -1, -1], dtype=np.int32),
-        threshold=np.array([0.5, 0, 0, 0.25, 0, 0]),
-        left=np.array([1, -1, -1, 4, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, -1, 5, -1, -1], dtype=np.int32),
+        threshold=np.array([0.5, np.nan, np.nan, 0.25, np.nan, np.nan]),
+        right=np.array([2, 1, 2, 5, 4, 5]),
         leaf_class=np.array([-1, 2, 1, -1, 1, 2], dtype=np.int32),
     )
 
 
 @st.composite
 def forests_and_rows(draw):
-    """A random node table in the writer's preorder, and rows to route.
+    """A random node table in the writer's order, and rows to route.
 
-    Thresholds come from LEVELS, so many row values sit exactly on one;
-    rows also hold other floats and NaN, and there may be none.
+    A split numbers its two children together, left then right, before
+    either grows. Thresholds come from LEVELS, so many row values sit
+    exactly on one; rows also hold other floats and NaN, and there may be
+    none.
     """
     n_features = draw(st.integers(1, 3))
     n_classes = draw(st.integers(2, 4))
     table = {k: [] for k in NODE_ARRAYS}
 
-    def grow(depth: int) -> int:
+    def new_node() -> int:
         node = len(table["feature"])
-        for k, v in zip(NODE_ARRAYS, (-1, 0.0, -1, -1, -1)):
+        for k, v in zip(NODE_ARRAYS, (-1, np.nan, node, -1)):
             table[k].append(v)
+        return node
+
+    def grow(node: int, depth: int) -> int:
         if depth < 7 and draw(st.booleans()):
             table["feature"][node] = draw(st.integers(0, n_features - 1))
             table["threshold"][node] = draw(st.sampled_from(LEVELS))
-            table["left"][node] = grow(depth + 1)
-            table["right"][node] = grow(depth + 1)
+            left, table["right"][node] = new_node(), new_node()
+            grow(left, depth + 1)
+            grow(table["right"][node], depth + 1)
         else:
             table["leaf_class"][node] = draw(st.integers(0, n_classes - 1))
         return node
 
-    roots = [grow(0) for _ in range(draw(st.integers(1, 4)))]
+    roots = [grow(new_node(), 0) for _ in range(draw(st.integers(1, 4)))]
     model = forest.Forest(
         hyperparams=forest.ForestHyperparams(n_estimators=len(roots)),
         n_classes=n_classes, n_features=n_features, trees=np.array(roots, dtype=np.int64),
@@ -655,7 +661,7 @@ def test_training_determinism(tiny_landmarks):
     a = forest.train_forest(X, y, hp, seed=11)
     b = forest.train_forest(X, y, hp, seed=11)
     for k in ("trees",) + NODE_ARRAYS:
-        assert np.array_equal(getattr(a, k), getattr(b, k))
+        assert np.array_equal(getattr(a, k), getattr(b, k), equal_nan=True)
     c = forest.train_forest(X, y, hp, seed=12)
     assert not np.array_equal(a.feature, c.feature)
 
@@ -668,7 +674,7 @@ def test_tree_streams_are_prefix_stable(tiny_landmarks):
     n = len(small.feature)
     assert np.array_equal(big.trees[:3], small.trees) and big.trees[3] == n
     for k in NODE_ARRAYS:
-        assert np.array_equal(getattr(big, k)[:n], getattr(small, k))
+        assert np.array_equal(getattr(big, k)[:n], getattr(small, k), equal_nan=True)
 
 
 def test_train_input_validation(tiny_landmarks):
@@ -700,7 +706,7 @@ def test_save_load_roundtrip(tmp_path, tiny_forest):
     assert loaded.hyperparams == model.hyperparams
     for k in ("trees",) + NODE_ARRAYS:
         assert getattr(loaded, k).dtype == getattr(model, k).dtype
-        assert np.array_equal(getattr(loaded, k), getattr(model, k))
+        assert np.array_equal(getattr(loaded, k), getattr(model, k), equal_nan=True)
     assert np.array_equal(forest.predict_class(loaded, X), forest.predict_class(model, X))
     proba_a = forest.predict_proba(loaded, X)
     proba_b = forest.predict_proba(model, X)
@@ -725,38 +731,74 @@ def test_file_layout_is_the_node_table(tmp_path, tiny_forest):
     model, _, _ = tiny_forest
     forest.save_forest(tmp_path / "f.blk", model)
     meta, arrays = io.read_blocks(tmp_path / "f.blk")
-    assert meta["schema"] == "forest/2" and meta["n_trees"] == len(model.trees)
+    assert meta["schema"] == "forest/3" and meta["n_trees"] == len(model.trees)
     assert set(arrays) == {"offsets", *NODE_ARRAYS}
     assert np.array_equal(arrays["offsets"], [*model.trees, len(model.feature)])
     for k in NODE_ARRAYS:
-        assert np.array_equal(arrays[k], getattr(model, k))
+        assert np.array_equal(arrays[k], getattr(model, k), equal_nan=True)
 
 
 def test_load_rejects_forest_v1(tmp_path, tiny_forest):
-    # the old layout: same arrays, but children counted from their tree's root
+    # the older layouts: forest/2 stored int32 left and right children, -1 on
+    # a leaf, whose threshold was 0; forest/1 counted them from their tree's
+    # root and stored leaf counts as well
     model, _, _ = tiny_forest
     forest.save_forest(tmp_path / "f.blk", model)
     meta, arrays = io.read_blocks(tmp_path / "f.blk")
-    roots = np.repeat(model.trees, np.diff(arrays["offsets"]))
     split = model.feature >= 0
+    arrays["left"] = np.where(split, arrays["right"] - 1, -1).astype(np.int32)
+    arrays["right"] = np.where(split, arrays["right"], -1).astype(np.int32)
+    arrays["threshold"] = np.where(split, arrays["threshold"], 0.0)
+    meta["schema"] = "forest/2"
+    io.write_blocks(tmp_path / "v2.blk", meta, arrays)
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'v2.blk'}: ") + ".*'forest/2'"):
+        forest.load_forest(tmp_path / "v2.blk")
+    roots = np.repeat(model.trees, np.diff(arrays["offsets"]))
     for k in ("left", "right"):
         arrays[k] = np.where(split, arrays[k] - roots, -1).astype(np.int32)
     arrays["leaf_count"] = np.zeros(len(model.feature), dtype=np.int64)
     meta["schema"] = "forest/1"
     io.write_blocks(tmp_path / "v1.blk", meta, arrays)
-    with pytest.raises(ValueError, match="forest/1"):
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'v1.blk'}: ") + ".*'forest/1'"):
         forest.load_forest(tmp_path / "v1.blk")
 
 
 def test_load_rejects_child_in_another_tree(tmp_path, tiny_forest):
-    # a later node, but the next tree's root: a tree-local bound would miss it
+    # the next tree's root: the left child, right - 1, is still a later node
+    # of this tree, so a check of the left child alone would miss it
     model, _, _ = tiny_forest
     forest.save_forest(tmp_path / "f.blk", model)
     meta, arrays = io.read_blocks(tmp_path / "f.blk")
     assert arrays["feature"][0] >= 0
-    arrays["left"][0] = model.trees[1]
+    arrays["right"][0] = model.trees[1]
     io.write_blocks(tmp_path / "bad.blk", meta, arrays)
-    with pytest.raises(ValueError, match="left child of node 0"):
+    with pytest.raises(ValueError, match="right child of node 0"):
+        forest.load_forest(tmp_path / "bad.blk")
+
+
+def _first_leaf(arrays: dict) -> int:
+    return int(np.flatnonzero(arrays["feature"] < 0)[0])
+
+
+@pytest.mark.parametrize("mutate, message", [
+    # its left child would be the node itself
+    (lambda a: a["right"].__setitem__(0, 1), "right child of node 0"),
+    # the walk would leave the leaf for the next node instead of voting
+    (lambda a: a["right"].__setitem__(_first_leaf(a), _first_leaf(a) + 1), "leaf"),
+    # values at or below 0, then every value but NaN, would go back to
+    # right - 1, an earlier node, from where a walk can come round again
+    (lambda a: a["threshold"].__setitem__(_first_leaf(a), 0.0), "NaN threshold"),
+    (lambda a: a["threshold"].__setitem__(_first_leaf(a), np.inf), "NaN threshold"),
+], ids=["split-left-child-is-itself", "leaf-points-elsewhere", "leaf-finite-threshold",
+        "leaf-infinite-threshold"])
+def test_load_rejects_a_walk_that_would_not_end(tmp_path, tiny_forest, mutate, message):
+    model, _, _ = tiny_forest
+    forest.save_forest(tmp_path / "f.blk", model)
+    meta, arrays = io.read_blocks(tmp_path / "f.blk")
+    assert arrays["feature"][0] >= 0
+    mutate(arrays)
+    io.write_blocks(tmp_path / "bad.blk", meta, arrays)
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'bad.blk'}: ") + ".*" + message):
         forest.load_forest(tmp_path / "bad.blk")
 
 
