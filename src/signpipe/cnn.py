@@ -18,17 +18,17 @@ patch matrix is kh*kw slice copies; more channels take one copy of a
 strided view. Convolutions and dense layers add the bias in place on the
 matmul output.
 
-At inference a pool takes each window's maximum over its rows, then over
-its columns: 2(s-1) maxima on strided views. Training reads its input once,
-as s*s strided views (one per window offset), keeping a running maximum and
-the first offset that holds it; its backward is one scatter to those
-offsets. Both give the exact maximum; a zero maximum may differ in sign,
-which the ReLU after every pool erases.
+A pool takes each window row's maximum over its columns, then each
+window's maximum over its rows: 2(s-1) maxima on strided views, the same
+pass in both modes, so both give the same bytes, signed zeros included.
+Train mode also records the first offset that holds each maximum, as argmax
+would; its backward is one scatter to those offsets.
 
-The model reads float64 (N, 32, 32, 1) input. train, predict and
-predict_proba also take 8-bit frames as uint8 (N, 32, 32, 1) and scale each
-batch they slice with images_to_input, so they hold one batch of floats, not
-a float copy of the whole split or stream; the values are the same.
+The model reads float64 (N, 32, 32, 1) input, or 8-bit frames as uint8
+(N, 32, 32, 1), which its forward scales with images_to_input. train,
+predict and predict_proba slice uint8 splits and streams as they are, so
+they hold one batch of floats, not a float copy of them all; the values are
+the same.
 
 Each backward pass assigns its layer's weight and bias gradients (dW, db),
 so a training step's single pass leaves exactly that batch's gradients.
@@ -153,20 +153,6 @@ class Conv2D(_Weighted):
         return (pat.reshape(-1, pat.shape[3]) @ wb).reshape(pat.shape[:3] + (self.in_ch,))
 
 
-def _max_of_views(views: list[np.ndarray], axis: int) -> np.ndarray:
-    """Elementwise maximum of strided pooling views, one per window offset
-    along axis, each as long as views[0] there or shorter where ceil-mode
-    edge windows lack its offset."""
-    if len(views) > 1 and views[1].shape == views[0].shape:
-        out, rest = np.maximum(views[0], views[1]), views[2:]
-    else:
-        out, rest = views[0].copy(), views[1:]
-    for v in rest:
-        o = out[(slice(None),) * axis + (slice(v.shape[axis]),)]
-        np.maximum(o, v, out=o)
-    return out
-
-
 class MaxPool2D(Layer):
     """Max pooling with stride == window; floor or ceil edge handling.
 
@@ -183,34 +169,44 @@ class MaxPool2D(Layer):
         self.ceil_mode = ceil_mode
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        n, h, w, c = x.shape
+        h, w = x.shape[1:3]
         s = self.size
         oh, ow = (-(-h // s), -(-w // s)) if self.ceil_mode else (h // s, w // s)
-        if not train:  # each window's maximum over its rows, then its columns
-            rows = _max_of_views([x[:, i : oh * s : s, : ow * s] for i in range(min(s, h))], 1)
-            return _max_of_views([rows[:, :, j : ow * s : s] for j in range(min(s, w))], 2)
-        # x[:, i::s, j::s] on the window grid holds offset (i, j) of every
-        # window. The first is (oh, ow); a later one is shorter where
-        # ceil-mode edge windows lack that offset.
-        out = x[:, 0 : oh * s : s, 0 : ow * s : s].copy()
-        argmax = np.zeros(out.shape, dtype=np.uint8)
-        greater = np.empty(out.shape, dtype=bool)
-        for i in range(min(s, h)):
-            for j in range(min(s, w)):
-                if i == j == 0:
-                    continue
-                v = x[:, i : oh * s : s, j : ow * s : s]
-                vh, vw = v.shape[1:3]
-                o = out[:, :vh, :vw]
-                # A later offset takes over only where strictly greater, as
-                # argmax keeps the first. Offsets grow, so taking it over is a
-                # maximum with the new offset.
-                hit = np.greater(v, o, out=greater[:, :vh, :vw]).view(np.uint8)
-                a = argmax[:, :vh, :vw]
-                np.maximum(a, np.multiply(hit, i * s + j, out=hit), out=a)
-                np.maximum(o, v, out=o)
-        self._argmax = argmax
-        self._x_shape = x.shape
+        # Each window row's maximum over its column offsets j, then each
+        # window's maximum over its row offsets i. On the window grid the view
+        # at offset j (or i) holds that offset of every window; it is shorter
+        # where ceil-mode edge windows lack the offset. np.maximum returns its
+        # second operand where the two compare equal, so a zero maximum keeps
+        # the sign of the earlier offset. Train mode also keeps the first
+        # maximum's offset i*s + j in raster order, as argmax does: a later
+        # offset takes over only where strictly greater, and offsets grow
+        # (row i's exceed every earlier row's), so taking over is a maximum
+        # with the new offset.
+        rows = x[:, : oh * s, 0 : ow * s : s].copy()
+        cols = np.zeros(rows.shape, np.uint8) if train else None
+        for j in range(1, min(s, w)):
+            v = x[:, : oh * s, j : ow * s : s]
+            o = rows[:, :, : v.shape[2]]
+            if train:
+                hit = np.greater(v, o).view(np.uint8)
+                hit *= j
+                a = cols[:, :, : v.shape[2]]
+                np.maximum(a, hit, out=a)
+            np.maximum(v, o, out=o)
+        out = rows[:, ::s].copy()
+        argmax = cols[:, ::s].copy() if train else None
+        for i in range(1, min(s, h)):
+            v = rows[:, i::s]
+            o = out[:, : v.shape[1]]
+            if train:
+                hit = np.greater(v, o).view(np.uint8)
+                hit *= cols[:, i::s] + i * s
+                a = argmax[:, : v.shape[1]]
+                np.maximum(a, hit, out=a)
+            np.maximum(v, o, out=o)
+        if train:
+            self._argmax = argmax
+            self._x_shape = x.shape
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -302,9 +298,10 @@ class CnnModel:
         self.input_shape = input_shape
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.shape[1:] != self.input_shape:
             raise ValueError(f"expected input shape {self.input_shape}, got {x.shape[1:]}")
+        x = images_to_input(x) if x.dtype == np.uint8 else x.astype(np.float64, copy=False)
         for layer in self.layers:
             x = layer.forward(x, train)
         return softmax(x)
@@ -480,9 +477,9 @@ def train(
 
     Stops after `patience` epochs without strict improvement and restores the
     best-validation-loss weights. Returns the per-epoch history. X and X_val
-    are float input or uint8 frames, each batch scaled as it is sliced.
+    are float input or uint8 frames, each batch scaled by the forward pass.
     """
-    X, X_val = _frames(X), _frames(X_val)
+    X, X_val = np.asarray(X), np.asarray(X_val)
     y = np.asarray(y, dtype=np.int64)
     y_val = np.asarray(y_val, dtype=np.int64)
     if len(X) == 0 or len(X_val) == 0:
@@ -501,7 +498,7 @@ def train(
         correct = 0
         for lo in range(0, len(X), config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            xb, yb = _batch(X[idx]), y[idx]
+            xb, yb = X[idx], y[idx]
             probs = model.forward(xb, train=True)
             batch_losses.append(cross_entropy(probs, yb) * len(yb))
             correct += int(np.sum(np.argmax(probs, axis=1) == yb))
@@ -530,25 +527,10 @@ def train(
 PREDICT_BATCH = 8
 
 
-def _frames(X) -> np.ndarray:
-    """X as an array: uint8 frames stay 8-bit until _batch scales them; any
-    other input is float64."""
-    X = np.asarray(X)
-    return X if X.dtype == np.uint8 else X.astype(np.float64, copy=False)
-
-
-def _batch(xb: np.ndarray) -> np.ndarray:
-    """A batch sliced from _frames as the model reads it: uint8 (N, H, W, 1)
-    frames scaled by images_to_input, float input as it is. Other uint8
-    shapes pass unscaled, and the model's shape check rejects them."""
-    return images_to_input(xb) if xb.dtype == np.uint8 and xb.ndim == 4 else xb
-
-
 def _batched_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
-    X = _frames(X)
     if len(X) <= PREDICT_BATCH:
-        return model.forward(_batch(X), train=False)
-    batches = (_batch(X[lo : lo + PREDICT_BATCH]) for lo in range(0, len(X), PREDICT_BATCH))
+        return model.forward(X, train=False)
+    batches = (X[lo : lo + PREDICT_BATCH] for lo in range(0, len(X), PREDICT_BATCH))
     return np.concatenate([model.forward(xb, train=False) for xb in batches])
 
 
@@ -562,8 +544,8 @@ def predict_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
 
 def images_to_input(images: np.ndarray) -> np.ndarray:
     """uint8 (N, H, W) or (N, H, W, 1) images, or one (H, W) image, -> a new
-    float64 (N, H, W, 1) array scaled to [0, 1]. train, predict and
-    predict_proba call it on each batch they slice from uint8 frames."""
+    float64 (N, H, W, 1) array scaled to [0, 1]. CnnModel.forward calls it
+    on uint8 (N, H, W, 1) frames."""
     arr = np.asarray(images)
     if arr.ndim == 2:
         arr = arr[None]

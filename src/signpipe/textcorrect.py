@@ -283,12 +283,14 @@ class RemoteCorrectorConfig:
 def correct_remote(text: str, cfg: RemoteCorrectorConfig) -> CorrectionResult:
     """POST the text, parse exactly 3 candidates; retry transient failures.
 
-    Transient = timeout, connection failure, HTTP 429 or 5xx; retried with
-    exponential backoff. Total time never exceeds (retries+1) * timeout: the
-    budget pays for both attempts and backoff sleeps. Anything else from the
-    server is a ProtocolError.
+    Transient = timeout, connection failure, a reply that is not HTTP (a bad
+    status line, a body shorter than its Content-Length), HTTP 429 or 5xx;
+    retried with exponential backoff. Total time never exceeds
+    (retries+1) * timeout: the budget pays for both attempts and backoff
+    sleeps. Anything else from the server is a ProtocolError.
     """
-    import urllib.error  # here, so that ssl and http.client load only for a remote corrector
+    import http.client  # here, so that ssl and http.client load only for a remote corrector
+    import urllib.error
     import urllib.request
 
     norm = normalize(text)
@@ -312,13 +314,13 @@ def correct_remote(text: str, cfg: RemoteCorrectorConfig) -> CorrectionResult:
         req = urllib.request.Request(cfg.endpoint, data=body, headers=headers, method="POST")
         try:
             with urllib.request.urlopen(req, timeout=min(timeout_s, remaining)) as resp:
-                payload = resp.read().decode("utf-8")
+                payload = resp.read()
         except urllib.error.HTTPError as exc:
             if exc.code == 429 or exc.code >= 500:
                 last_error = exc
             else:
                 raise ProtocolError(f"corrector returned HTTP {exc.code}") from exc
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
+        except (OSError, http.client.HTTPException) as exc:  # URLError and timeouts are OSErrors
             last_error = exc
         else:
             return _parse_remote(payload)
@@ -330,15 +332,15 @@ def correct_remote(text: str, cfg: RemoteCorrectorConfig) -> CorrectionResult:
             if pause > 0:
                 time.sleep(pause)
     raise TransportError(
-        f"corrector unreachable after {cfg.max_retries + 1} attempts: {last_error}"
+        f"corrector failed after {cfg.max_retries + 1} attempts: {last_error!r}"
     ) from last_error
 
 
-def _parse_remote(payload: str) -> CorrectionResult:
+def _parse_remote(payload: bytes) -> CorrectionResult:
     try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"corrector response is not JSON: {exc}") from exc
+        data = json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ProtocolError(f"corrector response is not UTF-8 JSON: {exc}") from exc
     if not isinstance(data, list) or len(data) != 3 or not all(isinstance(c, str) for c in data):
         raise ProtocolError(f"expected a JSON array of exactly 3 strings, got {data!r}")
     cands = tuple(" ".join(ascii_words(upper_ascii(c))) for c in data)  # not normalize: ß -> SS

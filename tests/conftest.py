@@ -1,5 +1,7 @@
-"""Shared fixtures: tiny datasets sized for fast unit tests, and a scripted
-HTTP server standing in for the remote corrector."""
+"""Shared fixtures: tiny datasets sized for fast unit tests, a scripted
+HTTP server standing in for the remote corrector, and a raw endpoint that
+answers with bytes no HTTP server would send."""
+import socketserver
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -75,6 +77,46 @@ def server():
     thread.start()
     try:
         yield f"http://127.0.0.1:{srv.server_port}/correct", handler
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+# Replies a broken corrector might send, each answering one whole request.
+MALFORMED_REPLIES = {
+    "non-utf8-body": b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\n\xff\xfe\xfd\xfc",
+    "bad-status-line": b"HELLO THERE\r\n\r\n",
+    "short-body": b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n["A"',
+    "deep-nesting": b"HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n" + b"[" * 100_000,
+}
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    """Reads one request, writes the server's fixed reply bytes, hangs up."""
+
+    def handle(self):
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        with self.server.lock:
+            self.server.requests += 1
+        self.wfile.write(self.server.reply)
+
+
+@pytest.fixture()
+def raw_server():
+    """(url, server): every request gets `server.reply`, verbatim; the
+    server counts the requests it answered."""
+    srv = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _RawHandler)
+    srv.daemon_threads = True
+    srv.reply, srv.requests, srv.lock = b"", 0, threading.Lock()
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{srv.server_address[1]}/correct", srv
     finally:
         srv.shutdown()
         srv.server_close()

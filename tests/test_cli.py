@@ -19,6 +19,8 @@ from signpipe.labels import (
 from signpipe.landmarks import N_FEATURES
 from signpipe.rng import substream
 
+from conftest import MALFORMED_REPLIES
+
 SMALL = [
     "--set", "datagen.landmark_per_class=12",
     "--set", "datagen.silhouette_per_class=8",
@@ -808,6 +810,24 @@ def test_correct_remote_fallback(tmp_path):
                      "--set", "remote.max_retries=0"])
     assert code == 0
     assert json.loads(report_path.read_text())["source"] == "offline"
+
+
+@pytest.mark.parametrize("reply", sorted(MALFORMED_REPLIES))
+@pytest.mark.parametrize("fallback", [False, True], ids=["no-fallback", "fallback"])
+def test_correct_malformed_remote_reply(capsys, raw_server, reply, fallback):
+    url, srv = raw_server
+    srv.reply = MALFORMED_REPLIES[reply]
+    argv = ["correct", "--text", "TOY BOK", "--set", "corrector=remote",
+            "--set", f"remote.endpoint={url}", "--set", "remote.max_retries=0"]
+    code = cli.main(argv + ["--fallback"] if fallback else argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if fallback:
+        assert cli.main(["correct", "--text", "TOY BOK"]) == 0
+        assert (code, out, err) == (0, capsys.readouterr().out, "")
+    else:
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("remote corrector error: ")
 
 
 def test_correct_remote_without_endpoint_exits_2():

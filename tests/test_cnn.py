@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signpipe import cnn, datagen
 from signpipe.labels import CNN_CLASSES
@@ -525,7 +527,8 @@ def test_pool_equals_reference_with_ties(rng, kind, s, ceil_mode, h, w):
     assert dx.shape == x.shape and dx.tobytes() == want_dx.tobytes()
 
 
-# Training walks window offsets; inference takes rows, then columns.
+# Both modes run one pass; train mode also records each window's first
+# maximum. Edge shapes where that pass slices views of differing lengths:
 TRAIN_VS_INFERENCE_POOLS = [
     (2, False, 7, 9),
     (3, True, 13, 11),
@@ -550,14 +553,32 @@ def test_pool_train_and_inference_outputs_are_bit_equal(rng, kind, s, ceil_mode,
 
 @pytest.mark.parametrize("s, ceil_mode, h, w", TRAIN_VS_INFERENCE_POOLS)
 def test_pool_orders_differ_at_most_in_the_sign_of_a_zero(rng, s, ceil_mode, h, w):
-    # Both orders take an exact maximum; where it is zero its sign may
-    # differ, and the ReLU after every pool makes either +0.0.
+    # Both modes take the same maxima in the same order, so a zero maximum
+    # keeps the sign of the window's first zero in both: they do not differ.
     x = rng.choice([-0.0, 0.0, -1.0], size=(4, h, w, 3))
     layer = cnn.MaxPool2D(s, ceil_mode=ceil_mode)
-    train, infer = layer.forward(x, train=True), layer.forward(x, train=False)
-    assert np.array_equal(train, infer)
-    relu = cnn.ReLU()
-    assert relu.forward(train, train=False).tobytes() == relu.forward(infer, train=False).tobytes()
+    assert layer.forward(x, train=True).tobytes() == layer.forward(x, train=False).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    s=st.integers(1, 6),
+    ceil_mode=st.booleans(),
+    h=st.integers(1, 12),  # windows larger than the map, and floor modes with no output rows
+    w=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_pool_edge_shapes_equal_reference(s, ceil_mode, h, w, seed):
+    r = substream(seed, "pool")
+    x = r.choice([-1.0, -0.0, 0.0, 1.0], size=(2, h, w, 2))  # ties and signed zeros everywhere
+    layer = cnn.MaxPool2D(s, ceil_mode=ceil_mode)
+    out = layer.forward(x, train=True)
+    dy = r.normal(0, 1, out.shape)
+    want_out, want_dx = reference_pool(x, s, ceil_mode, dy)
+    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes()
+    dx = layer.backward(dy)
+    assert dx.shape == x.shape and dx.tobytes() == want_dx.tobytes()
+    assert layer.forward(x, train=False).tobytes() == out.tobytes()
 
 
 # Oracles for the training step: the architecture's earlier conv -> ReLU ->

@@ -17,6 +17,8 @@ from signpipe import datagen, textcorrect
 from signpipe.datagen import PHRASES
 from signpipe.rng import substream
 
+from conftest import MALFORMED_REPLIES
+
 
 def reference_osa(a: str, b: str) -> int:
     """Textbook optimal-string-alignment DP, full matrix, no cap."""
@@ -621,6 +623,25 @@ def test_remote_exhausted_retries_is_transport_error(server):
     with pytest.raises(textcorrect.TransportError):
         textcorrect.correct_remote("HI", cfg)
     assert len(handler.seen) == 3
+
+
+@pytest.mark.parametrize("reply, error", [
+    ("non-utf8-body", textcorrect.ProtocolError),
+    ("bad-status-line", textcorrect.TransportError),
+    ("short-body", textcorrect.TransportError),
+    ("deep-nesting", textcorrect.ProtocolError),
+])
+def test_remote_malformed_reply(raw_server, reply, error):
+    # A reply that is not HTTP is a transport failure and is retried; an HTTP
+    # reply whose body is not UTF-8 JSON is a protocol error, tried once.
+    url, srv = raw_server
+    srv.reply = MALFORMED_REPLIES[reply]
+    cfg = textcorrect.RemoteCorrectorConfig(
+        endpoint=url, max_retries=1, timeout_ms=1000, backoff_ms=10
+    )
+    with pytest.raises(error):
+        textcorrect.correct_remote("HI", cfg)
+    assert srv.requests == (2 if error is textcorrect.TransportError else 1)
 
 
 def test_remote_connection_refused_is_transport_error():
