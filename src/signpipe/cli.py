@@ -9,7 +9,6 @@ timestamps or timings.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
@@ -28,12 +27,13 @@ from .config import (
     load_config,
 )
 from .io import (
+    pgm_bytes,
     read_landmark_csv,
     read_pgm,
     read_text,
-    unlink_numbered,
     write_json_report,
     write_landmark_csv,
+    write_numbered,
     write_pgm,
 )
 from .labels import (
@@ -60,13 +60,29 @@ def _config(args) -> dict[str, str]:
     return apply_overrides(load_config(args.config), args.set or [])
 
 
+def _nearest_dir(path: Path) -> Path:
+    """The nearest of path and its parents that exists; an error unless a directory."""
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise ValueError(f"{found}: exists and is not a directory")
+    return found
+
+
 def _out_dir(args) -> Path:
     """--out, checked before any work: it may be missing, but neither it nor a parent a file."""
     out = Path(args.out)
-    found = next(p for p in (out, *out.parents) if p.exists())
-    if not found.is_dir():
-        raise ValueError(f"{found}: exists and is not a directory")
+    _nearest_dir(out)
     return out
+
+
+def _check_output_file(path: str) -> None:
+    """A --model or --report, checked before any input is read: its parent
+    an existing directory, and itself not a directory."""
+    path = Path(path)
+    if _nearest_dir(path.parent) != path.parent:
+        raise ValueError(f"{path}: directory {path.parent} does not exist")
+    if path.is_dir():
+        raise ValueError(f"{path}: is a directory")
 
 
 def _split(n: int, seed: int, tag: str):
@@ -101,11 +117,8 @@ def _cmd_datagen(args) -> int:
 
     images, labels = datagen.synth_silhouettes(sil_spec)
     for start in range(0, len(images), sil_spec.per_class):  # class-major
-        class_dir = out / "silhouettes" / labels[start]
-        class_dir.mkdir(parents=True, exist_ok=True)
-        for i, img in enumerate(images[start : start + sil_spec.per_class]):
-            write_pgm(class_dir / f"img_{i:05d}.pgm", img)
-        unlink_numbered(class_dir, "img_{:05d}.pgm", sil_spec.per_class)
+        write_numbered(out / "silhouettes" / labels[start], "img_{:05d}.pgm",
+                       [pgm_bytes(img) for img in images[start : start + sil_spec.per_class]])
 
     atlas_dir = out / "atlas"
     atlas_dir.mkdir(parents=True, exist_ok=True)
@@ -124,21 +137,15 @@ def _cmd_datagen(args) -> int:
         "phrases": len(datagen.PHRASES),
     }
 
-    frames_dir = out / "stream_frames"
+    sils = []
     if stream_spec:
         lm, sils = datagen.synth_stream(stream_spec)
         write_landmark_csv(out / "stream_landmarks.csv", [LandmarkFrame(row, "NA") for row in lm])
-        frames_dir.mkdir(parents=True, exist_ok=True)
-        for i, img in enumerate(sils):
-            write_pgm(frames_dir / f"frame_{i:06d}.pgm", img)
-        unlink_numbered(frames_dir, "frame_{:06d}.pgm", len(sils))
         report["stream_text"] = stream_spec.text
         report["stream_frames"] = len(sils)
     else:  # nor an earlier run's stream
         (out / "stream_landmarks.csv").unlink(missing_ok=True)
-        unlink_numbered(frames_dir, "frame_{:06d}.pgm", 0)
-        with contextlib.suppress(OSError):  # kept if something else is in it
-            frames_dir.rmdir()
+    write_numbered(out / "stream_frames", videosynth.FRAME_FILE, [pgm_bytes(img) for img in sils])
 
     write_json_report(out / "datagen_report.json", report)
     print(f"wrote {report['landmark_samples']} landmark rows, "
@@ -535,10 +542,9 @@ def _synthesize(text: str, atlas: videosynth.GestureAtlas, args, out_dir: Path) 
         info["stage_directories"] = ["frames1", "frames24", "frames60"]
     else:  # nor an earlier run's stage clips
         for stage in (out_dir / "frames1", out_dir / "frames24"):
-            unlink_numbered(stage, "frame_{:06d}.pgm", 0)
-            (stage / "manifest.json").unlink(missing_ok=True)
-            with contextlib.suppress(OSError):  # kept if something else is in it
-                stage.rmdir()
+            if stage.is_dir():
+                (stage / "manifest.json").unlink(missing_ok=True)
+            write_numbered(stage, videosynth.FRAME_FILE, [])
     return info
 
 
@@ -680,6 +686,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        for path in (getattr(args, "model", None), getattr(args, "report", None)):
+            if path:
+                _check_output_file(path)
         return args.func(args)
     except (textcorrect.TransportError, textcorrect.ProtocolError) as exc:
         print(f"remote corrector error: {exc}", file=sys.stderr)

@@ -3,6 +3,8 @@
 Every writer here is byte-deterministic: identical inputs produce identical
 files. That is why models use a custom block container instead of np.savez
 (zip archives embed timestamps) and why JSON is written with sorted keys.
+Every numbered file (clip frames, stream frames, silhouettes) goes through
+write_numbered, so a rerun leaves no stale file of a longer earlier run.
 """
 from __future__ import annotations
 
@@ -22,29 +24,42 @@ BLOCK_MAGIC = b"SBLK\x01"
 _PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]\S*)?")
 
 
-def write_pgm(path: str | Path, img: np.ndarray) -> bytes:
-    """Write an 8-bit grayscale image as binary PGM (P5, maxval 255).
-
-    Returns the bytes written, so callers can checksum them without a read.
-    """
+def pgm_bytes(img: np.ndarray) -> bytes:
+    """An 8-bit grayscale image as binary PGM (P5, maxval 255)."""
     arr = np.asarray(img)
     if arr.ndim != 2 or arr.dtype != np.uint8:
         raise ValueError("PGM writer expects a 2-D uint8 array")
     h, w = arr.shape
-    data = f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
+
+
+def write_pgm(path: str | Path, img: np.ndarray) -> bytes:
+    """Write pgm_bytes(img) to path; returns them, for a checksum without a read."""
+    data = pgm_bytes(img)
     Path(path).write_bytes(data)
     return data
 
 
-def unlink_numbered(directory: Path, name: str, start: int) -> None:
-    """Unlink name.format(start), name.format(start + 1), ... in directory up
-    to the first that is missing: what a longer earlier run left after a
-    writer's files 0..start-1. On a fresh directory it costs one lookup."""
-    for i in itertools.count(start):
+def write_numbered(directory: Path, name: str, files: list[bytes]) -> None:
+    """Make directory hold exactly files, as name.format(0), name.format(1), ...
+
+    Numbered files past the last, left by a longer earlier run, are unlinked up
+    to the first that is missing; other files stay. With no files, an emptied
+    directory is removed and a path that is not a directory is left alone.
+    """
+    if files:
+        directory.mkdir(parents=True, exist_ok=True)
+    elif not directory.is_dir():
+        return
+    for i, data in enumerate(files):
+        (directory / name.format(i)).write_bytes(data)
+    for i in itertools.count(len(files)):
         try:
             (directory / name.format(i)).unlink()
         except FileNotFoundError:
-            return
+            break
+    if not files and not any(directory.iterdir()):
+        directory.rmdir()
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

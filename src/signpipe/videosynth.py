@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .imageops import round_half_up_u8
-from .io import sha256_bytes, unlink_numbered, write_json_report, write_pgm
+from .io import pgm_bytes, sha256_bytes, write_json_report, write_numbered
 from .labels import LETTERS, SIGNABLE, SPACE
 
 BLOCK_SIZE = 8
@@ -31,6 +31,7 @@ _ZERO_SHIFT = SEARCH_RADIUS * _SPAN + SEARCH_RADIUS
 # Blocks scored per pass: 16 x 289 candidates x 64 pixels, 0.3 MB per uint8
 # temporary. On the 128 px atlas 16 blocks time as fast as 128 or faster.
 _SEARCH_CHUNK = 16
+FRAME_FILE = "frame_{:06d}.pgm"
 
 
 @dataclass(frozen=True)
@@ -276,25 +277,18 @@ def interpolate_sequence(seq: FrameSequence) -> FrameSequence:
 def write_sequence(seq: FrameSequence, directory: str | Path) -> Path:
     """Write numbered PGM frames plus a manifest with per-frame checksums.
 
-    Every frame is its own file. Each image is encoded and hashed once, by
-    write_pgm at its first frame; its repeats (most of a clip: the copies
-    between letter changes) are written from those bytes. Frames past the
-    last, left by a longer clip written there before, are unlinked, so the
-    directory holds exactly the frames the manifest lists.
+    Every frame is its own file. Each image is encoded and hashed once; its
+    repeats (most of a clip: the copies between letter changes) are written
+    from those bytes. io.write_numbered unlinks the frames past the last,
+    left by a longer clip written there before, so the directory holds
+    exactly the frames the manifest lists.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    encoded = {}  # image -> (its PGM bytes, their checksum)
-    for i, k in enumerate(seq.index.tolist()):
-        name = f"frame_{i:06d}.pgm"
-        if k in encoded:
-            (directory / name).write_bytes(encoded[k][0])
-        else:
-            data = write_pgm(directory / name, seq.images[k])
-            encoded[k] = data, sha256_bytes(data)
-        entries.append({"file": name, "sha256": encoded[k][1]})
-    unlink_numbered(directory, "frame_{:06d}.pgm", len(seq.index))
+    encoded = [pgm_bytes(img) for img in seq.images]
+    digests = [sha256_bytes(data) for data in encoded]
+    index = seq.index.tolist()
+    write_numbered(directory, FRAME_FILE, [encoded[k] for k in index])
+    entries = [{"file": FRAME_FILE.format(i), "sha256": digests[k]} for i, k in enumerate(index)]
     manifest = {
         "schema": "frames/1",
         "fps": seq.fps,

@@ -5,6 +5,7 @@ import os
 import shutil
 import signal
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -145,6 +146,13 @@ def test_datagen_rerun_leaves_only_its_own_files(tmp_path):
         fresh = tmp_path / f"fresh{len(rerun)}"
         assert cli.main(["datagen", "--out", str(fresh), *SMALL, *rerun]) == 0
         assert tree(tmp_path / "d") == tree(fresh)
+    # a regular file where the stream frames would be is not the run's to clean up
+    (tmp_path / "e").mkdir()
+    (tmp_path / "e" / "stream_frames").write_bytes(b"not a stream\n")
+    assert cli.main(["datagen", "--out", str(tmp_path / "e"), *SMALL, *second]) == 0
+    rest = tree(tmp_path / "e")
+    assert rest.pop(Path("stream_frames")) == b"not a stream\n"
+    assert rest == tree(fresh)
 
 
 def test_config_file_and_set_precedence(tmp_path):
@@ -506,6 +514,44 @@ def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, command, un
     assert file.read_bytes() == b"not a clip\n"
 
 
+@pytest.mark.parametrize("fault", ["missing-parent", "parent-a-file", "a-directory"])
+@pytest.mark.parametrize("command, flag", [
+    ("train-rfc", "--model"), ("train-rfc", "--report"), ("train-cnn", "--model"),
+    ("train-cnn", "--report"), ("tune", "--report"), ("eval", "--report"), ("correct", "--report"),
+])
+def test_bad_model_or_report_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                                     command, flag, fault):
+    def never(*args, **kwargs):
+        raise AssertionError("work began before the outputs were checked")
+
+    for owner, name in ((forest, "grid_search"), (forest, "train_forest"), (cnn, "train")):
+        monkeypatch.setattr(owner, name, never)
+    file, taken, missing = tmp_path / "file", tmp_path / "taken", tmp_path / "missing"
+    file.write_bytes(b"not a directory\n")
+    taken.mkdir()
+    bad, message = {
+        "missing-parent": (missing / "out", f"{missing / 'out'}: directory {missing} does not exist"),
+        "parent-a-file": (file / "out", f"{file}: exists and is not a directory"),
+        "a-directory": (taken, f"{taken}: is a directory"),
+    }[fault]
+    out = {"--model": tmp_path / "m.blk", "--report": tmp_path / "r.json", flag: bad}
+    data = workspace / "data"
+    argv = {
+        "train-rfc": ["train-rfc", "--data", data / "landmarks.csv"],
+        "train-cnn": ["train-cnn", "--data", data / "silhouettes"],
+        "tune": ["tune", "--data", data / "landmarks.csv"],
+        "eval": ["eval", "--rfc", workspace / "rfc.blk", "--cnn", workspace / "cnn.blk",
+                 "--landmarks", data / "landmarks.csv", "--silhouettes", data / "silhouettes"],
+        "correct": ["correct", "--text", "HELO"],
+    }[command] + ["--report", out["--report"]]
+    if command.startswith("train-"):
+        argv += ["--model", out["--model"]]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([str(a) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_config_setting_a_key_twice_exits_2(tmp_path, capsys):
     cfg, out = tmp_path / "cfg", tmp_path / "data"
     cfg.write_text("seed = 1\nseed = 2\n", encoding="ascii")
@@ -865,6 +911,13 @@ def test_synthesize_rerun_without_stages_leaves_no_stage_clips(tmp_path):
     assert cli.main(["synthesize", "--text", "HI", "--out", str(d), *atlas]) == 0
     assert sorted(p.name for p in (d / "frames1").iterdir()) == ["notes.txt"]
     assert not (d / "frames24").exists()
+    # nor is a regular file where a stage clip would be
+    (tmp_path / "e").mkdir()
+    (tmp_path / "e" / "frames1").write_bytes(b"not a clip\n")
+    assert cli.main(["synthesize", "--text", "HI", "--out", str(tmp_path / "e"), *atlas]) == 0
+    rest = tree(tmp_path / "e")
+    assert rest.pop(Path("frames1")) == b"not a clip\n"
+    assert rest == tree(fresh)
 
 
 def test_synthesize_rejects_bad_text(tmp_path, capsys):

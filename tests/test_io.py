@@ -1,3 +1,4 @@
+import contextlib
 import re
 
 import numpy as np
@@ -25,6 +26,41 @@ def test_pgm_deterministic_bytes(tmp_path):
     io.write_pgm(tmp_path / "a.pgm", img)
     io.write_pgm(tmp_path / "b.pgm", img)
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("new", [0, 2, 5])
+@pytest.mark.parametrize("before", ["missing", "0", "1", "3", "0+notes", "1+notes", "3+notes", "file"])
+def test_write_numbered_leaves_exactly_the_new_files(tmp_path, before, new):
+    # before: a directory holding an earlier run's numbered files and maybe a
+    # foreign notes.txt, no directory, or a regular file in its place
+    d, name = tmp_path / "clip", "f{:02d}.bin"
+    if before == "file":
+        d.write_bytes(b"not a clip\n")
+    elif before != "missing":
+        d.mkdir()
+        for i in range(int(before[0])):
+            (d / name.format(i)).write_bytes(b"old%d" % i)
+        if before.endswith("notes"):
+            (d / "notes.txt").write_bytes(b"mine\n")
+    files = [b"new%d" % i for i in range(new)]
+    if new:
+        files[-1] = files[0]  # one bytes object, twice
+    if before == "file":
+        expected = {"clip": b"not a clip\n"}
+    else:
+        expected = {f"clip/{name.format(i)}": data for i, data in enumerate(files)}
+        if before.endswith("notes"):
+            expected["clip/notes.txt"] = b"mine\n"
+        if expected:  # an empty write removes the directory only when nothing else is in it
+            expected["clip"] = None
+    with pytest.raises(FileExistsError) if before == "file" and new else contextlib.nullcontext():
+        io.write_numbered(d, name, files)
+    tree = {p.relative_to(tmp_path).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in tmp_path.rglob("*")}
+    assert tree == expected
+    if before != "file" and new > 1:  # the bytes passed twice are two files
+        (d / name.format(new - 1)).write_bytes(b"edited")
+        assert (d / name.format(0)).read_bytes() == files[0]
 
 
 def test_pgm_rejects_wrong_magic(tmp_path):

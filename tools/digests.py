@@ -5,7 +5,9 @@ cap), train-cnn (at batch 8, and at batch 5, whose last batch is short),
 eval, tune, correct (with the built-in lexicon, and with a phrase file of
 30- and 70-letter words), synthesize (at the default atlas size, at 36 px,
 whose flow has partial 8x8 blocks, and a 36 px text with spaces at both
-ends and doubled letters) and translate for seeds 3 and 8
+ends and doubled letters) and translate for seeds 3 and 8, then reruns
+synthesize into the first synthesize's directory (2 letters, no stages)
+and datagen into the first datagen's (5 silhouettes per class, no stream),
 against one checkout's `src/`, with one BLAS thread, and prints one
 `sha256 path` line per output file, per frame directory (its .pgm names and
 bytes in order) and per command's stdout (temporary paths stripped). A change that claims the same bytes prints the
@@ -92,6 +94,11 @@ def _commands(seed: int):
                                  "--stages", *s, "--set", "datagen.atlas_size=36"]
     yield "translate", ["translate", *heads, "--landmarks", "data/stream_landmarks.csv",
                         "--frames", "data/stream_frames", "--out", "translate", "--stages", *s]
+    # Reruns over longer runs: what a run leaves behind shows in the trees.
+    yield "synthesize-rerun", ["synthesize", "--text", "HI", "--out", "synth", *s]
+    yield "datagen-rerun", ["datagen", "--out", "data", *s,
+                            "--set", "datagen.landmark_per_class=20",
+                            "--set", "datagen.silhouette_per_class=5"]
 
 
 def _sha(data: bytes) -> str:
