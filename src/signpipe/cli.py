@@ -68,13 +68,6 @@ def _nearest_dir(path: Path) -> Path:
     return found
 
 
-def _out_dir(args) -> Path:
-    """--out, checked before any work: it may be missing, but neither it nor a parent a file."""
-    out = Path(args.out)
-    _nearest_dir(out)
-    return out
-
-
 def _check_output_file(path: str) -> None:
     """A --model or --report, checked before any input is read: its parent
     an existing directory, and itself not a directory."""
@@ -95,7 +88,7 @@ def _split(n: int, seed: int, tag: str):
 
 
 def _cmd_datagen(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     cfg = _config(args)
     seed = get_int(cfg, "seed")
     spread = get_float(cfg, "datagen.spread", above=0.0)
@@ -454,9 +447,9 @@ def _remote_cfg(cfg) -> textcorrect.RemoteCorrectorConfig:
     return textcorrect.RemoteCorrectorConfig(
         endpoint=endpoint,
         token_env=cfg["remote.token_env"],
-        timeout_ms=get_int(cfg, "remote.timeout_ms", minimum=1),
+        timeout_ms=get_int(cfg, "remote.timeout_ms", minimum=1, maximum=textcorrect.MAX_WAIT_MS),
         max_retries=get_int(cfg, "remote.max_retries", minimum=0),
-        backoff_ms=get_int(cfg, "remote.backoff_ms", minimum=0),
+        backoff_ms=get_int(cfg, "remote.backoff_ms", minimum=0, maximum=textcorrect.MAX_WAIT_MS),
     )
 
 
@@ -549,7 +542,7 @@ def _synthesize(text: str, atlas: videosynth.GestureAtlas, args, out_dir: Path) 
 
 
 def _cmd_synthesize(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     if not args.text.strip():
         raise ValueError("cannot synthesize empty text")
     cfg = _config(args)
@@ -567,7 +560,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     cfg = _config(args)
     w_rfc = get_float(cfg, "ensemble.w_rfc", within=(0.0, 1.0))
     weights = ensemble.EnsembleWeights(w_rfc=w_rfc, w_cnn=round(1.0 - w_rfc, 10))
@@ -685,10 +678,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
+    try:  # every output path is checked before any work
         for path in (getattr(args, "model", None), getattr(args, "report", None)):
             if path:
                 _check_output_file(path)
+        if getattr(args, "out", None):  # it may be missing, but neither it nor a parent a file
+            _nearest_dir(Path(args.out))
         return args.func(args)
     except (textcorrect.TransportError, textcorrect.ProtocolError) as exc:
         print(f"remote corrector error: {exc}", file=sys.stderr)

@@ -527,6 +527,7 @@ def train(
 PREDICT_BATCH = 8
 
 
+# predict and _batched_eval bypass predict_proba, which bench/tracing.py times: no pass counts twice.
 def _batched_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
     if len(X) <= PREDICT_BATCH:
         return model.forward(X, train=False)

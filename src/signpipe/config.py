@@ -81,13 +81,15 @@ def _assign(cfg: dict[str, str], item: str, where: str, malformed: str) -> str:
     return key
 
 
-def get_int(cfg: dict[str, str], key: str, minimum: int | None = None) -> int:
+def get_int(cfg: dict[str, str], key: str, minimum: int | None = None, maximum: int | None = None) -> int:
     try:
         value = int(cfg[key])
     except ValueError:
         raise ValueError(f"config {key}: expected an integer, got {cfg[key]!r}") from None
     if minimum is not None and value < minimum:
         raise _out_of_range(cfg, key, f"an integer >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise _out_of_range(cfg, key, f"an integer in [{minimum}, {maximum}]")
     return value
 
 

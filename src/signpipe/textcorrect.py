@@ -8,10 +8,10 @@ long for the index is compared with those alone. Every distance is one
 bit-vector recurrence, at any word length, that stops once its lower bound
 exceeds 2. A word with no candidate in range stands for itself. The path
 beams over whole-string combinations scored by word frequency and bigram
-counts, whose running sums each beam entry carries, and proposes adjacent-word
-swaps that raise the bigram score. The remote path POSTs to a hosted corrector
-and enforces the three-candidate response contract; both return exactly three
-candidates.
+counts, whose running sums each beam entry carries and the ranking reads, and
+proposes adjacent-word swaps that raise the bigram score, each summed once.
+The remote path POSTs to a hosted corrector and enforces the three-candidate
+response contract; both return exactly three candidates.
 """
 from __future__ import annotations
 
@@ -37,6 +37,8 @@ MAX_INDEXED_LENGTH = 20
 PROMPT_TEMPLATE = (
     "Correct this recognized sign text, reply with a JSON array of exactly 3 candidate strings: {text}"
 )
+# Longest remote timeout or backoff, one day; far longer ones overflow the clock.
+MAX_WAIT_MS = 86_400_000
 
 
 class TransportError(Exception):
@@ -198,7 +200,7 @@ def _running_sums(words: list[str], lexicon: Lexicon, freq: float = 0.0, bigram:
 
     The one definition of the score's sums: the beam carries them and adds
     one word's terms per step, which gives the same bits as summing a whole
-    string from the start.
+    string from the start, as a proposed swap is.
     """
     for w in words:
         freq += math.log1p(lexicon.words.get(w, 0))
@@ -206,16 +208,6 @@ def _running_sums(words: list[str], lexicon: Lexicon, freq: float = 0.0, bigram:
             bigram += math.log1p(lexicon.bigrams.get((prev, w), 0))
         prev = w
     return freq, bigram
-
-
-def _bigram_score(words: list[str], lexicon: Lexicon) -> float:
-    return _running_sums(words, lexicon)[1]
-
-
-def _string_score(words: list[str], lexicon: Lexicon) -> float:
-    """Higher is better: log1p word frequencies plus weighted bigram counts."""
-    freq, bigram = _running_sums(words, lexicon)
-    return freq + BIGRAM_WEIGHT * bigram
 
 
 def normalize(text: str) -> str:
@@ -227,8 +219,9 @@ def normalize(text: str) -> str:
 def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
     """Top-3 whole-string corrections; deterministic for a given lexicon.
 
-    Each distinct string keeps its least beam distance and ranks by
-    (distance, -score, string). With fewer than three strings the best repeats.
+    Each distinct string keeps its least (distance, -score) pair, read from
+    the sums its beam entry carries, and ranks by that pair, then by text.
+    With fewer than three strings the best repeats.
     """
     norm = normalize(text)
     if not norm:
@@ -247,19 +240,20 @@ def correct_offline(text: str, lexicon: Lexicon) -> CorrectionResult:
         beam = grown[:BEAM_WIDTH]
 
     # Reorder pass: adjacent swaps that strictly raise the bigram score.
-    least: dict[str, int] = {}
-    for dist, words, _, _ in beam:
-        variants = [words]
-        base = _bigram_score(words, lexicon)
+    least: dict[str, tuple[int, float]] = {}
+    for dist, words, freq, bigram in beam:
+        variants = [(words, freq, bigram)]
         for i in range(len(words) - 1):
             swapped = words[:i] + [words[i + 1], words[i]] + words[i + 2 :]
-            if _bigram_score(swapped, lexicon) > base:
-                variants.append(swapped)
-        for v in variants:
+            sums = _running_sums(swapped, lexicon)
+            if sums[1] > bigram:
+                variants.append((swapped, *sums))
+        for v, v_freq, v_bigram in variants:
+            key = (dist, -(v_freq + BIGRAM_WEIGHT * v_bigram))
             s = " ".join(v)
-            least[s] = min(dist, least.get(s, dist))
+            least[s] = min(key, least.get(s, key))
 
-    ranked = sorted(least, key=lambda s: (least[s], -_string_score(s.split(" "), lexicon), s))
+    ranked = sorted(least, key=lambda s: (least[s], s))
     return CorrectionResult(candidates=tuple((ranked + ranked[:1] * 2)[:3]), source="offline")
 
 
@@ -326,7 +320,7 @@ def correct_remote(text: str, cfg: RemoteCorrectorConfig) -> CorrectionResult:
             return _parse_remote(payload)
         if attempt < cfg.max_retries:
             pause = min(
-                (cfg.backoff_ms / 1000.0) * (2**attempt),
+                (cfg.backoff_ms / 1000.0) * 2.0 ** min(attempt, 1023),  # a float's largest power of 2
                 max(0.0, deadline - time.monotonic()),
             )
             if pause > 0:

@@ -459,11 +459,15 @@ OUT_OF_RANGE = [
     ("correct", "remote.timeout_ms=0", "an integer >= 1"),
     ("correct", "remote.max_retries=-1", "an integer >= 0"),
     ("correct", "remote.backoff_ms=-1", "an integer >= 0"),
+    # past the one-day cap: a socket timeout or sleep this long overflows the clock
+    ("correct", "remote.timeout_ms=10000000000000", "an integer in [1, 86400000]"),
+    ("correct", "remote.backoff_ms=100000000000000000000", "an integer in [0, 86400000]"),
 ]
 
 
 @pytest.mark.parametrize("command, setting, expected", OUT_OF_RANGE,
-                         ids=[setting.partition("=")[0] for _, setting, _ in OUT_OF_RANGE])
+                         ids=[setting.partition("=")[0] + ("-over-a-day" if "86400000]" in expected else "")
+                              for _, setting, expected in OUT_OF_RANGE])
 def test_out_of_range_setting_exits_2_naming_the_key(tmp_path, capsys, command, setting, expected):
     # The data paths do not exist: every setting is checked before data is read.
     missing, out = tmp_path / "missing", tmp_path / "out"

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import resource
 import string
@@ -400,28 +401,46 @@ def test_correct_offline_whitespace_normalization(lexicon):
     assert a == b
 
 
+def reference_sums(words, lexicon):
+    """The log1p word-frequency and bigram-count sums of words, each added
+    left to right from 0.0 by a loop: from Python 3.12, sum() compensates its
+    rounding, so its bits can differ."""
+    freq = 0.0
+    for w in words:
+        freq += math.log1p(lexicon.words.get(w, 0))
+    bigram = 0.0
+    for pair in zip(words, words[1:]):
+        bigram += math.log1p(lexicon.bigrams.get(pair, 0))
+    return freq, bigram
+
+
+def reference_score(words, lexicon):
+    freq, bigram = reference_sums(words, lexicon)
+    return freq + textcorrect.BIGRAM_WEIGHT * bigram
+
+
 def reference_correct_offline(text, lexicon):
-    """correct_offline with its earlier ranking, kept as an oracle: a
-    (distance, score) pair per string, the least pair kept, and padding by a
-    loop."""
+    """correct_offline with its earlier ranking, kept as an oracle: every
+    string scored from scratch, a (distance, score) pair per string, the
+    least pair kept, and padding by a loop."""
     norm = " ".join(text.strip().upper().split())
     per_word = [textcorrect.word_candidates(w, lexicon) for w in norm.split()]
     beam = [(0, [])]
     for choices in per_word:
         grown = [(dist + d, words + [cand]) for dist, words in beam for cand, d in choices]
-        grown.sort(key=lambda s: (s[0], -textcorrect._string_score(s[1], lexicon), " ".join(s[1])))
+        grown.sort(key=lambda s: (s[0], -reference_score(s[1], lexicon), " ".join(s[1])))
         beam = grown[: textcorrect.BEAM_WIDTH]
     pool = {}
     for dist, words in beam:
         variants = [words]
-        base = textcorrect._bigram_score(words, lexicon)
+        base = reference_sums(words, lexicon)[1]
         for i in range(len(words) - 1):
             swapped = words[:i] + [words[i + 1], words[i]] + words[i + 2 :]
-            if textcorrect._bigram_score(swapped, lexicon) > base:
+            if reference_sums(swapped, lexicon)[1] > base:
                 variants.append(swapped)
         for v in variants:
             s = " ".join(v)
-            entry = (dist, textcorrect._string_score(v, lexicon))
+            entry = (dist, reference_score(v, lexicon))
             if s not in pool or entry < pool[s]:
                 pool[s] = entry
     ranked = sorted(pool.items(), key=lambda kv: (kv[1][0], -kv[1][1], kv[0]))
@@ -650,6 +669,17 @@ def test_remote_connection_refused_is_transport_error():
     )
     with pytest.raises(textcorrect.TransportError):
         textcorrect.correct_remote("HI", cfg)
+
+
+def test_remote_over_1024_retries_without_backoff_is_transport_error():
+    # at attempt 1024 the backoff's 2**1024 does not convert to a float
+    cfg = textcorrect.RemoteCorrectorConfig(
+        endpoint="http://127.0.0.1:9/none", max_retries=1100, timeout_ms=1000, backoff_ms=0
+    )
+    with mock.patch("urllib.request.urlopen", side_effect=ConnectionRefusedError) as urlopen:
+        with pytest.raises(textcorrect.TransportError):
+            textcorrect.correct_remote("HI", cfg)
+    assert urlopen.call_count == 1101
 
 
 def test_remote_never_blocks_past_budget(server):
