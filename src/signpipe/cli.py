@@ -262,7 +262,12 @@ def _cmd_train_cnn(args) -> int:
         )
     # uint8 frames: train and predict scale one batch at a time.
     frames = images[..., None]
-    history = cnn_mod.train(model, frames[tr], y[tr], frames[te], y[te], train_cfg)
+    try:
+        history = cnn_mod.train(model, frames[tr], y[tr], frames[te], y[te], train_cfg)
+    except FloatingPointError as exc:  # before any file is written
+        raise ValueError(
+            f"config cnn.learning_rate: training at {train_cfg.learning_rate!r} {exc}"
+        ) from None
     cnn_mod.save_cnn(args.model, model)
     metrics = confusion_and_metrics(cnn_mod.predict(model, frames[te]), y[te], CNN_CLASSES)
     payload = {

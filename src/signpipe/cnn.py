@@ -9,14 +9,17 @@ bit for bit. It runs the ReLU on maps 4, 9 and 16 times smaller. The
 gradients differ only in the sign and place of exact zeros, which leave
 every weight update unchanged.
 
-Everything runs in float64; convolutions use im2col matmuls and the data
-gradient is computed as a convolution with the flipped, channel-transposed
-kernel, so no scatter-add appears on the hot path. That convolution pads
-the output gradient by kernel - 1 less the forward pad on each side, so it
-yields the input-sized gradient directly, with no crop. A one-channel
-patch matrix is kh*kw slice copies; more channels take one copy of a
-strided view. Convolutions and dense layers add the bias in place on the
-matmul output.
+Everything runs in float32, the dtype of every weight: activations,
+gradients and Adam's moments follow the parameters, and no layer upcasts.
+Only gradient_check computes in float64, on its own copy of the layers.
+
+Convolutions use im2col matmuls and the data gradient is computed as a
+convolution with the flipped, channel-transposed kernel, so no scatter-add
+appears on the hot path. That convolution pads the output gradient by
+kernel - 1 less the forward pad on each side, so it yields the input-sized
+gradient directly, with no crop. A one-channel patch matrix is kh*kw slice
+copies; more channels take one copy of a strided view. Convolutions and
+dense layers add the bias in place on the matmul output.
 
 A pool takes each window row's maximum over its columns, then each
 window's maximum over its rows: 2(s-1) maxima on strided views, the same
@@ -24,11 +27,11 @@ pass in both modes, so both give the same bytes, signed zeros included.
 Train mode also records the first offset that holds each maximum, as argmax
 would; its backward is one scatter to those offsets.
 
-The model reads float64 (N, 32, 32, 1) input, or 8-bit frames as uint8
-(N, 32, 32, 1), which its forward scales with images_to_input. train,
-predict and predict_proba slice uint8 splits and streams as they are, so
-they hold one batch of floats, not a float copy of them all; the values are
-the same.
+The model reads float (N, 32, 32, 1) input, which its forward casts to its
+weights' dtype, or 8-bit frames as uint8 (N, 32, 32, 1), which it scales
+with images_to_input. train, predict and predict_proba slice uint8 splits
+and streams as they are, so they hold one batch of floats, not a float copy
+of them all; the values are the same.
 
 Each backward pass assigns its layer's weight and bias gradients (dW, db),
 so a training step's single pass leaves exactly that batch's gradients.
@@ -38,6 +41,7 @@ gradients: nothing reads the gradient with respect to the image.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -86,13 +90,14 @@ class Layer:
 
 
 class _Weighted(Layer):
-    """Glorot-uniform weights W and a zero bias b over W's last axis; backward
-    assigns dW and db. Fans count every kernel position: kh*kw*in and kh*kw*out."""
+    """Glorot-uniform float32 weights W and a zero bias b over W's last axis;
+    backward assigns dW and db. Fans count every kernel position: kh*kw*in and
+    kh*kw*out. The draws are float64, rounded once to float32."""
 
     def __init__(self, shape: tuple[int, ...], rng: np.random.Generator):
         limit = np.sqrt(6.0 / (math.prod(shape[:-2]) * (shape[-2] + shape[-1])))
-        self.W = rng.uniform(-limit, limit, size=shape)
-        self.b = np.zeros(shape[-1])
+        self.W = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+        self.b = np.zeros(shape[-1], np.float32)
 
     def params(self):
         return [self.W, self.b]
@@ -221,7 +226,7 @@ class MaxPool2D(Layer):
         at += np.arange(n)[:, None, None, None] * (h * w * c)
         at += np.arange(oh)[:, None, None] * (s * w * c)
         at += np.arange(ow)[:, None] * (s * c) + np.arange(c)
-        dx = np.zeros(self._x_shape)
+        dx = np.zeros(self._x_shape, dy.dtype)
         dx.reshape(-1)[at] = dy
         return dx
 
@@ -281,7 +286,7 @@ class Dropout(Layer):
             return x
         if self.rng is None:
             raise RuntimeError("dropout needs an RNG in train mode (set by the trainer)")
-        self._mask = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        self._mask = (self.rng.random(x.shape) >= self.rate).astype(x.dtype) / (1.0 - self.rate)
         return x * self._mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -301,7 +306,9 @@ class CnnModel:
         x = np.asarray(x)
         if x.shape[1:] != self.input_shape:
             raise ValueError(f"expected input shape {self.input_shape}, got {x.shape[1:]}")
-        x = images_to_input(x) if x.dtype == np.uint8 else x.astype(np.float64, copy=False)
+        if x.dtype == np.uint8:
+            x = images_to_input(x)
+        x = x.astype(self.layers[0].W.dtype, copy=False)
         for layer in self.layers:
             x = layer.forward(x, train)
         return softmax(x)
@@ -465,6 +472,7 @@ def _batched_eval(model: CnnModel, X: np.ndarray, y: np.ndarray):
     return float(np.sum(losses) / len(X)), correct / len(X)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run ends in the loss check
 def train(
     model: CnnModel,
     X: np.ndarray,
@@ -478,6 +486,8 @@ def train(
     Stops after `patience` epochs without strict improvement and restores the
     best-validation-loss weights. Returns the per-epoch history. X and X_val
     are float input or uint8 frames, each batch scaled by the forward pass.
+    An epoch whose training or validation loss is not finite raises
+    FloatingPointError naming the epoch: the run has diverged.
     """
     X, X_val = np.asarray(X), np.asarray(X_val)
     y = np.asarray(y, dtype=np.int64)
@@ -505,7 +515,13 @@ def train(
             model.backward(_loss_gradient(probs, yb))
             optimizer.step(model.params(), model.grads())
         val_loss, val_acc = _batched_eval(model, X_val, y_val)
-        history["train_loss"].append(float(np.sum(batch_losses) / len(X)))
+        train_loss = float(np.sum(batch_losses) / len(X))
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            raise FloatingPointError(
+                f"diverged at epoch {epoch + 1}: training loss {train_loss}, "
+                f"validation loss {val_loss}"
+            )
+        history["train_loss"].append(train_loss)
         history["train_acc"].append(correct / len(X))
         history["val_loss"].append(val_loss)
         history["val_acc"].append(val_acc)
@@ -521,9 +537,10 @@ def train(
     return history
 
 
-# Frames per inference forward pass. Activations are about 418 KiB per frame:
-# 8 frames hold about 3.4 MB and run as fast per frame as 32. On OpenBLAS the
-# probabilities are bit-equal to a 256-frame batch (a test pins that).
+# Frames per inference forward pass. A float32 pass's traced peak is about
+# 131 KiB per frame: 8 frames hold about 1.1 MB and run as fast per frame as
+# 32. On OpenBLAS the probabilities are bit-equal to a 256-frame batch (a
+# test pins that).
 PREDICT_BATCH = 8
 
 
@@ -545,12 +562,12 @@ def predict_proba(model: CnnModel, X: np.ndarray) -> np.ndarray:
 
 def images_to_input(images: np.ndarray) -> np.ndarray:
     """uint8 (N, H, W) or (N, H, W, 1) images, or one (H, W) image, -> a new
-    float64 (N, H, W, 1) array scaled to [0, 1]. CnnModel.forward calls it
-    on uint8 (N, H, W, 1) frames."""
+    float32 (N, H, W, 1) array scaled to [0, 1], each value v / 255 rounded
+    once. CnnModel.forward calls it on uint8 (N, H, W, 1) frames."""
     arr = np.asarray(images)
     if arr.ndim == 2:
         arr = arr[None]
-    x = arr.astype(np.float64)
+    x = arr.astype(np.float32)
     if x.ndim == 3:
         x = x[..., None]
     x /= 255.0
@@ -560,26 +577,28 @@ def images_to_input(images: np.ndarray) -> np.ndarray:
 def gradient_check(model: CnnModel, x: np.ndarray, y: np.ndarray) -> float:
     """Max relative error between backprop and central finite differences.
 
-    The analytic pass runs the same layers in train mode without dropout,
-    which is the identity at inference. Checks every element of every
-    parameter, so call it on tiny models only.
+    Both run on a float64 copy of the model's layers without dropout, which
+    is the identity at inference; the analytic pass runs them in train mode.
+    The model's own parameters are left as they were, dtype and bytes.
+    Checks every element of every parameter, so call it on tiny models only.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     step = 1e-4
+    layers = [copy.copy(layer) for layer in model.layers if not isinstance(layer, Dropout)]
+    for layer in layers:
+        if isinstance(layer, _Weighted):
+            layer.W, layer.b = layer.W.astype(np.float64), layer.b.astype(np.float64)
+    plain = CnnModel(layers, model.num_classes, model.input_shape)
 
     def loss() -> float:
-        return cross_entropy(model.forward(x, train=False), y)
+        return cross_entropy(plain.forward(x, train=False), y)
 
-    plain = CnnModel(
-        [layer for layer in model.layers if not isinstance(layer, Dropout)],
-        model.num_classes, model.input_shape,
-    )
     plain.backward(_loss_gradient(plain.forward(x, train=True), y))
     analytic = plain.grads()
 
     max_rel = 0.0
-    for p, g in zip(model.params(), analytic, strict=True):
+    for p, g in zip(plain.params(), analytic, strict=True):
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
         for i in range(flat_p.size):
@@ -618,10 +637,13 @@ def load_cnn(path) -> CnnModel:
         raise ValueError(f"{path}: expected arrays {names[0]}..{names[-1]}, got {sorted(arrays)}")
     for name, shape in zip(names, shapes):
         a = arrays[name]
-        if a.shape != shape or a.dtype.kind != "f" or not np.all(np.isfinite(a)):
+        # Any float file loads into the float32 model, a wider one rounded once.
+        with np.errstate(over="ignore"):
+            w = a.astype(np.float32) if a.shape == shape and a.dtype.kind == "f" else None
+        if w is None or not np.isfinite(w).all():
             raise ValueError(
                 f"{path}: {name} has shape {a.shape} and dtype {a.dtype}, "
-                f"expected {shape} finite float"
+                f"expected {shape} float, finite in float32"
             )
     model = build_model(num_classes, seed=0)
     model.set_weights([arrays[name] for name in names])

@@ -425,6 +425,22 @@ def test_non_finite_setting_exits_2(workspace, tmp_path, capsys, key, command, v
     assert not out.exists() and not model.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("rate", ["1e308", "1e39"])  # 1e39 overflows float32 alone
+def test_diverging_learning_rate_exits_2_before_writing(workspace, tmp_path, capsys, rate):
+    # A finite rate this large makes the first epoch's loss NaN: nothing is saved.
+    model, report = tmp_path / "m.blk", tmp_path / "r.json"
+    argv = ["train-cnn", "--data", workspace / "data" / "silhouettes",
+            "--model", model, "--report", report, "--set", f"cnn.learning_rate={rate}"]
+    assert _main_within([str(a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: config cnn.learning_rate: training at {float(rate)!r} diverged at epoch 1: "
+        "training loss nan, validation loss nan\n"
+    )
+    assert not model.exists() and not report.exists()
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--stream-text", "HI!"], "stream text must be uppercase letters and spaces"),
     (["--set", "datagen.atlas_size=-3"], "config datagen.atlas_size: expected an integer >= 1, got -3"),
@@ -1137,15 +1153,24 @@ def test_translate_corrupt_model_exits_2(workspace, tmp_path, capsys, which, mut
     assert "Traceback" not in err
 
 
+def _saved_cnn_dtype(workspace) -> np.dtype:
+    """The float dtype train-cnn saved its weights in."""
+    return io.read_blocks(workspace / "cnn.blk")[1]["param_000"].dtype
+
+
+SAVED_DTYPE = b'"dtype":"{saved}"'  # the saved file's own dtype string
+
+
 @pytest.mark.parametrize("old, new", [
-    (b'"dtype":"<f8"', b'"dtype":"<q8"'),  # a dtype numpy does not know
-    (b'"dtype":"<f8"', b'"dtype":"<i0"'),
-    (b'"dtype":"<f8"', b'"dtype":"<04"'),  # numpy evaluates the repeat count: a SyntaxError
+    (SAVED_DTYPE, b'"dtype":"<q8"'),  # a dtype numpy does not know
+    (SAVED_DTYPE, b'"dtype":"<i0"'),
+    (SAVED_DTYPE, b'"dtype":"<04"'),  # numpy evaluates the repeat count: a SyntaxError
     (b'"name":"param_000"', b'"nome":"param_000"'),  # a header without a name
 ], ids=["unknown-dtype", "zero-size-dtype", "leading-zero-count", "header-without-name"])
 def test_translate_byte_corrupted_cnn_exits_2(workspace, tmp_path, capsys, old, new):
     bad = tmp_path / "cnn.blk"
     data = (workspace / "cnn.blk").read_bytes()
+    old = old.replace(b"{saved}", _saved_cnn_dtype(workspace).str.encode())
     assert old in data
     bad.write_bytes(data.replace(old, new, 1))
     argv = translate_args(workspace, tmp_path / "x")
@@ -1168,11 +1193,12 @@ def _eval_with_a_cnn_claiming_1e13_classes(workspace, tmp_path):
 # Each size asks for hundreds of terabytes or more, which the allocator refuses at once.
 @pytest.mark.parametrize("argv, message", [
     (_eval_with_a_cnn_claiming_1e13_classes,
-     "param_008 has shape (128, 27) and dtype float64, expected (128, 10000000000000)"),
+     "param_008 has shape (128, 27) and dtype {saved}, expected (128, 10000000000000)"),
     (lambda ws, tmp: ["synthesize", "--text", "A", "--out", tmp / "out",
                       "--set", "datagen.atlas_size=10000000"], "Unable to allocate"),
 ], ids=["cnn-num-classes", "atlas-size"])
 def test_oversized_count_exits_2_in_one_line(workspace, tmp_path, capsys, argv, message):
+    message = message.format(saved=_saved_cnn_dtype(workspace))
     assert cli.main([str(a) for a in argv(workspace, tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1

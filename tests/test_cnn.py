@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signpipe import cnn, datagen
+from signpipe import cnn, datagen, io
 from signpipe.labels import CNN_CLASSES
 from signpipe.rng import substream
 
@@ -117,6 +117,15 @@ def test_gradient_check_small_model(rng):
     assert err < 1e-4
 
 
+def test_gradient_check_leaves_the_float32_parameters_unchanged(rng):
+    # It perturbs and differentiates a float64 copy of the layers, never the model's own.
+    model = small_model()
+    before = [(w.dtype, w.tobytes()) for w in model.get_weights()]
+    assert {dtype for dtype, _ in before} == {np.dtype(np.float32)}
+    assert cnn.gradient_check(model, rng.uniform(0, 1, (3, 8, 8, 1)), np.array([0, 1, 2])) < 1e-4
+    assert [(w.dtype, w.tobytes()) for w in model.get_weights()] == before
+
+
 def test_backward_assigns_gradients(rng):
     # A second pass over the same batch leaves that batch's gradients, not twice them.
     # Backward releases what its forward kept, so each pass has its own
@@ -193,10 +202,14 @@ def test_images_to_input_scaling():
     img = np.array([[0, 255], [128, 64]], dtype=np.uint8)
     x = cnn.images_to_input(img)
     assert x.shape == (1, 2, 2, 1)
-    assert x.dtype == np.float64
+    assert x.dtype == np.float32
     assert x[0, 0, 1, 0] == 1.0 and x[0, 0, 0, 0] == 0.0
     x4 = cnn.images_to_input(img[None, :, :, None])  # (N, H, W, 1) frames keep their shape
     assert x4.shape == x.shape and x4.tobytes() == x.tobytes()
+    # every level is v / 255 rounded once to float32
+    levels = np.arange(256, dtype=np.uint8)
+    want = (levels / 255.0).astype(np.float32)
+    assert cnn.images_to_input(levels[None]).reshape(-1).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 17])
@@ -260,6 +273,68 @@ def test_save_load_roundtrip(tmp_path, rng):
     assert np.array_equal(before, after)
     cnn.save_cnn(tmp_path / "m2.blk", loaded)
     assert (tmp_path / "m.blk").read_bytes() == (tmp_path / "m2.blk").read_bytes()
+
+
+def test_a_float64_model_file_loads_as_its_rounded_float32_weights(tmp_path, rng):
+    # An older <f8 file is rounded once at load: it predicts what a <f4 file
+    # of the rounded weights predicts, and saves as that file.
+    shapes = [p.shape for p in cnn.build_model(27, seed=0).params()]
+    wide = {f"param_{i:03d}": rng.normal(0, 0.1, shape) for i, shape in enumerate(shapes)}
+    meta = {"schema": "cnn/1", "num_classes": 27}
+    io.write_blocks(tmp_path / "f8.blk", meta, wide)
+    io.write_blocks(tmp_path / "f4.blk", meta, {k: a.astype(np.float32) for k, a in wide.items()})
+    assert b'"dtype":"<f8"' in (tmp_path / "f8.blk").read_bytes()
+    models = [cnn.load_cnn(tmp_path / name) for name in ("f8.blk", "f4.blk")]
+    x = rng.integers(0, 256, (5, 32, 32, 1), dtype=np.uint8)
+    got = [(m.get_weights(), cnn.predict_proba(m, x)) for m in models]
+    for a, b in zip(got[0][0], got[1][0], strict=True):
+        assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes()
+    assert got[0][1].tobytes() == got[1][1].tobytes()
+    cnn.save_cnn(tmp_path / "resaved.blk", models[0])
+    assert (tmp_path / "resaved.blk").read_bytes() == (tmp_path / "f4.blk").read_bytes()
+
+
+def test_a_weight_beyond_float32_is_refused_at_load(tmp_path):
+    model = cnn.build_model(27, seed=0)
+    arrays = {f"param_{i:03d}": p.astype(np.float64) for i, p in enumerate(model.params())}
+    arrays["param_002"][0, 0, 0, 0] = 1e39  # finite in float64, infinite in float32
+    io.write_blocks(tmp_path / "m.blk", {"schema": "cnn/1", "num_classes": 27}, arrays)
+    with pytest.raises(ValueError, match="param_002 .* finite in float32"):
+        cnn.load_cnn(tmp_path / "m.blk")
+
+
+def test_one_training_step_stays_in_float32():
+    # Any float64 array in a step (a dropout mask, a pool's dx, a moment)
+    # would bring back the float64 cost while every other test passes.
+    model = cnn.build_model(27, seed=4)
+    model.layers[-2].rng = substream(4, "dropout")
+    seen = []
+    for i, layer in enumerate(model.layers):
+        def forward(x, train, i=i, f=layer.forward):
+            out = f(x, train)
+            seen.append((i, "forward", out.dtype))
+            return out
+
+        def backward(dy, i=i, b=layer.backward):
+            dx = b(dy)
+            seen.append((i, "backward", None if dx is None else dx.dtype))
+            return dx
+
+        layer.forward, layer.backward = forward, backward
+    frames = substream(4, "frames").integers(0, 256, (8, 32, 32, 1), dtype=np.uint8)
+    probs = model.forward(frames, train=True)
+    dlogits = cnn._loss_gradient(probs, np.arange(8))
+    model.backward(dlogits)
+    adam = cnn.Adam(1e-3)
+    adam.step(model.params(), model.grads())
+    f32 = np.dtype(np.float32)
+    n = len(model.layers)
+    assert seen[:n] == [(i, "forward", f32) for i in range(n)]
+    # conv 1 returns no input gradient
+    assert seen[n:] == [(i, "backward", f32 if i else None) for i in reversed(range(n))]
+    assert probs.dtype == dlogits.dtype == f32
+    arrays = model.params() + model.grads() + adam.m + adam.v
+    assert len(arrays) == 4 * 10 and {a.dtype for a in arrays} == {f32}
 
 
 def test_predict_batches_equal_one_256_row_forward(rng):
@@ -457,11 +532,12 @@ def reference_pool(x, s, ceil_mode, dy):
     (2, 3, "same", 5, 4),  # pads (0, 1) and (1, 1)
 ])
 def test_conv_equals_cropping_reference(rng, kh, kw, padding, h, w):
+    # x and dy in the layer's dtype, as the model feeds it
     layer = cnn.Conv2D(3, 4, kh, kw, padding, rng)
     layer.b[...] = rng.normal(0, 1, 4)
-    x = rng.normal(0, 1, (2, h, w, 3))
+    x = rng.normal(0, 1, (2, h, w, 3)).astype(layer.W.dtype)
     out = layer.forward(x, train=True)
-    dy = rng.normal(0, 1, out.shape)
+    dy = rng.normal(0, 1, out.shape).astype(layer.W.dtype)
     dx = layer.backward(dy)
     expected = reference_conv(layer.W, layer.b, padding, x, dy)
     assert dx.shape == x.shape
